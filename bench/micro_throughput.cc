@@ -82,15 +82,13 @@ BM_ExecuteJoinAggregate(benchmark::State &state)
 BENCHMARK(BM_ExecuteJoinAggregate);
 
 /**
- * Scan-heavy batch-vs-row pair: one pre-parsed SELECT with a selective
- * WHERE and arithmetic projection over a 4096-row table, executed
- * through the row pipeline (mode = Optimized) and the columnar batch
- * pipeline (mode = Batch). Both run the identical plan; the ratio
- * prices the per-row evaluator recursion the kernels amortize.
- * Recorded in EXPERIMENTS.md ("Batch execution throughput").
+ * Scan-heavy row pipeline: one pre-parsed SELECT with a selective WHERE
+ * and arithmetic projection over a 4096-row table. Prices the per-row
+ * evaluator recursion (tree walk plus name resolution) of the filter
+ * and projection loops.
  */
 void
-scanFilterBench(benchmark::State &state, ExecMode mode)
+BM_ScanFilterRow(benchmark::State &state)
 {
     Database db;
     (void)db.execute("CREATE TABLE t0 (c0 INT, c1 INT)");
@@ -106,29 +104,17 @@ scanFilterBench(benchmark::State &state, ExecMode mode)
         "SELECT c0 + c1, c0 * 2 FROM t0 "
         "WHERE c0 % 3 = 0 AND c1 < 50 AND c0 + c1 > 10");
     for (auto _ : state) {
-        auto result = db.executeStmt(*parsed.value(), mode);
+        auto result = db.executeStmt(*parsed.value(), ExecMode::Optimized);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations());
 }
 
-void
-BM_ScanFilterRow(benchmark::State &state)
-{
-    scanFilterBench(state, ExecMode::Optimized);
-}
 BENCHMARK(BM_ScanFilterRow);
-
-void
-BM_ScanFilterBatch(benchmark::State &state)
-{
-    scanFilterBench(state, ExecMode::Batch);
-}
-BENCHMARK(BM_ScanFilterBatch);
 
 /** Projection-only variant: no WHERE, every row flows to PROJ. */
 void
-projectBench(benchmark::State &state, ExecMode mode)
+BM_ProjectRow(benchmark::State &state)
 {
     Database db;
     (void)db.execute("CREATE TABLE t0 (c0 INT, c1 INT)");
@@ -143,25 +129,13 @@ projectBench(benchmark::State &state, ExecMode mode)
     auto parsed = parseStatement(
         "SELECT c0 + c1, c0 - c1, c0 * c1 % 1000 FROM t0");
     for (auto _ : state) {
-        auto result = db.executeStmt(*parsed.value(), mode);
+        auto result = db.executeStmt(*parsed.value(), ExecMode::Optimized);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations());
 }
 
-void
-BM_ProjectRow(benchmark::State &state)
-{
-    projectBench(state, ExecMode::Optimized);
-}
 BENCHMARK(BM_ProjectRow);
-
-void
-BM_ProjectBatch(benchmark::State &state)
-{
-    projectBench(state, ExecMode::Batch);
-}
-BENCHMARK(BM_ProjectBatch);
 
 void
 BM_GenerateStatement(benchmark::State &state)

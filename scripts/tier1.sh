@@ -9,19 +9,14 @@
 #                     main build, then compile-check a tree configured
 #                     with -DSQLPP_TRACE=OFF (the hooks must vanish
 #                     cleanly, not bit-rot).
-#   4. batch lanes  — compile-check a tree configured with
-#                     -DSQLPP_BATCH=OFF (the row-only degradation must
-#                     keep building), run its unit lane (proves the
-#                     gated call sites degrade to row execution, not
-#                     just compile), and snapshot the batch-vs-row
-#                     micro benchmarks to BENCH_batch.json.
+#   4. bench lane   — run the campaign benchmark's self-test
+#                     (campaign_bench/test_bench.py): the benchmark
+#                     compiles the library sources itself, so this
+#                     proves it still builds, reports every metric of
+#                     BENCHMARK.json, and passes its pinned-digest gate.
 #   5. asan lane    — rebuild in a separate tree with
 #                     -DSQLPP_SANITIZE=address and rerun the unit lane
-#                     under AddressSanitizer. The main build keeps
-#                     SQLPP_BATCH=ON (the default), so the full suite —
-#                     including the 200-seed batch differential — runs
-#                     the vectorized kernels; the asan tree inherits the
-#                     same default and sanitizes them too.
+#                     under AddressSanitizer.
 #   6. guided lane  — run the guided-generation smoke test: fixed-seed
 #                     guided campaigns must be byte-deterministic at
 #                     --workers 1 (stdout table, metrics JSON, and the
@@ -43,22 +38,20 @@
 #                     pool are the code most worth racing-checking.
 #
 # Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-trace]
-#                         [--no-batch] [--no-guided] [--no-status]
-#                         [--no-txn] [-j N]
+#                         [--no-guided] [--no-status] [--no-txn] [-j N]
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build"
 ASAN_BUILD="$ROOT/build-asan"
 NOTRACE_BUILD="$ROOT/build-notrace"
-NOBATCH_BUILD="$ROOT/build-nobatch"
 NOSTATUS_BUILD="$ROOT/build-nostatus"
 TSAN_BUILD="$ROOT/build-tsan"
 JOBS=4
 RUN_FULL=1
 RUN_ASAN=1
 RUN_TRACE=1
-RUN_BATCH=1
+RUN_BENCH=1
 RUN_GUIDED=1
 RUN_STATUS=1
 RUN_TXN=1
@@ -66,18 +59,16 @@ RUN_TXN=1
 while [ $# -gt 0 ]; do
     case "$1" in
       --unit-only)
-          RUN_FULL=0; RUN_ASAN=0; RUN_TRACE=0; RUN_BATCH=0
+          RUN_FULL=0; RUN_ASAN=0; RUN_TRACE=0; RUN_BENCH=0
           RUN_GUIDED=0; RUN_STATUS=0; RUN_TXN=0 ;;
       --no-asan) RUN_ASAN=0 ;;
       --no-trace) RUN_TRACE=0 ;;
-      --no-batch) RUN_BATCH=0 ;;
       --no-guided) RUN_GUIDED=0 ;;
       --no-status) RUN_STATUS=0 ;;
       --no-txn) RUN_TXN=0 ;;
       -j) JOBS="$2"; shift ;;
       *) echo "usage: $0 [--unit-only] [--no-asan] [--no-trace]" \
-             "[--no-batch] [--no-guided] [--no-status] [--no-txn]" \
-             "[-j N]" >&2
+             "[--no-guided] [--no-status] [--no-txn] [-j N]" >&2
          exit 2 ;;
     esac
     shift
@@ -107,21 +98,9 @@ if [ "$RUN_TRACE" -eq 1 ]; then
     cmake --build "$NOTRACE_BUILD" -j "$JOBS"
 fi
 
-if [ "$RUN_BATCH" -eq 1 ]; then
-    echo "== tier1: -DSQLPP_BATCH=OFF lane =="
-    cmake -B "$NOBATCH_BUILD" -S "$ROOT" -DSQLPP_BATCH=OFF >/dev/null
-    cmake --build "$NOBATCH_BUILD" -j "$JOBS"
-    # Unit suites must pass with every batch call site compiled out:
-    # ExecMode::Batch then degrades to row execution identical to
-    # Optimized, and the kernel-engagement test skips itself.
-    ctest --test-dir "$NOBATCH_BUILD" -L unit --output-on-failure \
-        -j "$JOBS" --timeout 300
-
-    echo "== tier1: batch throughput snapshot =="
-    "$BUILD/bench/micro_throughput" \
-        --benchmark_filter='ScanFilter|Project' \
-        --benchmark_out="$ROOT/BENCH_batch.json" \
-        --benchmark_out_format=json
+if [ "$RUN_BENCH" -eq 1 ]; then
+    echo "== tier1: campaign benchmark self-test =="
+    (cd "$ROOT" && python3 campaign_bench/test_bench.py)
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then
@@ -131,14 +110,6 @@ if [ "$RUN_ASAN" -eq 1 ]; then
     cmake --build "$ASAN_BUILD" -j "$JOBS"
     ctest --test-dir "$ASAN_BUILD" -L unit --output-on-failure \
         -j "$JOBS" --timeout 300
-    if [ "$RUN_BATCH" -eq 1 ]; then
-        # Drive the vectorized kernels through the 200-seed batch
-        # differential under AddressSanitizer: selection vectors and
-        # column scratch buffers are exactly the kind of indexed
-        # hot-loop code ASan exists for.
-        ctest --test-dir "$ASAN_BUILD" -R EngineBatchDifferentialTest \
-            --output-on-failure --timeout 300
-    fi
 fi
 
 if [ "$RUN_GUIDED" -eq 1 ]; then

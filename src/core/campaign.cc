@@ -162,15 +162,6 @@ CampaignRunner::run()
     connection_options.budget = config_.budget;
     connection_options.refreshRetry = config_.refreshRetry;
     connection_options.execMode = config_.execMode;
-    SQLPP_GAUGE_SET("campaign.exec.mode",
-                    static_cast<int64_t>(config_.execMode));
-    // Legacy traces must stay byte-identical, so the mode event is only
-    // recorded for non-default modes.
-    if (config_.execMode != ExecMode::Optimized) {
-        SQLPP_TRACE_EVENT(ExecModeSelected,
-                          execModeName(config_.execMode),
-                          static_cast<uint64_t>(config_.execMode), 0);
-    }
     // Budget and retry counters live in the connection; fold them into
     // the stats before a connection is replaced (rebuild) or dropped.
     auto collect_counters = [&stats](const Connection &connection) {
@@ -387,8 +378,9 @@ bool
 CampaignRunner::reproduces(const DialectProfile &profile,
                            const BugCase &bug, OracleResult *replayed)
 {
-    // Replay under the execution mode the bug was found with: a bug in
-    // a batch-only code path would vanish under a row-mode replay.
+    // Replay under the execution mode the bug was found with. Names this
+    // build does not know (e.g. the retired "batch" pipeline) leave the
+    // default Optimized mode in place.
     ConnectionOptions options;
     if (!bug.execMode.empty())
         (void)parseExecMode(bug.execMode, options.execMode);

@@ -72,9 +72,8 @@ struct CampaignConfig
     RefreshRetryPolicy refreshRetry;
     /**
      * Execution pipeline for every connection the campaign opens.
-     * Batch is result- and stats-identical to Optimized on fault-free
-     * dialects (the batch differential lane pins this); it exists to
-     * scale statements/sec, the paper's throughput bottleneck.
+     * Reference exists as the oracle of the engine differential test;
+     * campaigns run Optimized.
      */
     ExecMode execMode = ExecMode::Optimized;
     /**

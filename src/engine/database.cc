@@ -73,21 +73,12 @@ Database::executeStmt(const Stmt &stmt, ExecMode mode, SessionId session)
     if (stmt.kind() == StmtKind::Select) {
         SQLPP_COVER("db.select");
         const auto &select = static_cast<const SelectStmt &>(stmt);
-        // Batch execution is row-at-a-time inside an explicit
-        // transaction for now: the vectorized pipeline reads column
-        // chunks straight off the committed store and cannot follow a
-        // session's private version yet.
-        ExecMode effective = mode;
-        if (in_txn && mode == ExecMode::Batch) {
-            SQLPP_COVER("db.txn.batch_fallback");
-            effective = ExecMode::Optimized;
-        }
         std::unique_ptr<Catalog> scratch;
         const Catalog &view =
             readCatalog(session, select.where != nullptr, scratch);
         BudgetMeter meter(config_.budget);
         Executor executor(view, config_.behavior, config_.faults,
-                          effective, &meter);
+                          mode, &meter);
         auto result = executor.runSelect(select);
         last_plan_ = executor.planDescription();
         last_fingerprint_ = executor.planFingerprint();
@@ -687,9 +678,8 @@ declareEngineCoverageProbes()
     for (const char *probe :
          {"db.txn.begin", "db.txn.commit", "db.txn.rollback",
           "db.txn.savepoint", "db.txn.rollback_to", "db.txn.release",
-          "db.txn.commit_conflict", "db.txn.batch_fallback",
-          "db.txn.fault.snapshot_leak", "db.txn.fault.dirty_read",
-          "db.txn.fault.lost_update"}) {
+          "db.txn.commit_conflict", "db.txn.fault.snapshot_leak",
+          "db.txn.fault.dirty_read", "db.txn.fault.lost_update"}) {
         registry.declare(probe);
     }
     // Executor paths.

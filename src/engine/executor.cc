@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "engine/batch_executor.h"
 #include "engine/functions.h"
 #include "sqlir/printer.h"
 #include "util/coverage.h"
@@ -217,7 +216,6 @@ execModeName(ExecMode mode)
     switch (mode) {
       case ExecMode::Optimized: return "optimized";
       case ExecMode::Reference: return "reference";
-      case ExecMode::Batch: return "batch";
     }
     return "optimized";
 }
@@ -231,10 +229,6 @@ parseExecMode(const std::string &name, ExecMode &out)
     }
     if (name == "reference") {
         out = ExecMode::Reference;
-        return true;
-    }
-    if (name == "batch") {
-        out = ExecMode::Batch;
         return true;
     }
     return false;
@@ -383,8 +377,6 @@ Executor::runSubquery(const SelectStmt &select, const EvalContext *outer)
 StatusOr<ResultSet>
 Executor::runSelect(const SelectStmt &select, const EvalContext *outer)
 {
-    // Batch mode plans exactly like Optimized (same notes, same plan
-    // fingerprints); only the filter/project inner loops differ.
     note(mode_ == ExecMode::Reference ? "REF" : "OPT");
     return runSelectImpl(select, outer);
 }
@@ -620,19 +612,6 @@ Executor::applySourceFilters(Source &source,
             !s.isOk()) {
             return s;
         }
-#ifndef SQLPP_NO_BATCH
-        if (mode_ == ExecMode::Batch && !conjuncts.empty()) {
-            // Lazy materialization: filter the stored rows in place and
-            // copy only the survivors, instead of the row path's full
-            // table copy followed by a second survivor copy. Notes and
-            // budget charges are identical to the SCAN+PFILT pair.
-            SQLPP_COVER("exec.access.pushed_filter");
-            note(format("PFILT(%s,%zu)", source.binding.c_str(),
-                        conjuncts.size()));
-            return batchFilterInto(table->rows, conjuncts, scope, outer,
-                                   source.rows);
-        }
-#endif
         source.rows = table->rows;
     }
 
@@ -641,18 +620,6 @@ Executor::applySourceFilters(Source &source,
     SQLPP_COVER("exec.access.pushed_filter");
     note(format("PFILT(%s,%zu)", source.binding.c_str(),
                 conjuncts.size()));
-#ifndef SQLPP_NO_BATCH
-    if (mode_ == ExecMode::Batch) {
-        std::vector<Row> kept;
-        if (Status s = batchFilterInto(source.rows, conjuncts, scope,
-                                       outer, kept);
-            !s.isOk()) {
-            return s;
-        }
-        source.rows = std::move(kept);
-        return Status::ok();
-    }
-#endif
     std::vector<Row> kept;
     for (const Row &row : source.rows) {
         bool keep = true;
@@ -694,26 +661,6 @@ Executor::predicateKeeps(const Expr &predicate, const Scope &scope,
         return *truth;
     // NULL predicate: excluded, unless the WHERE fault is active.
     return where_clause && faults_.isEnabled(FaultId::WhereNullAsTrue);
-}
-
-Status
-Executor::batchFilterInto(const std::vector<Row> &input,
-                          const std::vector<const Expr *> &conjuncts,
-                          const Scope &scope, const EvalContext *outer,
-                          std::vector<Row> &out)
-{
-    BatchExprEnv env;
-    env.scope = &scope;
-    env.behavior = &behavior_;
-    env.faults = &faults_;
-    env.budget = budget_;
-    return batchFilterRows(
-        env, conjuncts, input,
-        [&](const Expr &conjunct, const Row &row) {
-            return predicateKeeps(conjunct, scope, row, outer,
-                                  /*where_clause=*/true);
-        },
-        out);
 }
 
 StatusOr<ResultSet>
@@ -1179,35 +1126,22 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         SQLPP_COVER("exec.filter.where");
         note(format("FILT(%zu)", where_conjuncts.size()));
         std::vector<Row> kept;
-#ifndef SQLPP_NO_BATCH
-        if (mode_ == ExecMode::Batch) {
-            if (Status s = batchFilterInto(current, where_conjuncts,
-                                           scope, outer, kept);
-                !s.isOk()) {
-                return s;
-            }
-            current = std::move(kept);
-        } else
-#endif
-        {
-            for (const Row &row : current) {
-                bool keep = true;
-                for (const Expr *conjunct : where_conjuncts) {
-                    auto result =
-                        predicateKeeps(*conjunct, scope, row, outer,
-                                       /*where_clause=*/true);
-                    if (!result.isOk())
-                        return result.status();
-                    if (!result.value()) {
-                        keep = false;
-                        break;
-                    }
+        for (const Row &row : current) {
+            bool keep = true;
+            for (const Expr *conjunct : where_conjuncts) {
+                auto result = predicateKeeps(*conjunct, scope, row, outer,
+                                             /*where_clause=*/true);
+                if (!result.isOk())
+                    return result.status();
+                if (!result.value()) {
+                    keep = false;
+                    break;
                 }
-                if (keep)
-                    kept.push_back(row);
             }
-            current = std::move(kept);
+            if (keep)
+                kept.push_back(row);
         }
+        current = std::move(kept);
     }
 
     // ------------------------------------------------------------------
@@ -1369,38 +1303,13 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             return Status::semanticError(
                 "HAVING requires GROUP BY or aggregates");
         }
-        bool batch_projected = false;
-#ifndef SQLPP_NO_BATCH
-        if (mode_ == ExecMode::Batch) {
-            BatchExprEnv env;
-            env.scope = &scope;
-            env.behavior = &behavior_;
-            env.faults = &faults_;
-            env.budget = budget_;
-            auto batched = batchProjectRows(
-                env, select, current,
-                [&](const Row &row) -> Status {
-                    EvalContext ctx = base_ctx();
-                    ctx.row = &row;
-                    if (Status s = project(ctx, result); !s.isOk())
-                        return s;
-                    return eval_sort_keys(ctx);
-                },
-                result, sort_keys);
-            if (!batched.isOk())
-                return batched.status();
-            batch_projected = batched.value();
-        }
-#endif
-        if (!batch_projected) {
-            for (const Row &row : current) {
-                EvalContext ctx = base_ctx();
-                ctx.row = &row;
-                if (Status s = project(ctx, result); !s.isOk())
-                    return s;
-                if (Status s = eval_sort_keys(ctx); !s.isOk())
-                    return s;
-            }
+        for (const Row &row : current) {
+            EvalContext ctx = base_ctx();
+            ctx.row = &row;
+            if (Status s = project(ctx, result); !s.isOk())
+                return s;
+            if (Status s = eval_sort_keys(ctx); !s.isOk())
+                return s;
         }
     }
 

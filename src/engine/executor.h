@@ -32,22 +32,18 @@
 
 namespace sqlpp {
 
-/** Which execution pipeline to use. */
+/**
+ * Which execution pipeline to use. The ordinals are hashed into each
+ * checkpointed shard's configuration fingerprint (describeShard), so
+ * renumbering them would stop existing checkpoints from resuming.
+ */
 enum class ExecMode
 {
     Optimized,
     Reference,
-    /**
-     * Optimized planning with columnar batch-at-a-time filter and
-     * projection loops (engine/batch_executor.h). Plans — and therefore
-     * plan fingerprints — are identical to Optimized; only the inner
-     * loops differ. Compiled out by SQLPP_NO_BATCH, in which case this
-     * mode degrades to row-at-a-time execution identical to Optimized.
-     */
-    Batch,
 };
 
-/** Stable lowercase name ("optimized", "reference", "batch"). */
+/** Stable lowercase name ("optimized", "reference"). */
 const char *execModeName(ExecMode mode);
 
 /** Parse execModeName() output; false (and *out untouched) on junk. */
@@ -116,16 +112,6 @@ class Executor : public SubqueryRunner
     StatusOr<bool> predicateKeeps(const Expr &predicate, const Scope &scope,
                                   const Row &row, const EvalContext *outer,
                                   bool where_clause);
-
-    /**
-     * Batch-mode filter: conjuncts over @p input into @p out via the
-     * vectorized kernels, falling back to predicateKeeps per row for
-     * anything outside the kernel subset.
-     */
-    Status batchFilterInto(const std::vector<Row> &input,
-                           const std::vector<const Expr *> &conjuncts,
-                           const Scope &scope, const EvalContext *outer,
-                           std::vector<Row> &out);
 
     void note(const std::string &atom);
 

@@ -831,16 +831,6 @@ declarePlatformMetrics()
         {"campaign.setup.wall_us", MetricKind::Timer},
         {"campaign.check.wall_us", MetricKind::Timer},
         {"campaign.run.wall_us", MetricKind::Timer},
-        // Batch execution path. The campaign.exec.* family is the one
-        // documented exception to cross-mode metrics byte-identity.
-        {"campaign.exec.mode", MetricKind::Gauge},
-        {"campaign.exec.batch.chunks", MetricKind::Counter},
-        {"campaign.exec.batch.rows.kernel", MetricKind::Counter},
-        {"campaign.exec.batch.rows.fallback", MetricKind::Counter},
-        {"campaign.exec.batch.filter.compiled", MetricKind::Counter},
-        {"campaign.exec.batch.filter.fallback", MetricKind::Counter},
-        {"campaign.exec.batch.project.compiled", MetricKind::Counter},
-        {"campaign.exec.batch.project.fallback", MetricKind::Counter},
         // Checkpointing.
         {"checkpoint.saves", MetricKind::Counter},
         {"checkpoint.save.bytes", MetricKind::Histogram},

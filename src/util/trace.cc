@@ -27,8 +27,6 @@ traceEventTypeName(TraceEventType type)
         return "checkpoint_restored";
       case TraceEventType::ShardStarted: return "shard_started";
       case TraceEventType::ShardAbandoned: return "shard_abandoned";
-      case TraceEventType::ExecModeSelected:
-        return "exec_mode_selected";
     }
     return "unknown";
 }

@@ -80,18 +80,11 @@ enum class TraceEventType : uint8_t
     ShardStarted,
     /** The watchdog abandoned a shard at its deadline. */
     ShardAbandoned,
-    /**
-     * A campaign selected a non-default execution pipeline; detail =
-     * execModeName(), a = ExecMode ordinal. Not emitted for Optimized,
-     * so legacy traces are unchanged. Appended last to preserve the
-     * serialized ids of every earlier type.
-     */
-    ExecModeSelected,
 };
 
 /** Number of distinct event types (bounds arrays and validation). */
 inline constexpr size_t kTraceEventTypes =
-    static_cast<size_t>(TraceEventType::ExecModeSelected) + 1;
+    static_cast<size_t>(TraceEventType::ShardAbandoned) + 1;
 
 /** Stable snake_case name of an event type ("statement_executed"). */
 const char *traceEventTypeName(TraceEventType type);

@@ -195,6 +195,25 @@ TEST_F(TraceIntegrationTest, EveryDossierReproReproduces)
         ++replayed;
     }
     EXPECT_EQ(replayed, report.dossiersWritten);
+
+    // Repro files from builds that still had the retired "batch"
+    // pipeline name a mode this build does not know; they replay under
+    // the default optimized pipeline, which computed the same results.
+    auto set = dossierSet(config.dossierDir);
+    ASSERT_FALSE(set.empty());
+    std::string repro = readFile(fs::path(config.dossierDir) /
+                                 set.begin()->first / "repro.sql");
+    const std::string mode_line = "-- mode: optimized\n";
+    size_t at = repro.find(mode_line);
+    ASSERT_NE(at, std::string::npos) << repro;
+    repro.replace(at, mode_line.size(), "-- mode: batch\n");
+    std::string batch_path = path("batch_repro.sql");
+    {
+        std::ofstream out(batch_path, std::ios::binary);
+        out << repro;
+    }
+    std::string details;
+    EXPECT_TRUE(replayReproFile(batch_path, &details)) << details;
 }
 
 TEST_F(TraceIntegrationTest, DossierDirectoryHoldsAllArtifacts)
@@ -230,7 +249,7 @@ TEST_F(TraceIntegrationTest, ReproRoundTripsThroughTheParser)
                  "INSERT INTO t0 VALUES (1)"};
     bug.baseText = "SELECT * FROM t0";
     bug.predicateText = "t0.c0 > 0";
-    bug.execMode = "batch";
+    bug.execMode = "reference";
     std::string repro_path = path("repro.sql");
     {
         std::ofstream out(repro_path, std::ios::binary);
@@ -244,7 +263,7 @@ TEST_F(TraceIntegrationTest, ReproRoundTripsThroughTheParser)
     EXPECT_EQ(parsed.value().baseText, bug.baseText);
     EXPECT_EQ(parsed.value().predicateText, bug.predicateText);
     // Replay must re-run the bug under the pipeline that found it.
-    EXPECT_EQ(parsed.value().execMode, "batch");
+    EXPECT_EQ(parsed.value().execMode, "reference");
     // The id hashes the replayed identity, so it survives the trip.
     // execMode is deliberately excluded: the same logic bug found by
     // either pipeline is one case, not two.

@@ -4,8 +4,7 @@
  * scripts, (1) running the script inside one BEGIN … COMMIT block is
  * observationally identical to auto-commit — statement by statement
  * and in final committed state — and (2) ROLLBACK restores the exact
- * pre-transaction snapshot. Both hold under the row and the batch
- * execution pipelines.
+ * pre-transaction snapshot.
  */
 #include <gtest/gtest.h>
 
@@ -150,14 +149,11 @@ TEST_P(TxnPropertyTest, RollbackRestoresPreTxnSnapshot)
     }
 }
 
+// ExecMode::Optimized is the row-at-a-time pipeline. The suite stays
+// parameterized so another execution pipeline joins as one more value.
 INSTANTIATE_TEST_SUITE_P(Modes, TxnPropertyTest,
-                         ::testing::Values(ExecMode::Optimized,
-                                           ExecMode::Batch),
-                         [](const auto &info) {
-                             return info.param == ExecMode::Batch
-                                        ? "Batch"
-                                        : "Row";
-                         });
+                         ::testing::Values(ExecMode::Optimized),
+                         [](const auto &) { return "Row"; });
 
 } // namespace
 } // namespace sqlpp

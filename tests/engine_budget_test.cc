@@ -111,97 +111,6 @@ TEST(BudgetTest, DefaultBudgetPreservesBehaviour)
     EXPECT_EQ(result.value().rowCount(), 30u);
 }
 
-/**
- * Batch-tail budget parity. The batch pipeline charges evaluator steps
- * per batch (one chargeSteps(selection) at each kernel node) with
- * selection narrowing mirroring the row evaluator's short-circuit, so
- * on error-free statements its step total equals the row pipeline's
- * exactly. The *point* of exhaustion inside a chunk can differ by up
- * to one batch (a kernel discovers exhaustion at a node boundary, the
- * row loop mid-row) — the contract is: both modes exhaust on the same
- * statement with ErrorCode::BudgetExhausted, never one succeeding
- * where the other trips.
- */
-TEST(BudgetTest, BatchModeExhaustsWhereOptimizedDoes)
-{
-    for (uint64_t max_steps : {10ull, 40ull, 200ull, 100000ull}) {
-        Database row_db = makeDb(StepBudget{max_steps, 0, 0});
-        Database batch_db = makeDb(StepBudget{max_steps, 0, 0});
-        fillTable(row_db, "t0", 30);
-        fillTable(batch_db, "t0", 30);
-        auto parsed = parseStatement(
-            "SELECT c0 + 1 FROM t0 WHERE c0 + 1 * 2 - 3 > 0 AND "
-            "c0 < 100");
-        ASSERT_TRUE(parsed.isOk());
-        auto row =
-            row_db.executeStmt(*parsed.value(), ExecMode::Optimized);
-        auto batch =
-            batch_db.executeStmt(*parsed.value(), ExecMode::Batch);
-        EXPECT_EQ(row.isOk(), batch.isOk())
-            << "maxSteps=" << max_steps << " optimized: "
-            << row.status().toString()
-            << " batch: " << batch.status().toString();
-        if (!row.isOk() && !batch.isOk()) {
-            EXPECT_EQ(row.status().code(), batch.status().code());
-            EXPECT_EQ(batch.status().code(),
-                      ErrorCode::BudgetExhausted);
-        }
-        if (row.isOk() && batch.isOk()) {
-            EXPECT_TRUE(row.value().sameRowMultiset(batch.value()));
-        }
-    }
-}
-
-TEST(BudgetTest, BatchRowBudgetMatchesOptimized)
-{
-    // chargeRows is per emitted row in both pipelines, so the row
-    // budget trips identically — no batch-tail slack on this axis.
-    for (uint64_t max_rows : {5ull, 29ull, 30ull}) {
-        Database row_db = makeDb(StepBudget{0, max_rows, 0});
-        Database batch_db = makeDb(StepBudget{0, max_rows, 0});
-        fillTable(row_db, "t0", 30);
-        fillTable(batch_db, "t0", 30);
-        auto parsed = parseStatement("SELECT c0 FROM t0");
-        ASSERT_TRUE(parsed.isOk());
-        auto row =
-            row_db.executeStmt(*parsed.value(), ExecMode::Optimized);
-        auto batch =
-            batch_db.executeStmt(*parsed.value(), ExecMode::Batch);
-        EXPECT_EQ(row.isOk(), batch.isOk()) << "maxRows=" << max_rows;
-        if (!row.isOk()) {
-            EXPECT_EQ(row.status().code(),
-                      ErrorCode::BudgetExhausted);
-            EXPECT_EQ(batch.status().code(),
-                      ErrorCode::BudgetExhausted);
-        }
-    }
-}
-
-TEST(BudgetTest, BatchStepChargesEqualOptimizedOnErrorFreeQueries)
-{
-    // Stronger than same-outcome: find the minimal step budget that
-    // lets the statement through in each mode and demand they agree,
-    // i.e. the kernels' charge total is *exactly* the row pipeline's.
-    auto minimalBudget = [](ExecMode mode) -> uint64_t {
-        auto parsed = parseStatement(
-            "SELECT c0 * 2 FROM t0 WHERE c0 % 2 = 0 OR c0 > 20");
-        EXPECT_TRUE(parsed.isOk());
-        for (uint64_t steps = 1; steps < 4096; ++steps) {
-            Database db = makeDb(StepBudget{steps, 0, 0});
-            fillTable(db, "t0", 24);
-            if (db.executeStmt(*parsed.value(), mode).isOk())
-                return steps;
-        }
-        return 0;
-    };
-    uint64_t optimized_min = minimalBudget(ExecMode::Optimized);
-    uint64_t batch_min = minimalBudget(ExecMode::Batch);
-    ASSERT_GT(optimized_min, 0u);
-    EXPECT_EQ(optimized_min, batch_min)
-        << "batch kernels charge a different step total than the row "
-           "evaluator on an error-free statement";
-}
-
 TEST(BudgetTest, ConnectionCountsBudgetFailuresAsResourceErrors)
 {
     const DialectProfile *profile = findDialect("sqlite-like");

@@ -269,12 +269,9 @@ TEST(EvalTest, AggregateOutsideGroupContext)
 }
 
 // ---------------------------------------------------------------------
-// Corner-pinning regressions from the batch-executor audit. The
-// vectorized kernels (engine/vec_eval.cc) re-implement these exact
-// semantics; every case below is simultaneously checked against the
-// row evaluator here and against the kernels by the batch differential
-// test, so a drift in either implementation trips a named assertion
-// instead of a generated-query mismatch.
+// Corner-pinning regressions for the evaluator's 3VL, coercion,
+// overflow and LIKE semantics: each case names one corner, so a drift
+// trips a named assertion instead of a generated-query mismatch.
 // ---------------------------------------------------------------------
 
 TEST(EvalTest, NullComparisonChains)

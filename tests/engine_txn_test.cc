@@ -2,8 +2,7 @@
  * @file
  * Engine transaction semantics: BEGIN/COMMIT/ROLLBACK, savepoints,
  * snapshot visibility across sessions, first-committer-wins conflicts,
- * the isolation-fault family, and the batch-mode fallback inside
- * explicit transactions.
+ * and the isolation-fault family.
  */
 #include <gtest/gtest.h>
 
@@ -170,23 +169,6 @@ TEST_F(TxnTest, ConcurrentDisjointCommitsMergeInCommitOrder)
     ASSERT_EQ(rows.rowCount(), 2u);
     EXPECT_EQ(rows.rows()[0][0].asInt(), 2); // s2 committed first
     EXPECT_EQ(rows.rows()[1][0].asInt(), 1);
-}
-
-TEST_F(TxnTest, BatchModeFallsBackToRowInTransaction)
-{
-    ok("CREATE TABLE t (a INT)");
-    ok("INSERT INTO t VALUES (1), (2), (3)");
-    ok("BEGIN");
-    ok("INSERT INTO t VALUES (4)");
-    auto parsed = parseStatement("SELECT COUNT(*) FROM t WHERE a > 1");
-    ASSERT_TRUE(parsed.isOk());
-    auto batch = db.executeStmt(*parsed.value(), ExecMode::Batch, 0);
-    ASSERT_TRUE(batch.isOk()) << batch.status().toString();
-    EXPECT_EQ(batch.value().rows()[0][0].asInt(), 3);
-    ok("COMMIT");
-    auto after = db.executeStmt(*parsed.value(), ExecMode::Batch, 0);
-    ASSERT_TRUE(after.isOk());
-    EXPECT_EQ(after.value().rows()[0][0].asInt(), 3);
 }
 
 class TxnFaultTest : public ::testing::Test

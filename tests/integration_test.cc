@@ -19,6 +19,18 @@
 #include "parser/parser.h"
 
 namespace sqlpp {
+
+/**
+ * Print a profile parameter by name, not by address: gtest appends the
+ * printed parameter to every listed test name, and an address would
+ * change the name on each run.
+ */
+static void
+PrintTo(const DialectProfile *profile, std::ostream *os)
+{
+    *os << profile->name;
+}
+
 namespace {
 
 /**

@@ -60,8 +60,7 @@ matrixBaseProfile()
 
 /** One fixed-seed mini campaign; true when the oracle flagged a bug. */
 bool
-detects(const DialectProfile &profile, const std::string &oracle,
-        ExecMode exec_mode = ExecMode::Optimized)
+detects(const DialectProfile &profile, const std::string &oracle)
 {
     CampaignConfig config;
     config.seed = 99173;
@@ -75,7 +74,6 @@ detects(const DialectProfile &profile, const std::string &oracle,
     // capability matrix from the first check — the matrix measures
     // oracle sensitivity, not feedback learning speed.
     config.mode = GeneratorMode::Baseline;
-    config.execMode = exec_mode;
     CampaignRunner runner(config, profile);
     return runner.run().bugsDetected > 0;
 }
@@ -100,27 +98,6 @@ renderMatrix(
                       cells.at("ISO") ? 1 : 0);
     }
     return out.str();
-}
-
-/** Run the full 26-fault × 5-oracle grid under one execution mode. */
-std::string
-renderMatrixForMode(ExecMode exec_mode)
-{
-    std::map<std::string, std::map<std::string, bool>> rows;
-    std::vector<std::string> order;
-    for (FaultId fault : allFaultIds()) {
-        DialectProfile profile = matrixBaseProfile();
-        profile.faults.enable(fault);
-        order.push_back(faultName(fault));
-        for (const char *oracle : kOracles)
-            rows[faultName(fault)][oracle] =
-                detects(profile, oracle, exec_mode);
-    }
-    DialectProfile clean = matrixBaseProfile();
-    order.push_back("FAULT_FREE");
-    for (const char *oracle : kOracles)
-        rows["FAULT_FREE"][oracle] = detects(clean, oracle, exec_mode);
-    return renderMatrix(rows, order);
 }
 
 TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
@@ -211,38 +188,6 @@ TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
     EXPECT_EQ(rendered, expected.str())
         << "detection matrix changed; if intentional, regenerate with "
            "SQLPP_UPDATE_GOLDEN=1";
-}
-
-/**
- * The same grid under ExecMode::Batch must reproduce the same golden
- * byte for byte: oracle sensitivity is a property of the engine's
- * semantics and the injected fault, never of the execution pipeline.
- * (On fault-carrying dialects compileVecExpr refuses to vectorize, so
- * the batch pipeline degrades to the row evaluator and fault hooks
- * fire identically; the fault-free control additionally exercises the
- * kernels and must stay silent.) Compares against the golden the
- * optimized-mode test maintains — under SQLPP_UPDATE_GOLDEN this test
- * skips so the file is written exactly once.
- */
-TEST(OracleFaultMatrixTest, BatchModeMatchesSameGolden)
-{
-    std::string golden_path =
-        std::string(SQLPP_GOLDEN_DIR) + "/fault_matrix.txt";
-    if (std::getenv("SQLPP_UPDATE_GOLDEN") != nullptr)
-        GTEST_SKIP() << "golden maintained by the optimized-mode test";
-
-    std::string rendered = renderMatrixForMode(ExecMode::Batch);
-
-    std::ifstream in(golden_path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << golden_path
-        << "; run once with SQLPP_UPDATE_GOLDEN=1";
-    std::stringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(rendered, expected.str())
-        << "batch-mode detection matrix diverged from the row-mode "
-           "golden: the execution pipeline changed what an oracle "
-           "can see";
 }
 
 } // namespace
