@@ -137,6 +137,68 @@ BM_ProjectRow(benchmark::State &state)
 
 BENCHMARK(BM_ProjectRow);
 
+/** Fill t0(c0, c1) with `rows` rows of (i, i % modulus). */
+void
+fillPairs(Database &db, const char *table, int rows, int modulus)
+{
+    (void)db.execute(std::string("CREATE TABLE ") + table +
+                     " (c0 INT, c1 INT)");
+    std::string insert = std::string("INSERT INTO ") + table + " VALUES ";
+    for (int i = 0; i < rows; ++i) {
+        if (i > 0)
+            insert += ", ";
+        insert += "(" + std::to_string(i) + ", " +
+                  std::to_string(i % modulus) + ")";
+    }
+    (void)db.execute(insert);
+}
+
+/**
+ * Correlated scalar subquery: the inner SELECT runs once per outer row
+ * (256 x 64 inner rows). Prices the per-run planning of a subquery —
+ * folding, cache-key work, child executor setup — plus the resolution
+ * of a correlated reference through the outer frame.
+ */
+void
+BM_CorrelatedSubqueryRow(benchmark::State &state)
+{
+    Database db;
+    fillPairs(db, "t0", 256, 64);
+    fillPairs(db, "t1", 64, 8);
+    auto parsed = parseStatement(
+        "SELECT c0, (SELECT COUNT(*) FROM t1 WHERE t1.c0 = t0.c1 "
+        "AND t1.c1 < 6) FROM t0");
+    for (auto _ : state) {
+        auto result = db.executeStmt(*parsed.value(), ExecMode::Optimized);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_CorrelatedSubqueryRow);
+
+/**
+ * Hash join of a 4096-row table against a 1024-row table (4096 matched
+ * rows), then a projection over the combined rows. Prices combined-row
+ * construction and the projection's column reads.
+ */
+void
+BM_HashJoinRow(benchmark::State &state)
+{
+    Database db;
+    fillPairs(db, "t0", 4096, 1024);
+    fillPairs(db, "t1", 1024, 16);
+    auto parsed = parseStatement(
+        "SELECT t0.c0 + t1.c1, t1.c0 FROM t0 JOIN t1 ON t0.c1 = t1.c0");
+    for (auto _ : state) {
+        auto result = db.executeStmt(*parsed.value(), ExecMode::Optimized);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_HashJoinRow);
+
 void
 BM_GenerateStatement(benchmark::State &state)
 {

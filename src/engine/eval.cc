@@ -64,6 +64,7 @@ Scope::addBinding(std::string name, std::vector<std::string> columns)
     binding.columns = std::move(columns);
     binding.offset = width();
     bindings.push_back(std::move(binding));
+    bound_.clear();
 }
 
 std::optional<bool>
@@ -767,15 +768,18 @@ evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
     return *best;
 }
 
-StatusOr<Value>
-evalFunction(const FunctionExpr &fn, const EvalContext &ctx)
+/**
+ * Bind a scalar function call to its implementation: by name the first
+ * time, from the scope's bind table after that. Aggregates and calls
+ * that fail to bind are never recorded, so they take this path (and
+ * report their error) every time.
+ */
+StatusOr<const FunctionImpl *>
+bindFunction(const FunctionExpr &fn, const EvalContext &ctx)
 {
-    if (isAggregateFunction(fn.name)) {
-        if (ctx.groupRows == nullptr) {
-            return Status::semanticError("misuse of aggregate function " +
-                                         fn.name);
-        }
-        return evalAggregate(fn, ctx);
+    if (ctx.scope != nullptr) {
+        if (const BoundNode *bound = ctx.scope->findBound(&fn))
+            return bound->function;
     }
     if (fn.star) {
         return Status::semanticError("star argument only valid in COUNT");
@@ -788,6 +792,28 @@ evalFunction(const FunctionExpr &fn, const EvalContext &ctx)
         return Status::semanticError("wrong number of arguments to " +
                                      fn.name);
     }
+    if (ctx.scope != nullptr) {
+        BoundNode bound;
+        bound.function = impl;
+        ctx.scope->bind(&fn, bound);
+    }
+    return impl;
+}
+
+StatusOr<Value>
+evalFunction(const FunctionExpr &fn, const EvalContext &ctx)
+{
+    if (isAggregateFunction(fn.name)) {
+        if (ctx.groupRows == nullptr) {
+            return Status::semanticError("misuse of aggregate function " +
+                                         fn.name);
+        }
+        return evalAggregate(fn, ctx);
+    }
+    auto bound = bindFunction(fn, ctx);
+    if (!bound.isOk())
+        return bound.status();
+    const FunctionImpl *impl = bound.value();
     std::vector<Value> args;
     args.reserve(fn.args.size());
     for (const ExprPtr &arg : fn.args) {
@@ -808,7 +834,7 @@ evalSubqueryScalar(const SelectStmt &select, const EvalContext &ctx)
     auto result = ctx.subqueries->runSubquery(select, &ctx);
     if (!result.isOk())
         return result.status();
-    const ResultSet &rows = result.value();
+    const ResultSet &rows = *result.value();
     if (rows.columnCount() != 1) {
         return Status::semanticError(
             "scalar subquery must return one column");
@@ -820,6 +846,48 @@ evalSubqueryScalar(const SelectStmt &select, const EvalContext &ctx)
             "scalar subquery returned more than one row");
     }
     return rows.rows()[0][0];
+}
+
+/**
+ * Resolve a column reference by name, walking lexical scopes
+ * innermost-out for correlated references. A frame without the column
+ * passes the search outward; an ambiguous match stops it.
+ */
+StatusOr<BoundNode>
+bindColumn(const ColumnRefExpr &ref, const EvalContext &ctx)
+{
+    uint32_t depth = 0;
+    for (const EvalContext *frame = &ctx; frame != nullptr;
+         frame = frame->outer, ++depth) {
+        if (frame->scope == nullptr)
+            continue;
+        auto offset = frame->scope->resolve(ref.table, ref.column);
+        if (offset.isOk()) {
+            BoundNode bound;
+            bound.depth = depth;
+            bound.offset = static_cast<uint32_t>(offset.value());
+            return bound;
+        }
+        if (offset.status().message().find("ambiguous") !=
+            std::string::npos) {
+            return offset.status();
+        }
+    }
+    std::string name =
+        ref.table.empty() ? ref.column : ref.table + "." + ref.column;
+    return Status::semanticError("no such column: " + name);
+}
+
+/** Read a bound column slot from the current row of its frame. */
+Value
+readColumn(const BoundNode &bound, const EvalContext &ctx)
+{
+    const EvalContext *frame = &ctx;
+    for (uint32_t hop = 0; hop < bound.depth; ++hop)
+        frame = frame->outer;
+    if (frame->row == nullptr)
+        return Value::null();
+    return (*frame->row)[bound.offset];
 }
 
 StatusOr<Value>
@@ -835,26 +903,18 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
       case ExprKind::Literal:
         return static_cast<const LiteralExpr &>(expr).value;
       case ExprKind::ColumnRef: {
-        const auto &ref = static_cast<const ColumnRefExpr &>(expr);
-        // Walk lexical scopes innermost-out for correlated references.
-        for (const EvalContext *frame = &ctx; frame != nullptr;
-             frame = frame->outer) {
-            if (frame->scope == nullptr)
-                continue;
-            auto offset = frame->scope->resolve(ref.table, ref.column);
-            if (offset.isOk()) {
-                if (frame->row == nullptr)
-                    return Value::null();
-                return (*frame->row)[offset.value()];
-            }
-            if (offset.status().message().find("ambiguous") !=
-                std::string::npos) {
-                return offset.status();
-            }
+        const BoundNode *bound =
+            ctx.scope != nullptr ? ctx.scope->findBound(&expr) : nullptr;
+        if (bound == nullptr) {
+            auto resolved = bindColumn(
+                static_cast<const ColumnRefExpr &>(expr), ctx);
+            if (!resolved.isOk())
+                return resolved.status();
+            if (ctx.scope != nullptr)
+                ctx.scope->bind(&expr, resolved.value());
+            return readColumn(resolved.value(), ctx);
         }
-        std::string name =
-            ref.table.empty() ? ref.column : ref.table + "." + ref.column;
-        return Status::semanticError("no such column: " + name);
+        return readColumn(*bound, ctx);
       }
       case ExprKind::Unary:
         return evalUnary(static_cast<const UnaryExpr &>(expr), ctx);
@@ -975,7 +1035,7 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
         auto result = ctx.subqueries->runSubquery(*exists.subquery, &ctx);
         if (!result.isOk())
             return result.status();
-        bool any = result.value().rowCount() > 0;
+        bool any = result.value()->rowCount() > 0;
         return Value::boolean(exists.negated ? !any : any);
       }
       case ExprKind::InSubquery: {
@@ -989,7 +1049,7 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
         auto result = ctx.subqueries->runSubquery(*in.subquery, &ctx);
         if (!result.isOk())
             return result.status();
-        const ResultSet &rows = result.value();
+        const ResultSet &rows = *result.value();
         if (rows.columnCount() != 1) {
             return Status::semanticError(
                 "IN subquery must return one column");

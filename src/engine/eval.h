@@ -10,8 +10,11 @@
 #ifndef SQLPP_ENGINE_EVAL_H
 #define SQLPP_ENGINE_EVAL_H
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/budget.h"
@@ -46,10 +49,58 @@ struct Binding
     size_t offset = 0;
 };
 
-/** The set of bindings produced by a FROM clause. */
+struct FunctionImpl;
+
+/**
+ * What a column reference or function call is bound to: a (frame,
+ * offset) slot for a column, the implementation for a function.
+ */
+struct BoundNode
+{
+    /** Enclosing frames to walk outward from the evaluating context. */
+    uint32_t depth = 0;
+    /** Offset of the column in that frame's row. */
+    uint32_t offset = 0;
+    /** Bound scalar function; nullptr for column references. */
+    const FunctionImpl *function = nullptr;
+};
+
+/**
+ * The set of bindings produced by a FROM clause, plus the bind table of
+ * the expression nodes evaluated against it.
+ *
+ * The evaluator resolves a column reference or function call by name
+ * the first time it meets the node under this scope and records the
+ * result here; every later row reads the slot directly. The table is
+ * keyed by node address, so it is only valid while the nodes it names
+ * are alive: callers keep every tree they evaluate against a scope
+ * alive for the scope's lifetime. Copies and moves start with an empty
+ * table, and addBinding() clears it, since a slot depends on the exact
+ * binding list and enclosing frames it was resolved under. The table is
+ * a flat list: a scope binds a few dozen nodes at most, and a linear
+ * scan of addresses is cheaper there than hashing.
+ */
 class Scope
 {
   public:
+    Scope() = default;
+    Scope(const Scope &other) : bindings(other.bindings) {}
+    Scope(Scope &&other) noexcept : bindings(std::move(other.bindings)) {}
+    Scope &
+    operator=(const Scope &other)
+    {
+        bindings = other.bindings;
+        bound_.clear();
+        return *this;
+    }
+    Scope &
+    operator=(Scope &&other) noexcept
+    {
+        bindings = std::move(other.bindings);
+        bound_.clear();
+        return *this;
+    }
+
     std::vector<Binding> bindings;
 
     /** Total combined-row width. */
@@ -67,6 +118,26 @@ class Scope
 
     /** Append a binding, fixing its offset to the current width. */
     void addBinding(std::string name, std::vector<std::string> columns);
+
+    /** The node's binding under this scope; nullptr when not yet bound. */
+    const BoundNode *
+    findBound(const Expr *node) const
+    {
+        for (const auto &[key, bound] : bound_) {
+            if (key == node)
+                return &bound;
+        }
+        return nullptr;
+    }
+
+    /** Record a node's binding under this scope. */
+    void bind(const Expr *node, const BoundNode &bound) const
+    {
+        bound_.emplace_back(node, bound);
+    }
+
+  private:
+    mutable std::vector<std::pair<const Expr *, BoundNode>> bound_;
 };
 
 class EvalContext;
@@ -82,10 +153,11 @@ class SubqueryRunner
 
     /**
      * Run a subquery. @p outer provides the lexical environment for
-     * correlated column references.
+     * correlated column references. The result is shared, not copied:
+     * a cached uncorrelated subquery hands every caller the same rows.
      */
-    virtual StatusOr<ResultSet> runSubquery(const SelectStmt &select,
-                                            const EvalContext *outer) = 0;
+    virtual StatusOr<std::shared_ptr<const ResultSet>>
+    runSubquery(const SelectStmt &select, const EvalContext *outer) = 0;
 };
 
 /** Everything an expression evaluation needs. */

@@ -51,6 +51,27 @@ rowKey(const Row &row)
     return key;
 }
 
+/** A combined join row: @p left's values, then @p right's. */
+Row
+combineRows(const Row &left, const Row &right)
+{
+    Row combined;
+    combined.reserve(left.size() + right.size());
+    combined.insert(combined.end(), left.begin(), left.end());
+    combined.insert(combined.end(), right.begin(), right.end());
+    return combined;
+}
+
+/** combineRows() for a left row the caller no longer needs. */
+Row
+combineRows(Row &&left, const Row &right)
+{
+    Row combined = std::move(left);
+    combined.reserve(combined.size() + right.size());
+    combined.insert(combined.end(), right.begin(), right.end());
+    return combined;
+}
+
 /** Collect column references of an expression, skipping subqueries. */
 void
 collectColumnRefs(const Expr &expr, std::vector<const ColumnRefExpr *> &out)
@@ -238,7 +259,16 @@ Executor::Executor(const Catalog &catalog, const EngineBehavior &behavior,
                    const FaultSet &faults, ExecMode mode,
                    BudgetMeter *budget)
     : catalog_(catalog), behavior_(behavior), faults_(faults), mode_(mode),
-      budget_(budget != nullptr ? budget : &owned_budget_)
+      budget_(budget != nullptr ? budget : &owned_budget_),
+      state_(&owned_state_)
+{
+}
+
+Executor::Executor(const Executor *parent)
+    : catalog_(parent->catalog_), behavior_(parent->behavior_),
+      faults_(parent->faults_), mode_(parent->mode_),
+      budget_(parent->budget_), depth_(parent->depth_ + 1),
+      state_(parent->state_)
 {
 }
 
@@ -347,38 +377,65 @@ isUncorrelatedSelect(const SelectStmt &select)
     return !selectRefsOutside(select, {});
 }
 
-StatusOr<ResultSet>
+StatusOr<std::shared_ptr<const ResultSet>>
 Executor::runSubquery(const SelectStmt &select, const EvalContext *outer)
 {
     if (depth_ > 12)
         return Status::runtimeError("subquery nesting too deep");
     // Uncorrelated subqueries are loop-invariant: evaluate once per
-    // enclosing statement.
-    std::string cache_key;
-    if (isUncorrelatedSelect(select)) {
-        cache_key = printSelect(select);
+    // enclosing statement. Whether a SELECT node is correlated, and its
+    // text, are worked out once per statement.
+    auto [key, fresh] = state_->subqueryKeys.try_emplace(&select);
+    if (fresh && isUncorrelatedSelect(select))
+        key->second = printSelect(select);
+    const std::string &cache_key = key->second;
+    if (!cache_key.empty()) {
         auto hit = subquery_cache_.find(cache_key);
         if (hit != subquery_cache_.end())
             return hit->second;
     }
-    Executor child(catalog_, behavior_, faults_, mode_, budget_);
-    child.depth_ = depth_ + 1;
+    Executor child(this);
     auto result = child.runSelectImpl(select, outer);
     // Correlated subqueries run once per row; dedupe their plan shape so
     // the parent plan stays data-independent.
     std::string atom = "SUB[" + child.plan_ + "]";
     if (plan_.find(atom) == std::string::npos)
         note(atom);
-    if (!cache_key.empty() && result.isOk())
-        subquery_cache_.emplace(std::move(cache_key), result.value());
-    return result;
+    if (!result.isOk())
+        return result.status();
+    auto rows = std::make_shared<const ResultSet>(result.takeValue());
+    if (!cache_key.empty())
+        subquery_cache_.emplace(cache_key, rows);
+    return rows;
 }
 
 StatusOr<ResultSet>
 Executor::runSelect(const SelectStmt &select, const EvalContext *outer)
 {
+    // The statement state is keyed by node address: start each
+    // statement afresh so a reused executor never sees stale entries.
+    *state_ = StatementState();
     note(mode_ == ExecMode::Reference ? "REF" : "OPT");
     return runSelectImpl(select, outer);
+}
+
+const Executor::StatementState::Folded &
+Executor::folded(const SelectStmt &select)
+{
+    auto [entry, fresh] = state_->folded.try_emplace(&select);
+    StatementState::Folded &trees = entry->second;
+    if (fresh) {
+        if (select.where != nullptr)
+            trees.where = constantFold(*select.where, behavior_, faults_);
+        trees.on.resize(select.joins.size());
+        for (size_t j = 0; j < select.joins.size(); ++j) {
+            if (select.joins[j].on != nullptr) {
+                trees.on[j] =
+                    constantFold(*select.joins[j].on, behavior_, faults_);
+            }
+        }
+    }
+    return trees;
 }
 
 StatusOr<Executor::Source>
@@ -387,15 +444,14 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
     Source source;
     if (ref.subquery) {
         SQLPP_COVER("exec.source.derived");
-        Executor child(catalog_, behavior_, faults_, mode_, budget_);
-        child.depth_ = depth_ + 1;
+        Executor child(this);
         auto result = child.runSelectImpl(*ref.subquery, outer);
         if (!result.isOk())
             return result.status();
         note("DRV[" + child.plan_ + "]");
         source.binding = ref.alias;
-        source.columns = result.value().columns();
-        source.rows = result.value().rows();
+        source.columns = std::move(result.value().columns());
+        source.rows = result.value().takeRows();
         return source;
     }
     if (const StoredTable *table = catalog_.table(ref.name)) {
@@ -408,8 +464,7 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
     }
     if (const StoredView *view = catalog_.view(ref.name)) {
         SQLPP_COVER("exec.source.view");
-        Executor child(catalog_, behavior_, faults_, mode_, budget_);
-        child.depth_ = depth_ + 1;
+        Executor child(this);
         auto result = child.runSelectImpl(*view->select, outer);
         if (!result.isOk())
             return result.status();
@@ -422,7 +477,7 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
             return Status::semanticError(
                 "view column list does not match query: " + view->name);
         }
-        source.rows = result.value().rows();
+        source.rows = result.value().takeRows();
         return source;
     }
     return Status::semanticError("no such table: " + ref.name);
@@ -443,6 +498,9 @@ Executor::applySourceFilters(Source &source,
     // Try to turn one conjunct into an index probe (base tables only).
     size_t probe_conjunct = static_cast<size_t>(-1);
     const StoredIndex *probe_index = nullptr;
+    // The table rows the source reads: all of them, or the probe's.
+    bool full_scan = false;
+    std::vector<size_t> ordinals;
     enum class ProbeOp { Eq, Gt, Ge, Lt, Le, IsNull } probe_op = ProbeOp::Eq;
     Value probe_key;
 
@@ -560,7 +618,6 @@ Executor::applySourceFilters(Source &source,
             faults_.isEnabled(FaultId::IndexEqTextCoerce)) {
             key = Value::integer(valueToNumeric(key).value_or(0));
         }
-        std::vector<size_t> ordinals;
         if (Status s = budget_->chargeSteps(probe_index->entries.size());
             !s.isOk()) {
             return s;
@@ -600,9 +657,6 @@ Executor::applySourceFilters(Source &source,
                 ordinals.push_back(entry.rowOrdinal);
         }
         std::sort(ordinals.begin(), ordinals.end());
-        source.rows.clear();
-        for (size_t ordinal : ordinals)
-            source.rows.push_back(table->rows[ordinal]);
         conjuncts.erase(conjuncts.begin() +
                         static_cast<long>(probe_conjunct));
     } else if (is_base) {
@@ -612,31 +666,65 @@ Executor::applySourceFilters(Source &source,
             !s.isOk()) {
             return s;
         }
-        source.rows = table->rows;
+        full_scan = true;
     }
 
+    if (!conjuncts.empty()) {
+        SQLPP_COVER("exec.access.pushed_filter");
+        note(format("PFILT(%s,%zu)", source.binding.c_str(),
+                    conjuncts.size()));
+    }
+    if (!is_base)
+        return filterRows(source.rows, conjuncts, scope, outer);
+    // Base-table rows are read straight out of the table: only the rows
+    // the pushed filter keeps are copied.
+    size_t count = full_scan ? table->rows.size() : ordinals.size();
+    if (conjuncts.empty())
+        source.rows.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        const Row &row = table->rows[full_scan ? i : ordinals[i]];
+        auto keep = conjunctsKeep(conjuncts, scope, row, outer);
+        if (!keep.isOk())
+            return keep.status();
+        if (keep.value())
+            source.rows.push_back(row);
+    }
+    return Status::ok();
+}
+
+StatusOr<bool>
+Executor::conjunctsKeep(const std::vector<const Expr *> &conjuncts,
+                        const Scope &scope, const Row &row,
+                        const EvalContext *outer)
+{
+    for (const Expr *conjunct : conjuncts) {
+        auto result = predicateKeeps(*conjunct, scope, row, outer,
+                                     /*where_clause=*/true);
+        if (!result.isOk() || !result.value())
+            return result;
+    }
+    return true;
+}
+
+Status
+Executor::filterRows(std::vector<Row> &rows,
+                     const std::vector<const Expr *> &conjuncts,
+                     const Scope &scope, const EvalContext *outer)
+{
     if (conjuncts.empty())
         return Status::ok();
-    SQLPP_COVER("exec.access.pushed_filter");
-    note(format("PFILT(%s,%zu)", source.binding.c_str(),
-                conjuncts.size()));
-    std::vector<Row> kept;
-    for (const Row &row : source.rows) {
-        bool keep = true;
-        for (const Expr *conjunct : conjuncts) {
-            auto result = predicateKeeps(*conjunct, scope, row, outer,
-                                         /*where_clause=*/true);
-            if (!result.isOk())
-                return result.status();
-            if (!result.value()) {
-                keep = false;
-                break;
-            }
+    size_t kept = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        auto keep = conjunctsKeep(conjuncts, scope, rows[i], outer);
+        if (!keep.isOk())
+            return keep.status();
+        if (keep.value()) {
+            if (kept != i)
+                rows[kept] = std::move(rows[i]);
+            ++kept;
         }
-        if (keep)
-            kept.push_back(row);
     }
-    source.rows = std::move(kept);
+    rows.resize(kept);
     return Status::ok();
 }
 
@@ -730,23 +818,29 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // Optimized mode: fold WHERE/ON, apply the ON->WHERE fault, split
     // conjuncts, and push single-binding conjuncts down to sources.
     // ------------------------------------------------------------------
-    ExprPtr where_owned;
-    std::vector<ExprPtr> on_owned(select.joins.size());
+    // Reference mode evaluates the statement's own trees; optimized mode
+    // evaluates folded copies, made once per SELECT node per statement
+    // so a correlated subquery does not refold them for every outer row.
+    const Expr *where = select.where.get();
+    std::vector<const Expr *> on(select.joins.size());
+    for (size_t j = 0; j < select.joins.size(); ++j)
+        on[j] = select.joins[j].on.get();
     std::vector<const Expr *> where_conjuncts;
-    std::vector<ExprPtr> extra_owned;
+    LiteralExpr true_literal(Value::boolean(true));
 
-    if (select.where != nullptr) {
-        where_owned = mode_ != ExecMode::Reference
-                          ? constantFold(*select.where, behavior_, faults_)
-                          : select.where->clone();
+    if (mode_ != ExecMode::Reference) {
+        const StatementState::Folded &trees = folded(select);
+        where = trees.where.get();
+        for (size_t j = 0; j < select.joins.size(); ++j)
+            on[j] = trees.on[j].get();
         // Absorbing-element confusion: a top-level `<x> AND TRUE` folds
         // to literal TRUE as if TRUE absorbed (rather than neutralized)
         // the conjunction. Only fires on the wrapper shape EET's
         // and_true rewrite emits, so plain predicates are unaffected.
-        if (mode_ != ExecMode::Reference &&
+        if (where != nullptr &&
             faults_.isEnabled(FaultId::ConstFoldTrueAbsorbsAnd) &&
-            where_owned->kind() == ExprKind::Binary) {
-            const auto &top = static_cast<const BinaryExpr &>(*where_owned);
+            where->kind() == ExprKind::Binary) {
+            const auto &top = static_cast<const BinaryExpr &>(*where);
             if (top.op == BinaryOp::And &&
                 top.rhs->kind() == ExprKind::Literal) {
                 const Value &rhs =
@@ -754,20 +848,13 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 if (rhs.kind() == Value::Kind::Bool && rhs.asBool()) {
                     SQLPP_COVER("planner.fault.true_absorbs_and");
                     note("ANDTRUE");
-                    where_owned = std::make_unique<LiteralExpr>(
-                        Value::boolean(true));
+                    where = &true_literal;
                 }
             }
         }
     }
-    for (size_t j = 0; j < select.joins.size(); ++j) {
-        if (select.joins[j].on == nullptr)
-            continue;
-        on_owned[j] = mode_ != ExecMode::Reference
-                          ? constantFold(*select.joins[j].on, behavior_,
-                                         faults_)
-                          : select.joins[j].on->clone();
-    }
+    if (where != nullptr)
+        where_conjuncts = splitConjuncts(*where);
 
     if (mode_ != ExecMode::Reference) {
         // Listing 4 fault: the "flattener" moves a RIGHT JOIN's ON term
@@ -779,19 +866,15 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             faults_.isEnabled(FaultId::OnToWhereRightJoin)) {
             for (size_t j = 0; j < select.joins.size(); ++j) {
                 if (select.joins[j].type == JoinType::Right &&
-                    on_owned[j] != nullptr) {
+                    on[j] != nullptr) {
                     SQLPP_COVER("planner.fault.on_to_where");
                     note("ON2WHERE");
-                    extra_owned.push_back(std::move(on_owned[j]));
+                    where_conjuncts.push_back(on[j]);
+                    on[j] = nullptr;
                 }
             }
         }
     }
-
-    if (where_owned != nullptr)
-        where_conjuncts = splitConjuncts(*where_owned);
-    for (const ExprPtr &extra : extra_owned)
-        where_conjuncts.push_back(extra.get());
 
     if (mode_ != ExecMode::Reference && !sources.empty()) {
         // Predicate pushdown: route a conjunct to the one source it
@@ -888,7 +971,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         Scope joined_scope = scope;
         joined_scope.addBinding(right.binding, right.columns);
 
-        const Expr *on = on_owned[j].get();
+        const Expr *join_on = on[j];
         ExprPtr natural_on;
         if (join.type == JoinType::Natural) {
             // NATURAL JOIN: equality over all common column names.
@@ -916,13 +999,13 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                                        std::move(natural_on),
                                        std::move(equality));
             }
-            on = natural_on.get();
+            join_on = natural_on.get();
         }
 
         auto eval_on = [&](const Row &combined) -> StatusOr<bool> {
-            if (on == nullptr)
+            if (join_on == nullptr)
                 return true;
-            return predicateKeeps(*on, joined_scope, combined, outer,
+            return predicateKeeps(*join_on, joined_scope, combined, outer,
                                   /*where_clause=*/false);
         };
 
@@ -937,11 +1020,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         // Hash join: optimized mode, INNER or LEFT, ON is col = col
         // across the two sides.
         bool used_hash = false;
-        if (mode_ != ExecMode::Reference && on != nullptr &&
+        if (mode_ != ExecMode::Reference && join_on != nullptr &&
             (join.type == JoinType::Inner ||
              join.type == JoinType::Left) &&
-            on->kind() == ExprKind::Binary) {
-            const auto &bin = static_cast<const BinaryExpr &>(*on);
+            join_on->kind() == ExprKind::Binary) {
+            const auto &bin = static_cast<const BinaryExpr &>(*join_on);
             if (bin.op == BinaryOp::Eq &&
                 bin.lhs->kind() == ExprKind::ColumnRef &&
                 bin.rhs->kind() == ExprKind::ColumnRef) {
@@ -1007,31 +1090,33 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                             continue;
                         buckets[hash_key(key)].push_back(ri);
                     }
-                    for (const Row &left_row : current) {
+                    // The left rows are consumed by this join: the last
+                    // combined row built from one takes it by move.
+                    for (Row &left_row : current) {
                         const Value &key = left_row[left_col];
-                        bool matched = false;
+                        const std::vector<size_t> *matches = nullptr;
                         if (!key.isNull() || null_match) {
                             auto it = buckets.find(hash_key(key));
-                            if (it != buckets.end()) {
-                                for (size_t ri : it->second) {
-                                    Row combined = left_row;
-                                    combined.insert(
-                                        combined.end(),
-                                        right.rows[ri].begin(),
-                                        right.rows[ri].end());
-                                    if (Status s =
-                                            emit(std::move(combined));
-                                        !s.isOk()) {
-                                        return s;
-                                    }
-                                    matched = true;
+                            if (it != buckets.end())
+                                matches = &it->second;
+                        }
+                        if (matches != nullptr) {
+                            for (size_t m = 0; m < matches->size(); ++m) {
+                                const Row &right_row =
+                                    right.rows[(*matches)[m]];
+                                Row combined =
+                                    m + 1 < matches->size()
+                                        ? combineRows(left_row, right_row)
+                                        : combineRows(std::move(left_row),
+                                                      right_row);
+                                if (Status s = emit(std::move(combined));
+                                    !s.isOk()) {
+                                    return s;
                                 }
                             }
-                        }
-                        if (!matched && join.type == JoinType::Left) {
-                            Row combined = left_row;
-                            combined.resize(left_width + right_width);
-                            if (Status s = emit(std::move(combined));
+                        } else if (join.type == JoinType::Left) {
+                            left_row.resize(left_width + right_width);
+                            if (Status s = emit(std::move(left_row));
                                 !s.isOk()) {
                                 return s;
                             }
@@ -1046,34 +1131,36 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             note(format("NLJ(%s,%s)", joinTypeName(join.type),
                         right.binding.c_str()));
             std::vector<bool> right_matched(right.rows.size(), false);
-            for (const Row &left_row : current) {
+            // One candidate row per left row: its right half is
+            // overwritten in place for each right row, and only rows
+            // that pass ON are copied out.
+            Row candidate;
+            for (Row &left_row : current) {
                 bool matched = false;
+                candidate.assign(left_row.begin(), left_row.end());
+                candidate.resize(left_width + right_width);
                 for (size_t ri = 0; ri < right.rows.size(); ++ri) {
                     if (Status s = budget_->chargeSteps(1); !s.isOk())
                         return s;
-                    Row combined = left_row;
-                    combined.insert(combined.end(),
-                                    right.rows[ri].begin(),
-                                    right.rows[ri].end());
-                    auto keeps = eval_on(combined);
+                    std::copy(right.rows[ri].begin(), right.rows[ri].end(),
+                              candidate.begin() +
+                                  static_cast<long>(left_width));
+                    auto keeps = eval_on(candidate);
                     if (!keeps.isOk())
                         return keeps.status();
                     if (keeps.value()) {
                         matched = true;
                         right_matched[ri] = true;
-                        if (Status s = emit(std::move(combined));
-                            !s.isOk()) {
+                        if (Status s = emit(candidate); !s.isOk())
                             return s;
-                        }
                     }
                 }
                 if (!matched &&
                     (join.type == JoinType::Left ||
                      join.type == JoinType::Full)) {
                     SQLPP_COVER("exec.join.null_extend_left");
-                    Row combined = left_row;
-                    combined.resize(left_width + right_width);
-                    if (Status s = emit(std::move(combined)); !s.isOk())
+                    left_row.resize(left_width + right_width);
+                    if (Status s = emit(std::move(left_row)); !s.isOk())
                         return s;
                 }
             }
@@ -1083,10 +1170,8 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     if (right_matched[ri])
                         continue;
                     SQLPP_COVER("exec.join.null_extend_right");
-                    Row combined(left_width);
-                    combined.insert(combined.end(),
-                                    right.rows[ri].begin(),
-                                    right.rows[ri].end());
+                    Row combined = combineRows(Row(left_width),
+                                               right.rows[ri]);
                     if (Status s = emit(std::move(combined)); !s.isOk())
                         return s;
                 }
@@ -1109,10 +1194,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     !s.isOk()) {
                     return s;
                 }
-                Row combined = left_row;
-                combined.insert(combined.end(), right_row.begin(),
-                                right_row.end());
-                joined.push_back(std::move(combined));
+                joined.push_back(combineRows(left_row, right_row));
             }
         }
         scope.addBinding(right.binding, right.columns);
@@ -1125,23 +1207,10 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     if (!where_conjuncts.empty()) {
         SQLPP_COVER("exec.filter.where");
         note(format("FILT(%zu)", where_conjuncts.size()));
-        std::vector<Row> kept;
-        for (const Row &row : current) {
-            bool keep = true;
-            for (const Expr *conjunct : where_conjuncts) {
-                auto result = predicateKeeps(*conjunct, scope, row, outer,
-                                             /*where_clause=*/true);
-                if (!result.isOk())
-                    return result.status();
-                if (!result.value()) {
-                    keep = false;
-                    break;
-                }
-            }
-            if (keep)
-                kept.push_back(row);
+        if (Status s = filterRows(current, where_conjuncts, scope, outer);
+            !s.isOk()) {
+            return s;
         }
-        current = std::move(kept);
     }
 
     // ------------------------------------------------------------------
@@ -1205,7 +1274,12 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 static_cast<const ColumnRefExpr *>(item.expr.get())
                     ->column);
         } else {
-            out_columns.push_back(printExpr(*item.expr));
+            // Printed once per item per statement, not once per run.
+            auto [name, fresh] =
+                state_->itemNames.try_emplace(item.expr.get());
+            if (fresh)
+                name->second = printExpr(*item.expr);
+            out_columns.push_back(name->second);
         }
     }
 
@@ -1377,9 +1451,12 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                                order.size());
     }
 
-    ResultSet final_result(out_columns);
+    // Each projected row appears in `order` at most once, so the final
+    // rows can be moved out of the projection.
+    std::vector<Row> projected = result.takeRows();
+    ResultSet final_result(std::move(out_columns));
     for (size_t i = begin; i < end; ++i)
-        final_result.addRow(result.rows()[order[i]]);
+        final_result.addRow(std::move(projected[order[i]]));
     return final_result;
 }
 

@@ -21,7 +21,9 @@
 #ifndef SQLPP_ENGINE_EXECUTOR_H
 #define SQLPP_ENGINE_EXECUTOR_H
 
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/budget.h"
@@ -68,8 +70,8 @@ class Executor : public SubqueryRunner
                                   const EvalContext *outer = nullptr);
 
     /** SubqueryRunner hook used by the evaluator. */
-    StatusOr<ResultSet> runSubquery(const SelectStmt &select,
-                                    const EvalContext *outer) override;
+    StatusOr<std::shared_ptr<const ResultSet>>
+    runSubquery(const SelectStmt &select, const EvalContext *outer) override;
 
     /**
      * Data-independent description of the plan(s) executed so far,
@@ -81,6 +83,38 @@ class Executor : public SubqueryRunner
     uint64_t planFingerprint() const;
 
   private:
+    /**
+     * Planning results computed once per SELECT node per statement and
+     * shared by an executor and all its children. Keys are node
+     * addresses, which are stable for the whole statement: every SELECT
+     * node and select item lives in the statement's AST, in a view body,
+     * or inside a folded tree held here — never in a tree rebuilt per
+     * run.
+     */
+    struct StatementState
+    {
+        /** Constant-folded WHERE and ON trees of one SELECT. */
+        struct Folded
+        {
+            ExprPtr where;
+            std::vector<ExprPtr> on;
+        };
+        std::unordered_map<const SelectStmt *, Folded> folded;
+        /**
+         * Result-cache key of an expression subquery: its SQL text when
+         * it is uncorrelated, empty when it is not.
+         */
+        std::unordered_map<const SelectStmt *, std::string> subqueryKeys;
+        /** Result column name of a select item without an alias. */
+        std::unordered_map<const Expr *, std::string> itemNames;
+    };
+
+    /** Child executor for a nested SELECT; shares budget and state. */
+    explicit Executor(const Executor *parent);
+
+    /** Folded WHERE/ON trees of @p select (optimized mode), made once. */
+    const StatementState::Folded &folded(const SelectStmt &select);
+
     /** A materialized FROM source with its binding metadata. */
     struct Source
     {
@@ -108,6 +142,16 @@ class Executor : public SubqueryRunner
                               std::vector<const Expr *> conjuncts,
                               const EvalContext *outer);
 
+    /** True when @p row passes every conjunct (WHERE semantics). */
+    StatusOr<bool> conjunctsKeep(const std::vector<const Expr *> &conjuncts,
+                                 const Scope &scope, const Row &row,
+                                 const EvalContext *outer);
+
+    /** Keep, in place and in order, the rows that pass every conjunct. */
+    Status filterRows(std::vector<Row> &rows,
+                      const std::vector<const Expr *> &conjuncts,
+                      const Scope &scope, const EvalContext *outer);
+
     /** Evaluate a predicate as a WHERE-style filter condition. */
     StatusOr<bool> predicateKeeps(const Expr &predicate, const Scope &scope,
                                   const Row &row, const EvalContext *outer,
@@ -126,13 +170,22 @@ class Executor : public SubqueryRunner
     std::string plan_;
     /** Re-entrancy guard for runaway recursive subqueries. */
     int depth_ = 0;
+    /** Statement state of a top-level executor. */
+    StatementState owned_state_;
+    /** The state this executor reads: its own, or its parent's. */
+    StatementState *state_;
     /**
-     * Results of uncorrelated expression subqueries, keyed by SQL text.
-     * An uncorrelated subquery is loop-invariant across the rows of the
-     * enclosing statement, so caching is semantics-preserving; real
-     * engines perform the same "one-shot subquery" optimization.
+     * Results of uncorrelated expression subqueries run by this
+     * executor, keyed by SQL text. An uncorrelated subquery is
+     * loop-invariant across the rows of the enclosing SELECT, so two
+     * textually identical ones share one execution (and one budget
+     * charge); real engines perform the same "one-shot subquery"
+     * optimization. The cache belongs to this executor only: the child
+     * executor of a correlated subquery, made afresh per outer row,
+     * starts with an empty one.
      */
-    std::map<std::string, ResultSet> subquery_cache_;
+    std::unordered_map<std::string, std::shared_ptr<const ResultSet>>
+        subquery_cache_;
 };
 
 /**

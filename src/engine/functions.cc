@@ -62,11 +62,8 @@ FunctionRegistry::instance()
 const FunctionImpl *
 FunctionRegistry::find(const std::string &upper_name) const
 {
-    for (const FunctionImpl &impl : impls_) {
-        if (impl.sig.name == upper_name)
-            return &impl;
-    }
-    return nullptr;
+    auto it = by_name_.find(upper_name);
+    return it == by_name_.end() ? nullptr : &impls_[it->second];
 }
 
 std::vector<std::string>
@@ -85,6 +82,7 @@ FunctionRegistry::add(FunctionImpl impl)
 {
     impl.probeSlot = CoverageRegistry::instance().slot(
         "eval.fn." + toLower(impl.sig.name));
+    by_name_.emplace(impl.sig.name, impls_.size());
     impls_.push_back(std::move(impl));
 }
 
@@ -183,9 +181,11 @@ FunctionRegistry::FunctionRegistry()
                  return domainError(ctx, "SQRT");
              int64_t root = static_cast<int64_t>(
                  std::sqrt(static_cast<double>(*x)));
-             while (root > 0 && root * root > *x)
+             // Correct the floating-point estimate without squaring past
+             // INT64_MAX: r * r <= x is tested as r <= x / r.
+             while (root > 0 && root > *x / root)
                  --root;
-             while ((root + 1) * (root + 1) <= *x)
+             while (root + 1 <= *x / (root + 1))
                  ++root;
              return Value::integer(root);
          }});
@@ -480,10 +480,11 @@ FunctionRegistry::FunctionRegistry()
              auto count = valueToNumeric(args[1]);
              if (!text || !count)
                  return Value::null();
-             if (*count <= 0)
+             if (*count <= 0 || text->empty())
                  return Value::text("");
-             if (static_cast<int64_t>(text->size()) * *count >
-                 kMaxGeneratedStringLength) {
+             // Divide rather than multiply: size * count can overflow.
+             if (*count > kMaxGeneratedStringLength /
+                              static_cast<int64_t>(text->size())) {
                  return Status::runtimeError("string too long in REPEAT");
              }
              std::string out;

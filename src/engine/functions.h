@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/eval.h"
@@ -97,6 +98,8 @@ class FunctionRegistry
     FunctionRegistry();
 
     std::vector<FunctionImpl> impls_;
+    /** Name -> index into impls_. */
+    std::unordered_map<std::string, size_t> by_name_;
 
     void add(FunctionImpl impl);
 };

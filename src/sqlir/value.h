@@ -122,6 +122,15 @@ class ResultSet
     const std::vector<Row> &rows() const { return rows_; }
     void addRow(Row row) { rows_.push_back(std::move(row)); }
 
+    /** Move the rows out, leaving this result with none. */
+    std::vector<Row>
+    takeRows()
+    {
+        std::vector<Row> out;
+        out.swap(rows_);
+        return out;
+    }
+
     size_t rowCount() const { return rows_.size(); }
     size_t columnCount() const { return columns_.size(); }
 

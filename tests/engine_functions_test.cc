@@ -54,6 +54,32 @@ TEST(FunctionsTest, MathBasics)
     EXPECT_EQ(evalSql("ROUND(3)").asInt(), 3);
 }
 
+TEST(FunctionsTest, SqrtAtInt64Boundaries)
+{
+    // 3037000499^2 = 9223372030926249001 is the largest square that fits
+    // in int64_t; the integer correction must not square past it.
+    EXPECT_EQ(evalSql("SQRT(9223372036854775807)").asInt(), 3037000499);
+    EXPECT_EQ(evalSql("SQRT(9223372036854775806)").asInt(), 3037000499);
+    EXPECT_EQ(evalSql("SQRT(9223372030926249001)").asInt(), 3037000499);
+    EXPECT_EQ(evalSql("SQRT(9223372030926249000)").asInt(), 3037000498);
+    EXPECT_EQ(evalSql("SQRT(0)").asInt(), 0);
+    EXPECT_EQ(evalSql("SQRT(1)").asInt(), 1);
+    EXPECT_EQ(evalSql("SQRT(99)").asInt(), 9);
+    EXPECT_EQ(evalSql("SQRT(100)").asInt(), 10);
+}
+
+TEST(FunctionsTest, RegistryFindsEveryNameAndNothingElse)
+{
+    const FunctionRegistry &registry = FunctionRegistry::instance();
+    for (const std::string &name : registry.names()) {
+        const FunctionImpl *impl = registry.find(name);
+        ASSERT_NE(impl, nullptr) << name;
+        EXPECT_EQ(impl->sig.name, name);
+    }
+    EXPECT_EQ(registry.find("NO_SUCH_FUNCTION"), nullptr);
+    EXPECT_EQ(registry.find("abs"), nullptr); // lookup is by uppercase
+}
+
 TEST(FunctionsTest, MathOverflowAndNull)
 {
     EXPECT_EQ(evalError("POWER(10, 100)").code(),
@@ -150,6 +176,19 @@ TEST(FunctionsTest, ConcatVariants)
 TEST(FunctionsTest, StringGuards)
 {
     EXPECT_EQ(evalError("REPEAT('aaaa', 100000)").code(),
+              ErrorCode::RuntimeError);
+    // Empty text repeats to empty text at once, whatever the count.
+    EXPECT_EQ(evalSql("REPEAT('', 9223372036854775807)").asText(), "");
+    EXPECT_EQ(evalSql("REPEAT('', 1000000000)").asText(), "");
+    // size * count would overflow int64_t here; the guard must still
+    // refuse it.
+    EXPECT_EQ(evalError("REPEAT('ab', 4611686018427387904)").code(),
+              ErrorCode::RuntimeError);
+    EXPECT_EQ(evalError("REPEAT('abc', 9223372036854775807)").code(),
+              ErrorCode::RuntimeError);
+    // The guard's boundary: exactly 65536 characters is allowed.
+    EXPECT_EQ(evalSql("LENGTH(REPEAT('ab', 32768))").asInt(), 65536);
+    EXPECT_EQ(evalError("REPEAT('ab', 32769)").code(),
               ErrorCode::RuntimeError);
     EXPECT_EQ(evalError("SPACE(9999999)").code(),
               ErrorCode::RuntimeError);
