@@ -17,9 +17,10 @@
 # campaign_bench/ itself is only read.
 #
 # Output: one line per pair, then each side's median and quartiles of
-# checks_per_s, the change's win count, and whether bugs_distinct,
-# plans_unique and invalid_check_pct agreed on every seed. The exit code
-# is non-zero when a run fails its gate.
+# checks_per_s, the change's win count, whether bugs_distinct,
+# plans_unique and invalid_check_pct agreed on every seed, and each
+# side's median of the other end-to-end metrics. The exit code is
+# non-zero when a run fails its gate.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -111,5 +112,11 @@ c_med = quartiles(runs["change"])[0]
 print(f"change wins {wins}/{pairs}; median gain {100 * (c_med / p_med - 1):+.1f}%"
       f" (parent quartile spread {100 * (p_q3 - p_q1) / p_med:.1f}%)")
 print(f"{', '.join(SAME)} identical per seed: {'yes' if same else 'NO'}")
+for metric in ("checks_per_cpu_s", "setup_s", "peak_rss_mb"):
+    medians = [statistics.median(load(side, seed)["metrics"][metric]["value"]
+                                 for seed in range(first, first + pairs))
+               for side in ("parent", "change")]
+    print(f"{metric} median: parent {medians[0]:.4g}  change {medians[1]:.4g}"
+          f"  ({100 * (medians[1] / medians[0] - 1):+.1f}%)")
 sys.exit(0 if ok else 1)
 EOF

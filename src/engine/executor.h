@@ -17,6 +17,25 @@
  * The executor records a data-independent *plan description* string as
  * it makes planning decisions; its hash is the plan fingerprint used to
  * reproduce the paper's unique-query-plan metric (Fig. 8).
+ *
+ * Name-level work is done once, not once per row (the bind step):
+ *
+ *  - Each SELECT node is planned against per-statement state shared by
+ *    the executor and its children: its folded WHERE/ON trees, its
+ *    subquery cache key (SQL text if uncorrelated), and the printed
+ *    names of its unaliased select items are computed on its first run
+ *    and reused by every later run, such as a correlated subquery's run
+ *    for each outer row.
+ *  - Column references and function calls are bound by the evaluator
+ *    the first time they are evaluated under a Scope (see Scope in
+ *    engine/eval.h); later rows read the bound slot or implementation.
+ *  - Rows the executor owns move rather than copy: filters compact in
+ *    place, a base-table scan copies only the rows its pushed filter
+ *    keeps, derived tables and views hand over their result rows, and
+ *    cached subquery results are shared, not copied, per use.
+ *
+ * None of this changes what is charged to the BudgetMeter, in what
+ * order, or the plan description.
  */
 #ifndef SQLPP_ENGINE_EXECUTOR_H
 #define SQLPP_ENGINE_EXECUTOR_H
