@@ -5,10 +5,8 @@
 #                     sub-second suites, for a quick inner loop.
 #   2. full suite   — every registered test (unit + integration +
 #                     smoke), the bar every PR must clear.
-#   3. trace lanes  — run the flight-recorder smoke test against the
-#                     main build, then compile-check a tree configured
-#                     with -DSQLPP_TRACE=OFF (the hooks must vanish
-#                     cleanly, not bit-rot).
+#   3. trace lane   — run the flight-recorder smoke test against the
+#                     main build.
 #   4. bench lane   — run the campaign benchmark's self-test
 #                     (campaign_bench/test_bench.py): the benchmark
 #                     compiles the library sources itself, so this
@@ -25,17 +23,16 @@
 #                     fingerprints at the same statement budget.
 #   7. status lane  — run the live status-service smoke test (the
 #                     /status, /metrics, and /trace endpoints answer
-#                     while a campaign runs), then compile-check a tree
-#                     configured with -DSQLPP_STATUS=OFF and run its
-#                     unit lane: the server must stub out cleanly while
-#                     the progress board keeps working.
+#                     while a campaign runs).
 #   8. txn lanes    — replay-smoke a tick-annotated transactional
 #                     dossier (bug_hunt --oracles iso → dialect_probe
 #                     --replay), then rebuild with
-#                     -DSQLPP_SANITIZE=thread and run the interleaving
-#                     and scheduler suites under ThreadSanitizer: the
-#                     multi-session transaction tests plus the worker
-#                     pool are the code most worth racing-checking.
+#                     -DSQLPP_SANITIZE=thread and run the interleaving,
+#                     scheduler, and telemetry suites under
+#                     ThreadSanitizer: the multi-session transaction
+#                     tests, the worker pool, and the shard-bound
+#                     metric/trace/progress lanes with their live
+#                     readers are the code most worth race-checking.
 #
 # Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-trace]
 #                         [--no-guided] [--no-status] [--no-txn] [-j N]
@@ -44,8 +41,6 @@ set -eu
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build"
 ASAN_BUILD="$ROOT/build-asan"
-NOTRACE_BUILD="$ROOT/build-notrace"
-NOSTATUS_BUILD="$ROOT/build-nostatus"
 TSAN_BUILD="$ROOT/build-tsan"
 JOBS=4
 RUN_FULL=1
@@ -92,10 +87,6 @@ if [ "$RUN_TRACE" -eq 1 ]; then
     echo "== tier1: flight-recorder smoke =="
     "$ROOT/scripts/trace_smoke.sh" "$BUILD/examples/bug_hunt" \
         "$BUILD/examples/dialect_probe"
-
-    echo "== tier1: -DSQLPP_TRACE=OFF compile check =="
-    cmake -B "$NOTRACE_BUILD" -S "$ROOT" -DSQLPP_TRACE=OFF >/dev/null
-    cmake --build "$NOTRACE_BUILD" -j "$JOBS"
 fi
 
 if [ "$RUN_BENCH" -eq 1 ]; then
@@ -121,15 +112,6 @@ fi
 if [ "$RUN_STATUS" -eq 1 ]; then
     echo "== tier1: status-service smoke =="
     "$ROOT/scripts/status_smoke.sh" "$BUILD/examples/bug_hunt"
-
-    echo "== tier1: -DSQLPP_STATUS=OFF lane =="
-    cmake -B "$NOSTATUS_BUILD" -S "$ROOT" -DSQLPP_STATUS=OFF >/dev/null
-    cmake --build "$NOSTATUS_BUILD" -j "$JOBS"
-    # The stubbed server must report Unsupported and the progress
-    # board (plain atomics, always compiled) must keep every test
-    # green.
-    ctest --test-dir "$NOSTATUS_BUILD" -L unit --output-on-failure \
-        -j "$JOBS" --timeout 300
 fi
 
 if [ "$RUN_TXN" -eq 1 ]; then
@@ -142,10 +124,11 @@ if [ "$RUN_TXN" -eq 1 ]; then
         >/dev/null
     cmake --build "$TSAN_BUILD" -j "$JOBS"
     # The multi-session transaction machinery (snapshot views, commit
-    # replay, isolation-fault overlays) plus the ISO oracle and the
-    # threaded scheduler, all under ThreadSanitizer.
+    # replay, isolation-fault overlays), the ISO oracle, the threaded
+    # scheduler, and the shard-bound telemetry lanes, all under
+    # ThreadSanitizer.
     ctest --test-dir "$TSAN_BUILD" \
-        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest" \
+        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest|MetricsTest|TraceTest|ProgressTest|ShardScopeTest" \
         --output-on-failure -j "$JOBS" --timeout 300
 fi
 

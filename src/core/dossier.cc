@@ -14,27 +14,6 @@ namespace sqlpp {
 
 namespace {
 
-std::string
-jsonEscapeText(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
-}
-
 Status
 writeFile(const std::filesystem::path &path, const std::string &content)
 {
@@ -57,7 +36,7 @@ jsonStringArray(const std::vector<std::string> &items)
     for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0)
             out += ", ";
-        out += "\"" + jsonEscapeText(items[i]) + "\"";
+        out += "\"" + jsonEscape(items[i]) + "\"";
     }
     out += "]";
     return out;
@@ -70,13 +49,13 @@ renderDossierJson(const std::string &id, const BugCase &bug,
     std::string out = "{\n";
     out += "  \"schema\": \"sqlpp.dossier.v1\",\n";
     out += "  \"id\": \"" + id + "\",\n";
-    out += "  \"dialect\": \"" + jsonEscapeText(bug.dialect) + "\",\n";
-    out += "  \"oracle\": \"" + jsonEscapeText(bug.oracle) + "\",\n";
-    out += "  \"execMode\": \"" + jsonEscapeText(bug.execMode) + "\",\n";
-    out += "  \"base\": \"" + jsonEscapeText(bug.baseText) + "\",\n";
-    out += "  \"predicate\": \"" + jsonEscapeText(bug.predicateText) +
+    out += "  \"dialect\": \"" + jsonEscape(bug.dialect) + "\",\n";
+    out += "  \"oracle\": \"" + jsonEscape(bug.oracle) + "\",\n";
+    out += "  \"execMode\": \"" + jsonEscape(bug.execMode) + "\",\n";
+    out += "  \"base\": \"" + jsonEscape(bug.baseText) + "\",\n";
+    out += "  \"predicate\": \"" + jsonEscape(bug.predicateText) +
            "\",\n";
-    out += "  \"details\": \"" + jsonEscapeText(bug.details) + "\",\n";
+    out += "  \"details\": \"" + jsonEscape(bug.details) + "\",\n";
     out += "  \"features\": " + jsonStringArray(bug.featureNames) +
            ",\n";
     out += "  \"setup\": " + jsonStringArray(bug.setup) + ",\n";
@@ -108,7 +87,7 @@ renderFeedbackJson(const BugCase &bug, const FeedbackTracker &feedback,
             "    {\"name\": \"%s\", \"executions\": %llu, "
             "\"successes\": %llu, \"posteriorMean\": %.6f, "
             "\"suppressed\": %s}",
-            jsonEscapeText(name).c_str(),
+            jsonEscape(name).c_str(),
             (unsigned long long)stat.executions,
             (unsigned long long)stat.successes,
             feedback.estimatedProbability(id),
@@ -122,8 +101,7 @@ std::string
 renderEventsJsonl(const DossierContext &context, size_t max_events)
 {
     const TraceRecorder &recorder = TraceRecorder::instance();
-    size_t lane =
-        TraceRecorder::laneForShardIndex(context.shardIndex);
+    size_t lane = shardLane(context.shardIndex);
     std::string label = recorder.laneLabel(lane);
     std::string out;
     for (const TraceEvent &event :

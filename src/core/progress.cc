@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/seqlock.h"
 #include "util/strutil.h"
 #include "util/trace.h"
 
@@ -24,34 +25,30 @@ shardStateName(ShardState state)
 
 namespace {
 
-/** The thread's bound cell (nullptr outside a ProgressShardScope). */
-thread_local ProgressBoard::Cell *tls_progress_cell = nullptr;
-
 /**
  * Pack a string into NUL-padded atomic words under the cell's
  * seqlock. Single writer per cell by the board's write discipline, so
- * the odd/even version dance is purely for readers.
+ * the version is purely for readers.
  */
 void
 storeString(ProgressBoard::Cell &cell, std::atomic<uint64_t> *words,
             size_t word_count, const std::string &value)
 {
-    uint32_t version = cell.version.load(std::memory_order_relaxed);
-    cell.version.store(version + 1, std::memory_order_release);
     size_t capacity = word_count * sizeof(uint64_t) - 1;
     size_t length = std::min(value.size(), capacity);
-    for (size_t w = 0; w < word_count; ++w) {
-        uint64_t packed = 0;
-        for (size_t b = 0; b < sizeof(uint64_t); ++b) {
-            size_t i = w * sizeof(uint64_t) + b;
-            if (i < length)
-                packed |= static_cast<uint64_t>(
-                              static_cast<unsigned char>(value[i]))
-                          << (8 * b);
+    seqlockWrite(cell.version, [&] {
+        for (size_t w = 0; w < word_count; ++w) {
+            uint64_t packed = 0;
+            for (size_t b = 0; b < sizeof(uint64_t); ++b) {
+                size_t i = w * sizeof(uint64_t) + b;
+                if (i < length)
+                    packed |= static_cast<uint64_t>(
+                                  static_cast<unsigned char>(value[i]))
+                              << (8 * b);
+            }
+            words[w].store(packed, std::memory_order_relaxed);
         }
-        words[w].store(packed, std::memory_order_relaxed);
-    }
-    cell.version.store(version + 2, std::memory_order_release);
+    });
 }
 
 /** Seqlock read of a packed string; "" after too many retries. */
@@ -59,46 +56,17 @@ std::string
 loadString(const ProgressBoard::Cell &cell,
            const std::atomic<uint64_t> *words, size_t word_count)
 {
-    for (int attempt = 0; attempt < 64; ++attempt) {
-        uint32_t before = cell.version.load(std::memory_order_acquire);
-        if ((before & 1) != 0)
-            continue;
-        char buffer[ProgressBoard::kLeaderWords * sizeof(uint64_t) + 1];
+    char buffer[ProgressBoard::kLeaderWords * sizeof(uint64_t) + 1];
+    bool clean = seqlockRead(cell.version, [&] {
         for (size_t w = 0; w < word_count; ++w) {
             uint64_t packed = words[w].load(std::memory_order_relaxed);
             for (size_t b = 0; b < sizeof(uint64_t); ++b)
                 buffer[w * sizeof(uint64_t) + b] =
                     static_cast<char>((packed >> (8 * b)) & 0xff);
         }
-        buffer[word_count * sizeof(uint64_t)] = '\0';
-        std::atomic_thread_fence(std::memory_order_acquire);
-        uint32_t after = cell.version.load(std::memory_order_relaxed);
-        if (before == after)
-            return std::string(buffer);
-    }
-    return "";
-}
-
-/** JSON string escaping (labels and arm names are plain ASCII). */
-std::string
-statusJsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
+    });
+    buffer[word_count * sizeof(uint64_t)] = '\0';
+    return clean ? std::string(buffer) : "";
 }
 
 } // namespace
@@ -110,10 +78,10 @@ ProgressBoard::instance()
     return board;
 }
 
-ProgressBoard::Cell *
+ProgressBoard::Cell &
 ProgressBoard::current()
 {
-    return tls_progress_cell;
+    return instance().cells_[currentShardLane()];
 }
 
 uint64_t
@@ -232,7 +200,7 @@ ProgressBoard::snapshot() const
     size_t visible = std::min(out.shardsTotal, kMaxShards);
     out.shards.reserve(visible);
     for (size_t index = 0; index < visible; ++index) {
-        const Cell &c = cells_[index];
+        const Cell &c = cells_[shardLane(index)];
         ShardProgress shard;
         shard.shardIndex = index;
         shard.state = static_cast<ShardState>(
@@ -308,27 +276,13 @@ ProgressBoard::snapshot() const
     return out;
 }
 
-ProgressShardScope::ProgressShardScope(size_t shard_index)
-    : previous_(tls_progress_cell)
-{
-    tls_progress_cell = &ProgressBoard::instance().cell(shard_index);
-}
-
-ProgressShardScope::~ProgressShardScope()
-{
-    tls_progress_cell = previous_;
-}
-
 namespace progress {
 
 void
 noteBanditLeader(const std::string &name)
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell == nullptr)
-        return;
-    storeString(*cell, cell->leader, ProgressBoard::kLeaderWords,
-                name);
+    ProgressBoard::Cell &cell = ProgressBoard::current();
+    storeString(cell, cell.leader, ProgressBoard::kLeaderWords, name);
 }
 
 } // namespace progress
@@ -378,7 +332,7 @@ renderStatusJson(const CampaignProgress &snapshot)
             "\"bandit_leader\": \"%s\", "
             "\"last_advance_seconds\": %.3f, \"stalled\": %s}",
             shard.shardIndex,
-            statusJsonEscape(shard.label).c_str(),
+            jsonEscape(shard.label).c_str(),
             shardStateName(shard.state),
             (unsigned long long)shard.seed,
             (unsigned long long)shard.checksTarget,
@@ -392,7 +346,7 @@ renderStatusJson(const CampaignProgress &snapshot)
             (unsigned long long)shard.setupGenerated,
             (unsigned long long)shard.setupSucceeded,
             (unsigned long long)shard.tick, shard.deadlineSeconds,
-            statusJsonEscape(shard.banditLeader).c_str(),
+            jsonEscape(shard.banditLeader).c_str(),
             shard.lastAdvanceSeconds,
             shard.stalled ? "true" : "false");
     }
@@ -409,7 +363,7 @@ renderStatusJson(const CampaignProgress &snapshot)
             "\"tick\": %llu, \"last_advance_seconds\": %.3f, "
             "\"recent_events\": [",
             shard.shardIndex,
-            statusJsonEscape(shard.label).c_str(),
+            jsonEscape(shard.label).c_str(),
             (unsigned long long)shard.tick,
             shard.lastAdvanceSeconds);
         // The diagnosis payload: the stalled shard's newest
@@ -418,8 +372,7 @@ renderStatusJson(const CampaignProgress &snapshot)
         std::vector<TraceEvent> events =
             TraceRecorder::instance().recentShardEvents(
                 shard.shardIndex, 8);
-        size_t lane =
-            TraceRecorder::laneForShardIndex(shard.shardIndex);
+        size_t lane = shardLane(shard.shardIndex);
         for (size_t e = 0; e < events.size(); ++e) {
             if (e > 0)
                 out += ", ";

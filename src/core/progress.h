@@ -5,20 +5,29 @@
  * Metrics count events and the trace records them; neither answers the
  * operator's question mid-run: "how far along is each shard, is
  * anything stuck, and when will this finish?" The ProgressBoard holds
- * one fixed cell per shard — plain relaxed atomics written by the
- * shard's executing thread, read by the status server and the
- * --progress printer. The board is observability only: nothing in it
- * ever feeds back into generation, merging, checkpointing, or dossier
- * writing, so polling it cannot perturb a campaign (the status
- * determinism test pins bit-identical merged stats, checkpoint bytes,
- * and dossier ids with and without a polling storm).
+ * one fixed cell per shard lane (util/shard_scope.h) — plain relaxed
+ * atomics written by the shard's executing thread, read by the status
+ * server and the --progress printer. The same ShardScope that binds a
+ * thread's metric and trace lanes binds its cell; cell 0 is the
+ * unbound sink that notes from outside any scope land in, and the
+ * snapshot never reads it. The board is observability only: nothing
+ * in it ever feeds back into generation, merging, checkpointing, or
+ * dossier writing, so polling it cannot perturb a campaign (the
+ * status determinism test pins bit-identical merged stats, checkpoint
+ * bytes, and dossier ids with and without a polling storm).
  *
- * Write discipline: exactly one thread writes a cell at a time — the
- * scheduler during init/finish (before workers start / after they
- * join) and the owning shard thread while running. Numeric fields are
- * relaxed atomics; the two short strings (shard label, bandit leader)
- * go through a single-writer seqlock so a concurrent reader can only
- * ever retry, never tear.
+ * Write discipline: exactly one thread writes a shard's cell at a time
+ * — the scheduler during init/finish (before workers start / after
+ * they join) and the owning shard thread while running. Numeric
+ * fields are relaxed atomics; the two short strings (shard label,
+ * bandit leader) go through a single-writer seqlock (util/seqlock.h)
+ * so a concurrent reader can only ever retry, never tear.
+ *
+ * The progress counters deliberately stay in the cell rather than
+ * being derived from metric lanes: a restored shard's totals come from
+ * its checkpoint (it never writes a metric lane in this process), and
+ * beginCampaign() zeroes the board while metric lanes are zeroed only
+ * by an explicit MetricsRegistry::reset().
  *
  * Stall diagnosis: every check advances the cell's logical tick and a
  * wall-clock "last advanced" stamp. A shard that is Running but has
@@ -39,6 +48,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/shard_scope.h"
 
 namespace sqlpp {
 
@@ -136,8 +147,6 @@ struct CampaignProgress
 class ProgressBoard
 {
   public:
-    /** Cells available; shard index maps modulo (mirrors metrics). */
-    static constexpr size_t kMaxShards = 256;
     /**
      * Short-string capacities in 8-byte words (label 32 bytes, leader
      * 48 bytes, both NUL-padded). Strings are stored as relaxed atomic
@@ -174,8 +183,8 @@ class ProgressBoard
 
     static ProgressBoard &instance();
 
-    /** The cell the calling thread is bound to (nullptr when unbound). */
-    static Cell *current();
+    /** The cell the calling thread is bound to (cell 0 when unbound). */
+    static Cell &current();
 
     /** Monotonic clock in nanoseconds (steady, process-relative). */
     static uint64_t nowNs();
@@ -217,16 +226,12 @@ class ProgressBoard
     /** Assemble a read-only snapshot (atomic reads only, no locks). */
     CampaignProgress snapshot() const;
 
-    /** Cell lane a shard index maps to (exposed for tests). */
-    Cell &cell(size_t shard_index)
-    {
-        return cells_[shard_index % kMaxShards];
-    }
+    /** The cell a shard index maps to (exposed for tests). */
+    Cell &cell(size_t shard_index) { return cells_[shardLane(shard_index)]; }
 
   private:
-    friend class ProgressShardScope;
-
-    Cell cells_[kMaxShards];
+    /** Cell 0 is the unbound sink; cell shardLane(i) is shard i's. */
+    Cell cells_[kMaxShards + 1];
     std::atomic<bool> active_{false};
     std::atomic<uint64_t> workers_{0};
     std::atomic<uint64_t> shards_{0};
@@ -235,29 +240,10 @@ class ProgressBoard
     std::atomic<uint64_t> stallThresholdMs_{10000};
 };
 
-/**
- * Binds the current thread to a shard's progress cell for the scope's
- * lifetime — the scheduler wraps each shard execution in one, next to
- * MetricsShardScope and TraceShardScope. Scopes nest; the previous
- * binding is restored on destruction.
- */
-class ProgressShardScope
-{
-  public:
-    explicit ProgressShardScope(size_t shard_index);
-    ~ProgressShardScope();
-
-    ProgressShardScope(const ProgressShardScope &) = delete;
-    ProgressShardScope &operator=(const ProgressShardScope &) = delete;
-
-  private:
-    ProgressBoard::Cell *previous_;
-};
-
 // ---------------------------------------------------------------------
 // Hot-path update helpers. Each is a handful of relaxed atomic stores
-// into the bound cell and a no-op when the thread is unbound (tests,
-// benches, standalone CampaignRunner use).
+// into the bound cell; an unbound thread (tests, benches, standalone
+// CampaignRunner use) writes the sink cell, which no snapshot reads.
 // ---------------------------------------------------------------------
 
 namespace progress {
@@ -266,37 +252,32 @@ namespace progress {
 inline void
 noteCheck(bool valid, uint64_t tick)
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell == nullptr)
-        return;
-    cell->checksAttempted.fetch_add(1, std::memory_order_relaxed);
+    ProgressBoard::Cell &cell = ProgressBoard::current();
+    cell.checksAttempted.fetch_add(1, std::memory_order_relaxed);
     if (valid)
-        cell->checksValid.fetch_add(1, std::memory_order_relaxed);
-    cell->tick.store(tick, std::memory_order_relaxed);
-    cell->lastAdvanceNs.store(ProgressBoard::nowNs(),
-                              std::memory_order_relaxed);
+        cell.checksValid.fetch_add(1, std::memory_order_relaxed);
+    cell.tick.store(tick, std::memory_order_relaxed);
+    cell.lastAdvanceNs.store(ProgressBoard::nowNs(),
+                             std::memory_order_relaxed);
 }
 
 /** One setup statement executed; advances the stall clock. */
 inline void
 noteSetup(bool ok)
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell == nullptr)
-        return;
-    cell->setupGenerated.fetch_add(1, std::memory_order_relaxed);
+    ProgressBoard::Cell &cell = ProgressBoard::current();
+    cell.setupGenerated.fetch_add(1, std::memory_order_relaxed);
     if (ok)
-        cell->setupSucceeded.fetch_add(1, std::memory_order_relaxed);
-    cell->lastAdvanceNs.store(ProgressBoard::nowNs(),
-                              std::memory_order_relaxed);
+        cell.setupSucceeded.fetch_add(1, std::memory_order_relaxed);
+    cell.lastAdvanceNs.store(ProgressBoard::nowNs(),
+                             std::memory_order_relaxed);
 }
 
 inline void
 noteBug()
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell != nullptr)
-        cell->bugsDetected.fetch_add(1, std::memory_order_relaxed);
+    ProgressBoard::current().bugsDetected.fetch_add(
+        1, std::memory_order_relaxed);
 }
 
 /** Publish running totals that are cheaper to copy than to count. */
@@ -304,13 +285,10 @@ inline void
 noteTotals(uint64_t plans, uint64_t resource_errors,
            uint64_t suppressed)
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell == nullptr)
-        return;
-    cell->plans.store(plans, std::memory_order_relaxed);
-    cell->resourceErrors.store(resource_errors,
-                               std::memory_order_relaxed);
-    cell->suppressed.store(suppressed, std::memory_order_relaxed);
+    ProgressBoard::Cell &cell = ProgressBoard::current();
+    cell.plans.store(plans, std::memory_order_relaxed);
+    cell.resourceErrors.store(resource_errors, std::memory_order_relaxed);
+    cell.suppressed.store(suppressed, std::memory_order_relaxed);
 }
 
 /** Publish the leading bandit arm (single-writer seqlock). */
@@ -320,10 +298,9 @@ void noteBanditLeader(const std::string &name);
 inline void
 noteAbandoned()
 {
-    ProgressBoard::Cell *cell = ProgressBoard::current();
-    if (cell != nullptr)
-        cell->state.store(static_cast<uint64_t>(ShardState::Abandoned),
-                          std::memory_order_relaxed);
+    ProgressBoard::current().state.store(
+        static_cast<uint64_t>(ShardState::Abandoned),
+        std::memory_order_relaxed);
 }
 
 } // namespace progress

@@ -8,6 +8,7 @@
 #include "core/progress.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/shard_scope.h"
 #include "util/strutil.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -193,20 +194,15 @@ CampaignScheduler::run()
                 return;
             if (from_checkpoint[shard] != 0)
                 continue;
-            // Everything the shard records — campaign, connection,
-            // engine — lands in the shard's own metric lane, keyed by
-            // shard index (never by worker), so per-lane values and
+            // Everything the shard records — metrics, trace events,
+            // progress notes — lands in the shard's own lanes, keyed
+            // by shard index (never by worker), so per-lane values and
             // their sums are independent of the worker count.
             std::string shard_label =
                 config_.mode == ScheduleMode::ShardDialects
                     ? shard_configs[shard].dialect
                     : format("slice%zu", shard);
-            MetricsShardScope metrics_scope(shard, shard_label);
-            // Flight-recorder lane, keyed the same way: the shard's
-            // trace is independent of which worker ran it.
-            TraceShardScope trace_scope(shard, shard_label);
-            // Progress cell, keyed the same way again.
-            ProgressShardScope progress_scope(shard);
+            ShardScope shard_scope(shard, shard_label);
             board.setShardState(shard, ShardState::Running);
             SQLPP_TRACE_EVENT(ShardStarted, shard_label, shard,
                               shard_configs[shard].seed);

@@ -36,9 +36,6 @@ cellCount(MetricKind kind)
     return 1;
 }
 
-/** The thread's current lane (0 = unlabeled process totals). */
-thread_local size_t tls_lane = 0;
-
 } // namespace
 
 MetricsRegistry::MetricsRegistry()
@@ -49,7 +46,7 @@ MetricsRegistry::MetricsRegistry()
     for (auto &lane : lanes_)
         lane.store(nullptr, std::memory_order_relaxed);
     // Lane 0 always exists so unlabeled hits never branch on creation.
-    (void)laneForShard(static_cast<size_t>(-1), "");
+    bindLane(0, "");
 }
 
 MetricsRegistry &
@@ -59,13 +56,9 @@ MetricsRegistry::instance()
     return registry;
 }
 
-size_t
-MetricsRegistry::laneForShard(size_t shard_index, const std::string &label)
+void
+MetricsRegistry::bindLane(size_t lane_index, const std::string &label)
 {
-    size_t lane_index =
-        shard_index == static_cast<size_t>(-1)
-            ? 0
-            : (shard_index % kMaxShards) + 1;
     // Cold path (once per shard scope): the mutex also orders label
     // writes against the exporters, which read labels under it.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -77,7 +70,7 @@ MetricsRegistry::laneForShard(size_t shard_index, const std::string &label)
         // the latest binding.
         if (existing->label != label)
             existing->label = label;
-        return lane_index;
+        return;
     }
     auto lane = std::make_unique<Lane>();
     lane->label = label;
@@ -86,7 +79,6 @@ MetricsRegistry::laneForShard(size_t shard_index, const std::string &label)
         lane->cells[i].store(0, std::memory_order_relaxed);
     lanes_[lane_index].store(lane.get(), std::memory_order_release);
     lane_storage_.push_back(std::move(lane));
-    return lane_index;
 }
 
 size_t
@@ -120,7 +112,7 @@ MetricsRegistry::add(size_t id, uint64_t delta)
 {
     if (id >= registered_.load(std::memory_order_acquire))
         return;
-    Lane *lane_ptr = lane(tls_lane);
+    Lane *lane_ptr = lane(currentShardLane());
     lane_ptr->cells[metrics_[id].cell].fetch_add(
         delta, std::memory_order_relaxed);
 }
@@ -130,7 +122,7 @@ MetricsRegistry::set(size_t id, uint64_t value)
 {
     if (id >= registered_.load(std::memory_order_acquire))
         return;
-    Lane *lane_ptr = lane(tls_lane);
+    Lane *lane_ptr = lane(currentShardLane());
     lane_ptr->cells[metrics_[id].cell].store(value,
                                              std::memory_order_relaxed);
 }
@@ -160,7 +152,7 @@ MetricsRegistry::observe(size_t id, uint64_t value)
     if (id >= registered_.load(std::memory_order_acquire))
         return;
     const Metric &metric = metrics_[id];
-    Lane *lane_ptr = lane(tls_lane);
+    Lane *lane_ptr = lane(currentShardLane());
     lane_ptr->cells[metric.cell + bucketIndex(value)].fetch_add(
         1, std::memory_order_relaxed);
     lane_ptr->cells[metric.cell + kHistogramBuckets].fetch_add(
@@ -289,46 +281,11 @@ MetricsRegistry::reset()
     }
 }
 
-MetricsShardScope::MetricsShardScope(size_t shard_index,
-                                     const std::string &label)
-    : previous_lane_(tls_lane)
-{
-    tls_lane =
-        MetricsRegistry::instance().laneForShard(shard_index, label);
-}
-
-MetricsShardScope::~MetricsShardScope()
-{
-    tls_lane = previous_lane_;
-}
-
 // ---------------------------------------------------------------------
 // Export
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** JSON string escaping (metric names and labels are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
-}
 
 /** One metric's values snapshotted across lanes. */
 struct MetricSnapshot
@@ -358,7 +315,7 @@ exportMetricsJson(const MetricsJsonOptions &options)
             snap.name = metric.name;
             snap.kind = metric.kind;
             for (size_t index = 0;
-                 index <= MetricsRegistry::kMaxShards; ++index) {
+                 index <= kMaxShards; ++index) {
                 const MetricsRegistry::Lane *lane_ptr =
                     registry.lane(index);
                 if (lane_ptr == nullptr)
@@ -482,7 +439,7 @@ metricsSummaryTable()
             snap.name = metric.name;
             snap.kind = metric.kind;
             for (size_t index = 0;
-                 index <= MetricsRegistry::kMaxShards; ++index) {
+                 index <= kMaxShards; ++index) {
                 const MetricsRegistry::Lane *lane_ptr =
                     registry.lane(index);
                 if (lane_ptr == nullptr)
@@ -659,7 +616,7 @@ exportMetricsPrometheus()
             snap.name = metric.name;
             snap.kind = metric.kind;
             for (size_t index = 0;
-                 index <= MetricsRegistry::kMaxShards; ++index) {
+                 index <= kMaxShards; ++index) {
                 const MetricsRegistry::Lane *lane_ptr =
                     registry.lane(index);
                 if (lane_ptr == nullptr)
@@ -745,7 +702,6 @@ exportMetricsPrometheus()
 void
 declarePlatformMetrics()
 {
-#ifndef SQLPP_NO_METRICS
     MetricsRegistry &registry = MetricsRegistry::instance();
     struct Declaration
     {
@@ -845,7 +801,6 @@ declarePlatformMetrics()
     };
     for (const Declaration &declaration : kDeclarations)
         (void)registry.metricId(declaration.name, declaration.kind);
-#endif // SQLPP_NO_METRICS
 }
 
 } // namespace sqlpp

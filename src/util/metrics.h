@@ -19,13 +19,13 @@
  * event is a single relaxed atomic increment into fixed-capacity
  * storage that never reallocates. Registration alone takes the mutex.
  *
- * Shard label dimension: every value cell is replicated per *lane*.
- * Lane 0 collects unlabeled process totals; the scheduler wraps each
- * shard in a MetricsShardScope, which binds the executing thread to
- * the shard's lane. Because lane assignment depends only on the shard
- * index — never on which worker ran the shard — per-lane values and
- * their sums are independent of the worker count, exactly like the
- * scheduler's deterministic CampaignStats merge.
+ * Shard label dimension: every value cell is replicated per *lane*
+ * (util/shard_scope.h). Lane 0 collects unlabeled process totals; the
+ * scheduler wraps each shard in a ShardScope, which binds the
+ * executing thread to the shard's lane. Because lane assignment
+ * depends only on the shard index — never on which worker ran the
+ * shard — per-lane values and their sums are independent of the
+ * worker count.
  *
  * Determinism contract of the JSON export (exportMetricsJson):
  * counters, gauges, and logical histograms are functions of the
@@ -34,11 +34,6 @@
  * MetricsJsonOptions::includeTimings (or in the human summary table).
  * The default document is therefore byte-identical across runs for a
  * fixed seed with one worker.
- *
- * Compile-out: building with -DSQLPP_METRICS=OFF (the SQLPP_NO_METRICS
- * macro) turns every instrumentation macro and helper into a no-op so
- * the hot paths carry zero overhead; the registry class itself stays
- * available (it just records nothing through the helpers).
  */
 #ifndef SQLPP_UTIL_METRICS_H
 #define SQLPP_UTIL_METRICS_H
@@ -51,6 +46,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "util/shard_scope.h"
 
 namespace sqlpp {
 
@@ -98,8 +95,6 @@ class MetricsRegistry
     static constexpr size_t kHistogramBuckets = 28;
     /** Value cells per lane (counters 1, gauges 1, histograms B+1). */
     static constexpr size_t kMaxCells = 8192;
-    /** Lane 0 = unlabeled; lanes 1.. = shard (index % kMaxShards) + 1. */
-    static constexpr size_t kMaxShards = 256;
 
     MetricsRegistry();
 
@@ -163,7 +158,7 @@ class MetricsRegistry
     static uint64_t bucketUpperBound(size_t bucket);
 
   private:
-    friend class MetricsShardScope;
+    friend class ShardScope;
     friend std::string exportMetricsJson(const MetricsJsonOptions &);
     friend std::string metricsSummaryTable();
     friend std::string exportMetricsPrometheus();
@@ -183,8 +178,8 @@ class MetricsRegistry
         std::unique_ptr<std::atomic<uint64_t>[]> cells;
     };
 
-    /** Get or create the lane for a shard index; returns lane index. */
-    size_t laneForShard(size_t shard_index, const std::string &label);
+    /** Create a lane's storage if absent and set its label. */
+    void bindLane(size_t lane_index, const std::string &label);
 
     Lane *lane(size_t lane_index) const
     {
@@ -204,28 +199,8 @@ class MetricsRegistry
 };
 
 /**
- * Binds the current thread to a shard's metric lane for the scope's
- * lifetime (the scheduler wraps each shard execution in one). Lane
- * choice depends only on the shard index, so per-lane values are
- * worker-count independent. Scopes nest; the previous lane is
- * restored on destruction.
- */
-class MetricsShardScope
-{
-  public:
-    MetricsShardScope(size_t shard_index, const std::string &label);
-    ~MetricsShardScope();
-
-    MetricsShardScope(const MetricsShardScope &) = delete;
-    MetricsShardScope &operator=(const MetricsShardScope &) = delete;
-
-  private:
-    size_t previous_lane_;
-};
-
-/**
- * RAII wall-clock span feeding a Timer metric in microseconds. Use
- * through SQLPP_SPAN so disabled builds compile the span away.
+ * RAII wall-clock span feeding a Timer metric in microseconds; see
+ * SQLPP_SPAN.
  */
 class MetricsSpan
 {
@@ -304,20 +279,11 @@ bool metricQuantiles(const std::string &name, HistogramQuantiles &out);
 void declarePlatformMetrics();
 
 // ---------------------------------------------------------------------
-// Instrumentation helpers. All compile to nothing under
-// SQLPP_NO_METRICS; names passed to the macros must be string
+// Instrumentation helpers. Names passed to the macros must be string
 // literals (they are resolved once per call site).
 // ---------------------------------------------------------------------
 
 namespace metrics {
-
-#ifdef SQLPP_NO_METRICS
-
-inline void count(const std::string &, uint64_t = 1) {}
-inline void gaugeSet(const std::string &, uint64_t) {}
-inline void observe(const std::string &, uint64_t) {}
-
-#else
 
 /** Cold path: count by a runtime-computed name. */
 inline void
@@ -340,23 +306,10 @@ observe(const std::string &name, uint64_t value)
     MetricsRegistry::instance().observeByName(name, value);
 }
 
-#endif // SQLPP_NO_METRICS
-
 } // namespace metrics
 
 #define SQLPP_METRICS_CAT2(a, b) a##b
 #define SQLPP_METRICS_CAT(a, b) SQLPP_METRICS_CAT2(a, b)
-
-#ifdef SQLPP_NO_METRICS
-
-#define SQLPP_COUNT(name) do {} while (0)
-#define SQLPP_COUNT_N(name, n) do {} while (0)
-#define SQLPP_OBSERVE(name, value) do {} while (0)
-#define SQLPP_OBSERVE_TIME(name, micros) do {} while (0)
-#define SQLPP_GAUGE_SET(name, value) do {} while (0)
-#define SQLPP_SPAN(name) do {} while (0)
-
-#else
 
 /** Hot-path counter increment; resolves the slot once per call site. */
 #define SQLPP_COUNT(name) SQLPP_COUNT_N(name, 1)
@@ -415,8 +368,6 @@ observe(const std::string &name, uint64_t value)
             name, ::sqlpp::MetricKind::Timer);                          \
     ::sqlpp::MetricsSpan SQLPP_METRICS_CAT(sqlpp_span_, __LINE__)(      \
         SQLPP_METRICS_CAT(sqlpp_span_slot_, __LINE__))
-
-#endif // SQLPP_NO_METRICS
 
 } // namespace sqlpp
 

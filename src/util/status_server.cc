@@ -42,32 +42,6 @@ StatusServer::handle(std::string path, StatusHandler handler)
     handlers_.emplace_back(std::move(path), std::move(handler));
 }
 
-#ifdef SQLPP_NO_STATUS
-
-Status
-StatusServer::start(uint16_t)
-{
-    return Status::unsupported(
-        "status server compiled out (SQLPP_STATUS=OFF)");
-}
-
-void
-StatusServer::stop()
-{
-}
-
-void
-StatusServer::serveLoop()
-{
-}
-
-void
-StatusServer::serveOne(int)
-{
-}
-
-#else // SQLPP_NO_STATUS
-
 namespace {
 
 const char *
@@ -282,8 +256,6 @@ StatusServer::serveOne(int client_fd)
     sendAll(client_fd, response.body);
     served_.fetch_add(1, std::memory_order_relaxed);
 }
-
-#endif // SQLPP_NO_STATUS
 
 Status
 httpGetLocal(uint16_t port, const std::string &target,

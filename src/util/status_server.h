@@ -17,11 +17,6 @@
  * whole point is that polling /status perturbs nothing (the
  * determinism test pins bit-identical merged stats, checkpoints, and
  * dossiers with and without a polling storm).
- *
- * Compile-out: building with -DSQLPP_STATUS=OFF (the SQLPP_NO_STATUS
- * macro) stubs the server — start() reports Unsupported and serves
- * nothing — while the class and the client helper stay available so
- * call sites compile unchanged.
  */
 #ifndef SQLPP_UTIL_STATUS_SERVER_H
 #define SQLPP_UTIL_STATUS_SERVER_H
@@ -80,8 +75,7 @@ class StatusServer
     /**
      * Bind 127.0.0.1:`port` (0 = kernel-assigned ephemeral port, read
      * back via port()) and start serving on a background thread.
-     * Fails with Unsupported under SQLPP_NO_STATUS and with
-     * RuntimeError when the socket cannot be bound.
+     * Fails with RuntimeError when the socket cannot be bound.
      */
     Status start(uint16_t port);
 
@@ -111,7 +105,7 @@ class StatusServer
 
 /**
  * Minimal blocking HTTP GET against 127.0.0.1:`port` (the test/smoke
- * client side of StatusServer; compiled regardless of SQLPP_STATUS).
+ * client side of StatusServer).
  * `target` is the request target ("/status" or "/trace?since=4").
  * On success fills `body` (and `http_status` when non-null).
  */

@@ -104,6 +104,27 @@ sqlQuote(std::string_view s)
 }
 
 std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += format("\\u%04x", c);
+            else
+                out.push_back(c);
+        }
+    }
+    return out;
+}
+
+std::string
 format(const char *fmt, ...)
 {
     va_list args;

@@ -39,6 +39,13 @@ bool startsWith(std::string_view s, std::string_view prefix);
  */
 std::string sqlQuote(std::string_view s);
 
+/**
+ * Escape a string for a JSON string literal: quotes, backslash,
+ * newline, tab, and other control bytes (as four-digit unicode
+ * escapes).
+ */
+std::string jsonEscape(std::string_view s);
+
 /** printf-style formatting into a std::string. */
 std::string
 format(const char *fmt, ...)

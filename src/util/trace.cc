@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/seqlock.h"
 #include "util/strutil.h"
 
 namespace sqlpp {
@@ -31,42 +32,13 @@ traceEventTypeName(TraceEventType type)
     return "unknown";
 }
 
-namespace {
-
-/** The thread's current lane (0 = unlabeled process lane). */
-thread_local size_t tls_trace_lane = 0;
-
-/** JSON string escaping (details and labels are plain ASCII). */
-std::string
-traceJsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 TraceRecorder::TraceRecorder()
 {
     for (auto &lane : lanes_)
         lane.store(nullptr, std::memory_order_relaxed);
     // Lane 0 always exists so unscoped recording never branches on
     // creation.
-    (void)laneForShard(static_cast<size_t>(-1), "");
+    bindLane(0, "");
 }
 
 TraceRecorder &
@@ -76,10 +48,9 @@ TraceRecorder::instance()
     return recorder;
 }
 
-size_t
-TraceRecorder::laneForShard(size_t shard_index, const std::string &label)
+void
+TraceRecorder::bindLane(size_t lane_index, const std::string &label)
 {
-    size_t lane_index = laneForShardIndex(shard_index);
     // Cold path (once per shard scope); the mutex also orders label
     // writes against the exporter, which reads labels under it.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -90,7 +61,7 @@ TraceRecorder::laneForShard(size_t shard_index, const std::string &label)
         // shard layout; the label follows the latest binding.
         if (existing->label != label)
             existing->label = label;
-        return lane_index;
+        return;
     }
     auto lane = std::make_unique<Lane>();
     lane->label = label;
@@ -100,20 +71,19 @@ TraceRecorder::laneForShard(size_t shard_index, const std::string &label)
         std::make_unique<std::atomic<uint64_t>[]>(kRingCapacity);
     lanes_[lane_index].store(lane.get(), std::memory_order_release);
     lane_storage_.push_back(std::move(lane));
-    return lane_index;
 }
 
 uint64_t
 TraceRecorder::bumpTick()
 {
-    Lane *lane_ptr = lane(tls_trace_lane);
+    Lane *lane_ptr = lane(currentShardLane());
     return lane_ptr->tick.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 uint64_t
 TraceRecorder::currentTick() const
 {
-    const Lane *lane_ptr = lane(tls_trace_lane);
+    const Lane *lane_ptr = lane(currentShardLane());
     return lane_ptr->tick.load(std::memory_order_relaxed);
 }
 
@@ -121,7 +91,7 @@ void
 TraceRecorder::record(TraceEventType type, std::string_view detail,
                       uint64_t a, uint64_t b)
 {
-    Lane *lane_ptr = lane(tls_trace_lane);
+    Lane *lane_ptr = lane(currentShardLane());
     // Reserve a slot. A shard runs on one thread at a time, so the
     // reservation doubles as full ownership of the slot; concurrent
     // writers only ever share lane 0, where a wrapped race merely
@@ -138,42 +108,29 @@ TraceRecorder::record(TraceEventType type, std::string_view detail,
         std::min(detail.size(), TraceEvent::kDetailCapacity - 1);
     std::memcpy(event.detail, detail.data(), copy);
     event.detail[copy] = '\0';
-    // Seqlock publish (same idiom as ProgressBoard strings): bump the
-    // slot version to odd, store the packed words relaxed, bump back
-    // to even. Live readers (the status server's /trace handler) skip
-    // the slot while the version is odd or changed underneath them.
+    // Seqlock publish: live readers (the status server's /trace
+    // handler) skip the slot while a write is in flight.
     uint64_t words[kEventWords];
     std::memcpy(words, &event, sizeof(event));
-    std::atomic<uint64_t> &version = lane_ptr->versions[slot];
-    uint64_t v = version.load(std::memory_order_relaxed);
-    version.store(v + 1, std::memory_order_release);
-    for (size_t w = 0; w < kEventWords; ++w)
-        lane_ptr->ring[slot * kEventWords + w].store(
-            words[w], std::memory_order_relaxed);
-    version.store(v + 2, std::memory_order_release);
+    seqlockWrite(lane_ptr->versions[slot], [&] {
+        for (size_t w = 0; w < kEventWords; ++w)
+            lane_ptr->ring[slot * kEventWords + w].store(
+                words[w], std::memory_order_relaxed);
+    });
 }
 
 bool
 TraceRecorder::readSlot(const Lane &lane, size_t slot, TraceEvent *out)
 {
-    for (int attempt = 0; attempt < 64; ++attempt) {
-        uint64_t before =
-            lane.versions[slot].load(std::memory_order_acquire);
-        if (before & 1)
-            continue;
-        uint64_t words[kEventWords];
-        for (size_t w = 0; w < kEventWords; ++w)
-            words[w] = lane.ring[slot * kEventWords + w].load(
-                std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        uint64_t after =
-            lane.versions[slot].load(std::memory_order_relaxed);
-        if (before == after) {
-            std::memcpy(out, words, sizeof(*out));
-            return true;
-        }
-    }
-    return false;
+    uint64_t words[kEventWords];
+    if (!seqlockRead(lane.versions[slot], [&] {
+            for (size_t w = 0; w < kEventWords; ++w)
+                words[w] = lane.ring[slot * kEventWords + w].load(
+                    std::memory_order_relaxed);
+        }))
+        return false;
+    std::memcpy(out, words, sizeof(*out));
+    return true;
 }
 
 std::vector<TraceEvent>
@@ -207,7 +164,7 @@ TraceRecorder::recentShardEvents(size_t shard_index,
                                  size_t max_events) const
 {
     std::vector<TraceEvent> events =
-        laneEvents(laneForShardIndex(shard_index));
+        laneEvents(shardLane(shard_index));
     if (events.size() > max_events)
         events.erase(events.begin(),
                      events.end() - static_cast<long>(max_events));
@@ -248,19 +205,6 @@ TraceRecorder::reset()
     }
 }
 
-TraceShardScope::TraceShardScope(size_t shard_index,
-                                 const std::string &label)
-    : previous_lane_(tls_trace_lane)
-{
-    tls_trace_lane =
-        TraceRecorder::instance().laneForShard(shard_index, label);
-}
-
-TraceShardScope::~TraceShardScope()
-{
-    tls_trace_lane = previous_lane_;
-}
-
 std::string
 traceEventJson(size_t lane_index, const std::string &label,
                const TraceEvent &event)
@@ -269,9 +213,9 @@ traceEventJson(size_t lane_index, const std::string &label,
         "{\"lane\": %zu, \"shard\": \"%s\", \"tick\": %llu, "
         "\"type\": \"%s\", \"detail\": \"%s\", \"a\": %llu, "
         "\"b\": %llu}",
-        lane_index, traceJsonEscape(label).c_str(),
+        lane_index, jsonEscape(label).c_str(),
         (unsigned long long)event.tick, traceEventTypeName(event.type),
-        traceJsonEscape(event.detail).c_str(),
+        jsonEscape(event.detail).c_str(),
         (unsigned long long)event.a, (unsigned long long)event.b);
 }
 
@@ -285,8 +229,8 @@ exportTraceJsonl()
     uint64_t total_retained = 0;
     uint64_t total_dropped = 0;
     std::vector<std::pair<std::string, std::vector<TraceEvent>>> lanes;
-    lanes.resize(TraceRecorder::kMaxShards + 1);
-    for (size_t index = 0; index <= TraceRecorder::kMaxShards;
+    lanes.resize(kMaxShards + 1);
+    for (size_t index = 0; index <= kMaxShards;
          ++index) {
         uint64_t recorded = recorder.laneRecorded(index);
         if (recorded == 0)
@@ -303,7 +247,7 @@ exportTraceJsonl()
         TraceRecorder::kRingCapacity, lanes_used,
         (unsigned long long)total_retained,
         (unsigned long long)total_dropped);
-    for (size_t index = 0; index <= TraceRecorder::kMaxShards;
+    for (size_t index = 0; index <= kMaxShards;
          ++index) {
         for (const TraceEvent &event : lanes[index].second) {
             out += traceEventJson(index, lanes[index].first, event);
@@ -321,8 +265,8 @@ exportTraceDeltaJsonl(uint64_t since_tick)
     uint64_t max_tick = 0;
     uint64_t total_events = 0;
     std::vector<std::pair<std::string, std::vector<TraceEvent>>> lanes;
-    lanes.resize(TraceRecorder::kMaxShards + 1);
-    for (size_t index = 0; index <= TraceRecorder::kMaxShards;
+    lanes.resize(kMaxShards + 1);
+    for (size_t index = 0; index <= kMaxShards;
          ++index) {
         if (recorder.laneRecorded(index) == 0)
             continue;
@@ -345,7 +289,7 @@ exportTraceDeltaJsonl(uint64_t since_tick)
         "\"tick\": %llu, \"lanes\": %zu, \"events\": %llu}\n",
         (unsigned long long)since_tick, (unsigned long long)max_tick,
         lanes_used, (unsigned long long)total_events);
-    for (size_t index = 0; index <= TraceRecorder::kMaxShards;
+    for (size_t index = 0; index <= kMaxShards;
          ++index) {
         for (const TraceEvent &event : lanes[index].second) {
             out += traceEventJson(index, lanes[index].first, event);
@@ -360,7 +304,7 @@ traceDroppedTotal()
 {
     TraceRecorder &recorder = TraceRecorder::instance();
     uint64_t dropped = 0;
-    for (size_t index = 0; index <= TraceRecorder::kMaxShards;
+    for (size_t index = 0; index <= kMaxShards;
          ++index) {
         uint64_t recorded = recorder.laneRecorded(index);
         uint64_t retained =

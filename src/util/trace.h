@@ -9,10 +9,11 @@
  * discovered, budget exhausted, bug found, checkpoint written, shard
  * abandoned — each stamped with a *logical tick*: the shard's
  * statement index, never a wall clock. Because ticks are logical and
- * lanes are keyed by shard index (exactly like MetricsShardScope's
- * lanes), a trace is byte-identical across runs for a fixed seed with
- * one worker and merges deterministically in shard order for any
- * worker count — worker threads change nothing but wall-clock time.
+ * lanes are keyed by shard index (the same ShardScope binding the
+ * metric lanes use, util/shard_scope.h), a trace is byte-identical
+ * across runs for a fixed seed with one worker and merges
+ * deterministically in shard order for any worker count — worker
+ * threads change nothing but wall-clock time.
  *
  * Hot-path discipline mirrors util/metrics.h: recording an event is a
  * single fetch_add to reserve a ring slot plus a bounded copy into
@@ -29,12 +30,6 @@
  * contains no wall-clock values, so it inherits the determinism
  * contract above. scripts/trace_to_chrome.py converts the JSONL into
  * the Chrome trace-event format for rendering in Perfetto.
- *
- * Compile-out: building with -DSQLPP_TRACE=OFF (the SQLPP_NO_TRACE
- * macro) turns every instrumentation macro into a no-op with zero
- * hot-path cost (bench/micro_throughput's BM_TraceEvent measures both
- * sides); the recorder class and exporter stay available and simply
- * see no events.
  */
 #ifndef SQLPP_UTIL_TRACE_H
 #define SQLPP_UTIL_TRACE_H
@@ -48,6 +43,8 @@
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "util/shard_scope.h"
 
 namespace sqlpp {
 
@@ -118,8 +115,6 @@ class TraceRecorder
   public:
     /** Events retained per lane; older events are dropped. */
     static constexpr size_t kRingCapacity = 4096;
-    /** Lane 0 = unlabeled; lanes 1.. = shard (index % kMaxShards) + 1. */
-    static constexpr size_t kMaxShards = 256;
 
     TraceRecorder();
 
@@ -158,14 +153,6 @@ class TraceRecorder
     /** Label of a lane ("" when unlabeled/unused). */
     std::string laneLabel(size_t lane_index) const;
 
-    /** Lane index a shard index maps to (mirrors metrics lanes). */
-    static size_t laneForShardIndex(size_t shard_index)
-    {
-        return shard_index == static_cast<size_t>(-1)
-                   ? 0
-                   : (shard_index % kMaxShards) + 1;
-    }
-
     /**
      * Zero every lane's ring, tick, and event count. Campaign drivers
      * call this before a run so repeated in-process runs start clean.
@@ -173,7 +160,7 @@ class TraceRecorder
     void reset();
 
   private:
-    friend class TraceShardScope;
+    friend class ShardScope;
     friend std::string exportTraceJsonl();
 
     /** Words one packed event occupies in the ring. */
@@ -189,11 +176,11 @@ class TraceRecorder
         std::atomic<uint64_t> recorded{0};
         /**
          * kRingCapacity slots of kEventWords relaxed-atomic words
-         * each, plus a per-slot seqlock version (odd while a writer
-         * is mid-copy). Writers were always safe (one thread per
-         * shard); the packing is for the *readers* the status
-         * server added — laneEvents() now snapshots a slot without
-         * tearing while the campaign is still recording into it.
+         * each, plus a per-slot seqlock version (util/seqlock.h).
+         * Writers were always safe (one thread per shard); the
+         * packing is for the *readers* the status server added —
+         * laneEvents() snapshots a slot without tearing while the
+         * campaign is still recording into it.
          */
         std::unique_ptr<std::atomic<uint64_t>[]> ring;
         std::unique_ptr<std::atomic<uint64_t>[]> versions;
@@ -203,8 +190,8 @@ class TraceRecorder
     static bool readSlot(const Lane &lane, size_t slot,
                          TraceEvent *out);
 
-    /** Get or create the lane for a shard index; returns lane index. */
-    size_t laneForShard(size_t shard_index, const std::string &label);
+    /** Create a lane's ring if absent and set its label. */
+    void bindLane(size_t lane_index, const std::string &label);
 
     Lane *lane(size_t lane_index) const
     {
@@ -215,26 +202,6 @@ class TraceRecorder
     mutable std::mutex mutex_;
     std::atomic<Lane *> lanes_[kMaxShards + 1];
     std::vector<std::unique_ptr<Lane>> lane_storage_;
-};
-
-/**
- * Binds the current thread to a shard's trace lane for the scope's
- * lifetime — the scheduler wraps each shard execution in one, next to
- * its MetricsShardScope. Lane choice depends only on the shard index,
- * so traces are worker-count independent. Scopes nest; the previous
- * lane is restored on destruction.
- */
-class TraceShardScope
-{
-  public:
-    TraceShardScope(size_t shard_index, const std::string &label);
-    ~TraceShardScope();
-
-    TraceShardScope(const TraceShardScope &) = delete;
-    TraceShardScope &operator=(const TraceShardScope &) = delete;
-
-  private:
-    size_t previous_lane_;
 };
 
 /**
@@ -273,16 +240,9 @@ std::string traceEventJson(size_t lane_index, const std::string &label,
 std::string traceSchemaDescription();
 
 // ---------------------------------------------------------------------
-// Instrumentation macros. All compile to nothing under SQLPP_NO_TRACE;
-// hot call sites pay one fetch_add + bounded copy when enabled.
+// Instrumentation macros. Hot call sites pay one fetch_add + bounded
+// copy.
 // ---------------------------------------------------------------------
-
-#ifdef SQLPP_NO_TRACE
-
-#define SQLPP_TRACE_TICK() do {} while (0)
-#define SQLPP_TRACE_EVENT(type, detail, a, b) do {} while (0)
-
-#else
 
 /** Advance the current lane's logical tick (one executed statement). */
 #define SQLPP_TRACE_TICK()                                              \
@@ -297,8 +257,6 @@ std::string traceSchemaDescription();
             ::sqlpp::TraceEventType::type, (detail),                    \
             static_cast<uint64_t>(a), static_cast<uint64_t>(b));        \
     } while (0)
-
-#endif // SQLPP_NO_TRACE
 
 } // namespace sqlpp
 

@@ -69,7 +69,6 @@ TEST(CoreMetricsTest, TotalsAreWorkerCountIndependent)
     // The scheduler's core contract survives instrumentation.
     EXPECT_TRUE(serial.merged == parallel.merged);
 
-#ifndef SQLPP_NO_METRICS
     // Every campaign-logic total is a function of seed + shard layout
     // alone. (Only the scheduler.workers gauge may differ.)
     for (const char *name : {
@@ -109,7 +108,6 @@ TEST(CoreMetricsTest, TotalsAreWorkerCountIndependent)
     EXPECT_GE(
         MetricsRegistry::instance().counterTotal("connection.statements"),
         80u);
-#endif
 }
 
 TEST(CoreMetricsTest, ShardLanesCarryDialectLabels)
@@ -127,12 +125,10 @@ TEST(CoreMetricsTest, ShardLanesCarryDialectLabels)
     (void)CampaignScheduler(config).run();
 
     std::string json = exportMetricsJson();
-#ifndef SQLPP_NO_METRICS
     EXPECT_NE(json.find("\"shard\": \"sqlite-like\""),
               std::string::npos);
     EXPECT_NE(json.find("\"shard\": \"duckdb-like\""),
               std::string::npos);
-#endif
 }
 
 } // namespace

@@ -37,7 +37,7 @@ TEST_F(ProgressTest, SnapshotAggregatesShardCells)
     board.setShardState(0, ShardState::Running);
 
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteSetup(true);
         progress::noteSetup(false);
         progress::noteCheck(true, 11);
@@ -85,7 +85,7 @@ TEST_F(ProgressTest, FinishCampaignFreezesButKeepsCells)
     ProgressBoard &board = ProgressBoard::instance();
     board.initShard(0, "sqlite-like", 7, 100, 0.0);
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteCheck(true, 1);
     }
     board.finishCampaign();
@@ -111,7 +111,7 @@ TEST_F(ProgressTest, StallVerdictAppearsAndClears)
     // One check clears the verdict; a generous threshold keeps it so.
     board.setStallThresholdSeconds(100.0);
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "wedged");
         progress::noteCheck(true, 1);
     }
     EXPECT_FALSE(board.snapshot().shards[0].stalled);
@@ -129,7 +129,7 @@ TEST_F(ProgressTest, AbandonedStateComesFromTheHotPath)
     board.initShard(1, "slice1", 8, 100, 1.0);
     board.setShardState(1, ShardState::Running);
     {
-        ProgressShardScope scope(1);
+        ShardScope scope(1, "slice1");
         progress::noteAbandoned();
     }
     CampaignProgress snapshot = board.snapshot();
@@ -156,46 +156,18 @@ TEST_F(ProgressTest, BanditLeaderRoundTripsAndTruncates)
     ProgressBoard &board = ProgressBoard::instance();
     board.initShard(0, "sqlite-like", 7, 100, 0.0);
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteBanditLeader("RULE_JOIN_COUNT_2 5/9");
     }
     EXPECT_EQ(board.snapshot().shards[0].banditLeader,
               "RULE_JOIN_COUNT_2 5/9");
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteBanditLeader(std::string(200, 'x'));
     }
     std::string leader = board.snapshot().shards[0].banditLeader;
     EXPECT_LT(leader.size(), 200u);
     EXPECT_EQ(leader, std::string(leader.size(), 'x'));
-}
-
-TEST_F(ProgressTest, ScopesNestAndUnboundNotesAreNoOps)
-{
-    ProgressBoard &board = ProgressBoard::instance();
-    board.initShard(0, "outer", 1, 10, 0.0);
-    board.initShard(1, "inner", 2, 10, 0.0);
-    {
-        ProgressShardScope outer(0);
-        {
-            ProgressShardScope inner(1);
-            progress::noteCheck(true, 5);
-        }
-        progress::noteCheck(true, 3);
-    }
-    // Unbound thread: all helpers must be harmless no-ops.
-    progress::noteCheck(true, 99);
-    progress::noteBug();
-    progress::noteTotals(1, 2, 3);
-    progress::noteBanditLeader("nobody");
-    progress::noteAbandoned();
-
-    CampaignProgress snapshot = board.snapshot();
-    EXPECT_EQ(snapshot.shards[0].checksAttempted, 1u);
-    EXPECT_EQ(snapshot.shards[0].tick, 3u);
-    EXPECT_EQ(snapshot.shards[1].checksAttempted, 1u);
-    EXPECT_EQ(snapshot.shards[1].tick, 5u);
-    EXPECT_EQ(snapshot.checksAttempted, 2u);
 }
 
 TEST_F(ProgressTest, StatusJsonCarriesSchemaAndShards)
@@ -204,7 +176,7 @@ TEST_F(ProgressTest, StatusJsonCarriesSchemaAndShards)
     board.initShard(0, "sqlite-like", 7, 100, 0.0);
     board.setShardState(0, ShardState::Running);
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteCheck(true, 4);
     }
     std::string json = renderStatusJson(board.snapshot());
@@ -234,7 +206,7 @@ TEST_F(ProgressTest, ProgressLineSummarizesCampaign)
     board.initShard(0, "sqlite-like", 7, 100, 0.0);
     board.setShardState(0, ShardState::Running);
     {
-        ProgressShardScope scope(0);
+        ShardScope scope(0, "sqlite-like");
         progress::noteCheck(true, 1);
         progress::noteCheck(true, 2);
     }

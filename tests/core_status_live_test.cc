@@ -150,9 +150,6 @@ runCampaign(size_t workers, bool storm, const std::string &tag)
 
 TEST(StatusLiveTest, PollingStormPerturbsNothingDeterministic)
 {
-#ifdef SQLPP_NO_STATUS
-    GTEST_SKIP() << "status server compiled out (SQLPP_STATUS=OFF)";
-#endif
     RunArtifacts baseline =
         runCampaign(/*workers=*/1, /*storm=*/false, "baseline");
     EXPECT_GT(baseline.report.merged.checksAttempted, 100u);

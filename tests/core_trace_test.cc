@@ -112,7 +112,6 @@ TEST_F(TraceIntegrationTest, FixedSeedExportIsByteIdentical)
     std::string first = capture();
     std::string second = capture();
     EXPECT_EQ(first, second);
-#ifndef SQLPP_NO_TRACE
     EXPECT_NE(first.find("\"schema\": \"sqlpp.trace.v1\""),
               std::string::npos);
     EXPECT_NE(first.find("\"type\": \"shard_started\""),
@@ -121,7 +120,6 @@ TEST_F(TraceIntegrationTest, FixedSeedExportIsByteIdentical)
               std::string::npos);
     EXPECT_NE(first.find("\"type\": \"bug_found\""),
               std::string::npos);
-#endif
 }
 
 TEST_F(TraceIntegrationTest, MergedStatsUnaffectedByRecorderState)
@@ -367,13 +365,12 @@ TEST_F(TraceIntegrationTest, CurveDisabledByDefault)
     EXPECT_TRUE(stats.curve.empty());
 }
 
-#ifndef SQLPP_NO_TRACE
 TEST_F(TraceIntegrationTest, ShardsRecordIntoTheirOwnLanes)
 {
     CampaignScheduler(sliceConfig(2, 3)).run();
     TraceRecorder &recorder = TraceRecorder::instance();
     for (size_t shard = 0; shard < 3; ++shard) {
-        size_t lane = TraceRecorder::laneForShardIndex(shard);
+        size_t lane = shardLane(shard);
         EXPECT_GT(recorder.laneRecorded(lane), 0u) << shard;
         auto events = recorder.laneEvents(lane);
         ASSERT_FALSE(events.empty());
@@ -403,7 +400,6 @@ TEST_F(TraceIntegrationTest, CurveSamplesEmitTraceEvents)
     EXPECT_GE(samples, 1u);
     EXPECT_LE(samples, stats.curve.size());
 }
-#endif
 
 } // namespace
 } // namespace sqlpp

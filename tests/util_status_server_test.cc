@@ -1,7 +1,7 @@
 /**
  * @file
  * StatusServer tests: request parsing, routing, concurrent clients,
- * lifecycle, and the SQLPP_STATUS=OFF stub contract.
+ * and lifecycle.
  */
 #include <gtest/gtest.h>
 
@@ -32,24 +32,6 @@ TEST(HttpRequestTest, QueryU64ParsesAndFallsBack)
     EXPECT_EQ(request.queryU64("empty", 7), 7u);
     EXPECT_EQ(request.queryU64("absent", 7), 7u);
 }
-
-#ifdef SQLPP_NO_STATUS
-
-TEST(StatusServerTest, CompiledOutStartIsUnsupported)
-{
-    StatusServer server;
-    server.handle("/status", [](const HttpRequest &) {
-        return HttpResponse{};
-    });
-    Status status = server.start(0);
-    EXPECT_FALSE(status.isOk());
-    EXPECT_EQ(status.code(), ErrorCode::Unsupported);
-    EXPECT_FALSE(server.running());
-    EXPECT_EQ(server.port(), 0u);
-    server.stop(); // must stay a harmless no-op
-}
-
-#else // SQLPP_NO_STATUS
 
 /** Send a raw request string and return the full raw response. */
 std::string
@@ -199,8 +181,6 @@ TEST(StatusServerTest, ConcurrentClientsAllServed)
     EXPECT_EQ(server.requestsServed(), kThreads * kRequests);
     server.stop();
 }
-
-#endif // SQLPP_NO_STATUS
 
 } // namespace
 } // namespace sqlpp

@@ -64,6 +64,17 @@ TEST(StrUtilTest, SqlQuoteEscapesQuotes)
     EXPECT_EQ(sqlQuote("''"), "''''''");
 }
 
+TEST(StrUtilTest, JsonEscapeQuotesAndControlBytes)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("line\nnext"), "line\\nnext");
+    EXPECT_EQ(jsonEscape("tab\there"), "tab\\there");
+    EXPECT_EQ(jsonEscape(std::string("\x01", 1)), "\\u0001");
+    EXPECT_EQ(jsonEscape(""), "");
+}
+
 TEST(StrUtilTest, Format)
 {
     EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");

@@ -48,13 +48,18 @@ TEST_F(TraceTest, EventTypeNamesAreStable)
 
 TEST_F(TraceTest, LaneForShardIndexMapping)
 {
-    EXPECT_EQ(TraceRecorder::laneForShardIndex(static_cast<size_t>(-1)),
-              0u);
-    EXPECT_EQ(TraceRecorder::laneForShardIndex(0), 1u);
-    EXPECT_EQ(TraceRecorder::laneForShardIndex(7), 8u);
-    EXPECT_EQ(TraceRecorder::laneForShardIndex(
-                  TraceRecorder::kMaxShards),
-              1u);
+    EXPECT_EQ(shardLane(kNoShard), 0u);
+    EXPECT_EQ(shardLane(0), 1u);
+    EXPECT_EQ(shardLane(7), 8u);
+    EXPECT_EQ(shardLane(kMaxShards), 1u);
+    // The recorder files a bound shard's events under that lane.
+    {
+        ShardScope scope(7, "seven");
+        TraceRecorder::instance().record(TraceEventType::ShardStarted,
+                                         "s", 0, 0);
+    }
+    EXPECT_EQ(TraceRecorder::instance().laneRecorded(8), 1u);
+    EXPECT_EQ(TraceRecorder::instance().laneLabel(8), "seven");
 }
 
 TEST_F(TraceTest, RecordsIntoTheCurrentLane)
@@ -62,7 +67,7 @@ TEST_F(TraceTest, RecordsIntoTheCurrentLane)
     TraceRecorder &recorder = TraceRecorder::instance();
     recorder.record(TraceEventType::OracleCheck, "tlp", 1, 2);
     {
-        TraceShardScope scope(3, "sqlite-like");
+        ShardScope scope(3, "sqlite-like");
         recorder.record(TraceEventType::BugFound, "norec", 7, 0);
     }
     recorder.record(TraceEventType::OracleCheck, "pqs", 0, 0);
@@ -74,49 +79,27 @@ TEST_F(TraceTest, RecordsIntoTheCurrentLane)
     EXPECT_EQ(lane0[0].a, 1u);
     EXPECT_STREQ(lane0[1].detail, "pqs");
 
-    auto lane3 = recorder.laneEvents(
-        TraceRecorder::laneForShardIndex(3));
+    auto lane3 = recorder.laneEvents(shardLane(3));
     ASSERT_EQ(lane3.size(), 1u);
     EXPECT_EQ(lane3[0].type, TraceEventType::BugFound);
     EXPECT_EQ(lane3[0].a, 7u);
-    EXPECT_EQ(recorder.laneLabel(TraceRecorder::laneForShardIndex(3)),
+    EXPECT_EQ(recorder.laneLabel(shardLane(3)),
               "sqlite-like");
-}
-
-TEST_F(TraceTest, ScopesNestAndRestore)
-{
-    TraceRecorder &recorder = TraceRecorder::instance();
-    {
-        TraceShardScope outer(1, "outer");
-        recorder.record(TraceEventType::ShardStarted, "o", 0, 0);
-        {
-            TraceShardScope inner(2, "inner");
-            recorder.record(TraceEventType::ShardStarted, "i", 0, 0);
-        }
-        recorder.record(TraceEventType::ShardStarted, "o2", 0, 0);
-    }
-    EXPECT_EQ(
-        recorder.laneEvents(TraceRecorder::laneForShardIndex(1)).size(),
-        2u);
-    EXPECT_EQ(
-        recorder.laneEvents(TraceRecorder::laneForShardIndex(2)).size(),
-        1u);
 }
 
 TEST_F(TraceTest, TicksStampEventsAndStayPerLane)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
-    TraceShardScope scope(0, "shard0");
+    ShardScope scope(0, "shard0");
     EXPECT_EQ(recorder.currentTick(), 0u);
     EXPECT_EQ(recorder.bumpTick(), 1u);
     EXPECT_EQ(recorder.bumpTick(), 2u);
     recorder.record(TraceEventType::ErrorClass, "syntax", 0, 0);
-    auto events =
-        recorder.laneEvents(TraceRecorder::laneForShardIndex(0));
+    auto events = recorder.laneEvents(shardLane(0));
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].tick, 2u);
     {
-        TraceShardScope other(1, "shard1");
+        ShardScope other(1, "shard1");
         // A different lane has its own clock.
         EXPECT_EQ(recorder.currentTick(), 0u);
     }
@@ -126,11 +109,11 @@ TEST_F(TraceTest, TicksStampEventsAndStayPerLane)
 TEST_F(TraceTest, RingKeepsTheNewestEventsAndCountsDrops)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
-    TraceShardScope scope(5, "ring");
+    ShardScope scope(5, "ring");
     size_t total = TraceRecorder::kRingCapacity + 100;
     for (size_t i = 0; i < total; ++i)
         recorder.record(TraceEventType::StatementExecuted, "", i, 0);
-    size_t lane = TraceRecorder::laneForShardIndex(5);
+    size_t lane = shardLane(5);
     EXPECT_EQ(recorder.laneRecorded(lane), total);
     auto events = recorder.laneEvents(lane);
     ASSERT_EQ(events.size(), TraceRecorder::kRingCapacity);
@@ -153,7 +136,7 @@ TEST_F(TraceTest, DetailIsTruncatedNotOverflowed)
 TEST_F(TraceTest, RecentShardEventsReturnsTheTail)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
-    TraceShardScope scope(9, "tail");
+    ShardScope scope(9, "tail");
     for (uint64_t i = 0; i < 10; ++i)
         recorder.record(TraceEventType::StatementExecuted, "", i, 0);
     auto tail = recorder.recentShardEvents(9, 3);
@@ -166,7 +149,7 @@ TEST_F(TraceTest, ExportJsonlShapeAndEscaping)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
     {
-        TraceShardScope scope(0, "quote\"and\\slash");
+        ShardScope scope(0, "quote\"and\\slash");
         recorder.bumpTick();
         recorder.record(TraceEventType::ErrorClass, "syn\ntax", 4, 5);
     }
@@ -196,7 +179,7 @@ TEST_F(TraceTest, DeltaExportFiltersBySinceTick)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
     {
-        TraceShardScope scope(0, "delta");
+        ShardScope scope(0, "delta");
         for (uint64_t i = 1; i <= 3; ++i) {
             recorder.bumpTick();
             recorder.record(TraceEventType::StatementExecuted, "", i,
@@ -233,7 +216,7 @@ TEST_F(TraceTest, DroppedTotalCountsRingOverwrites)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
     EXPECT_EQ(traceDroppedTotal(), 0u);
-    TraceShardScope scope(5, "ring");
+    ShardScope scope(5, "ring");
     size_t total = TraceRecorder::kRingCapacity + 100;
     for (size_t i = 0; i < total; ++i)
         recorder.record(TraceEventType::StatementExecuted, "", i, 0);
@@ -248,7 +231,7 @@ TEST_F(TraceTest, ExportIsDeterministicAcrossLaneCreationOrder)
     auto fill = [&recorder](std::vector<size_t> shard_order) {
         recorder.reset();
         for (size_t shard : shard_order) {
-            TraceShardScope scope(shard,
+            ShardScope scope(shard,
                                   "s" + std::to_string(shard));
             recorder.record(TraceEventType::ShardStarted, "", shard,
                             0);
@@ -266,15 +249,15 @@ TEST_F(TraceTest, ResetClearsEventsTicksAndCounts)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
     {
-        TraceShardScope scope(2, "reset");
+        ShardScope scope(2, "reset");
         recorder.bumpTick();
         recorder.record(TraceEventType::BugFound, "tlp", 1, 0);
     }
     recorder.reset();
-    size_t lane = TraceRecorder::laneForShardIndex(2);
+    size_t lane = shardLane(2);
     EXPECT_EQ(recorder.laneRecorded(lane), 0u);
     EXPECT_TRUE(recorder.laneEvents(lane).empty());
-    TraceShardScope scope(2, "reset");
+    ShardScope scope(2, "reset");
     EXPECT_EQ(recorder.currentTick(), 0u);
 }
 
@@ -286,7 +269,7 @@ TEST_F(TraceTest, ConcurrentShardScopesStayIsolated)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([t, &recorder] {
-            TraceShardScope scope(t, "shard" + std::to_string(t));
+            ShardScope scope(t, "shard" + std::to_string(t));
             for (size_t i = 0; i < kPerThread; ++i) {
                 recorder.bumpTick();
                 recorder.record(TraceEventType::StatementExecuted, "",
@@ -297,7 +280,7 @@ TEST_F(TraceTest, ConcurrentShardScopesStayIsolated)
     for (std::thread &thread : threads)
         thread.join();
     for (size_t t = 0; t < kThreads; ++t) {
-        size_t lane = TraceRecorder::laneForShardIndex(t);
+        size_t lane = shardLane(t);
         EXPECT_EQ(recorder.laneRecorded(lane), kPerThread);
         auto events = recorder.laneEvents(lane);
         ASSERT_EQ(events.size(), kPerThread);
@@ -331,7 +314,6 @@ TEST_F(TraceTest, SchemaDescriptionMatchesGoldenFile)
            "SQLPP_UPDATE_GOLDEN=1 and bump the schema tag";
 }
 
-#ifndef SQLPP_NO_TRACE
 TEST_F(TraceTest, MacrosRecordWhenCompiledIn)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
@@ -342,14 +324,6 @@ TEST_F(TraceTest, MacrosRecordWhenCompiledIn)
     EXPECT_EQ(events[0].tick, 1u);
     EXPECT_EQ(events[0].b, 4u);
 }
-#else
-TEST_F(TraceTest, MacrosAreNoOpsWhenCompiledOut)
-{
-    SQLPP_TRACE_TICK();
-    SQLPP_TRACE_EVENT(OracleCheck, "tlp", 3, 4);
-    EXPECT_EQ(TraceRecorder::instance().laneRecorded(0), 0u);
-}
-#endif
 
 } // namespace
 } // namespace sqlpp
