@@ -170,6 +170,35 @@ TEST_F(ProgressTest, BanditLeaderRoundTripsAndTruncates)
     EXPECT_EQ(leader, std::string(leader.size(), 'x'));
 }
 
+TEST_F(ProgressTest, ScopesNestAndUnboundNotesAreNoOps)
+{
+    ProgressBoard &board = ProgressBoard::instance();
+    board.initShard(0, "outer", 1, 10, 0.0);
+    board.initShard(1, "inner", 2, 10, 0.0);
+    {
+        ShardScope outer(0, "outer");
+        {
+            ShardScope inner(1, "inner");
+            progress::noteCheck(true, 5);
+        }
+        progress::noteCheck(true, 3);
+    }
+    // Unbound thread: every note lands in the sink cell, which no
+    // snapshot reads.
+    progress::noteCheck(true, 99);
+    progress::noteBug();
+    progress::noteTotals(1, 2, 3);
+    progress::noteBanditLeader("nobody");
+    progress::noteAbandoned();
+
+    CampaignProgress snapshot = board.snapshot();
+    EXPECT_EQ(snapshot.shards[0].checksAttempted, 1u);
+    EXPECT_EQ(snapshot.shards[0].tick, 3u);
+    EXPECT_EQ(snapshot.shards[1].checksAttempted, 1u);
+    EXPECT_EQ(snapshot.shards[1].tick, 5u);
+    EXPECT_EQ(snapshot.checksAttempted, 2u);
+}
+
 TEST_F(ProgressTest, StatusJsonCarriesSchemaAndShards)
 {
     ProgressBoard &board = ProgressBoard::instance();

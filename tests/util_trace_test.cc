@@ -87,6 +87,22 @@ TEST_F(TraceTest, RecordsIntoTheCurrentLane)
               "sqlite-like");
 }
 
+TEST_F(TraceTest, ScopesNestAndRestore)
+{
+    TraceRecorder &recorder = TraceRecorder::instance();
+    {
+        ShardScope outer(1, "outer");
+        recorder.record(TraceEventType::ShardStarted, "o", 0, 0);
+        {
+            ShardScope inner(2, "inner");
+            recorder.record(TraceEventType::ShardStarted, "i", 0, 0);
+        }
+        recorder.record(TraceEventType::ShardStarted, "o2", 0, 0);
+    }
+    EXPECT_EQ(recorder.laneEvents(shardLane(1)).size(), 2u);
+    EXPECT_EQ(recorder.laneEvents(shardLane(2)).size(), 1u);
+}
+
 TEST_F(TraceTest, TicksStampEventsAndStayPerLane)
 {
     TraceRecorder &recorder = TraceRecorder::instance();
