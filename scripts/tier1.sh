@@ -14,7 +14,9 @@
 #                     BENCHMARK.json, and passes its pinned-digest gate.
 #   5. asan lane    — rebuild in a separate tree with
 #                     -DSQLPP_SANITIZE=address and rerun the unit lane
-#                     under AddressSanitizer.
+#                     under AddressSanitizer plus UBSan (any undefined
+#                     behaviour aborts the test) with libstdc++'s
+#                     _GLIBCXX_ASSERTIONS bounds checks.
 #   6. guided lane  — run the guided-generation smoke test: fixed-seed
 #                     guided campaigns must be byte-deterministic at
 #                     --workers 1 (stdout table, metrics JSON, and the
@@ -95,7 +97,7 @@ if [ "$RUN_BENCH" -eq 1 ]; then
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then
-    echo "== tier1: asan unit lane =="
+    echo "== tier1: asan+ubsan unit lane =="
     cmake -B "$ASAN_BUILD" -S "$ROOT" -DSQLPP_SANITIZE=address \
         >/dev/null
     cmake --build "$ASAN_BUILD" -j "$JOBS"

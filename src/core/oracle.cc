@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "core/pivot.h"
 #include "core/rewrite.h"
@@ -16,15 +15,6 @@
 namespace sqlpp {
 
 namespace {
-
-/** Clone the base query and attach a WHERE predicate. */
-SelectPtr
-withWhere(const SelectStmt &base, ExprPtr predicate)
-{
-    SelectPtr query = base.cloneSelect();
-    query->where = std::move(predicate);
-    return query;
-}
 
 /** TLP check body; the member wraps it with span/outcome metrics. */
 OracleResult
@@ -41,18 +31,17 @@ runTlp(Connection &connection, const SelectStmt &base,
         return result;
     }
 
-    // Partitions: p / NOT p / p IS NULL.
-    SelectPtr p1 = withWhere(base, predicate.clone());
-    SelectPtr p2 = withWhere(
-        base,
-        std::make_unique<UnaryExpr>(UnaryOp::Not, predicate.clone()));
-    SelectPtr p3 = withWhere(
-        base,
-        std::make_unique<UnaryExpr>(UnaryOp::IsNull, predicate.clone()));
-
-    ResultSet combined;
-    for (const SelectPtr *partition : {&p1, &p2, &p3}) {
-        std::string text = printSelect(**partition);
+    // Partitions: p / NOT p / p IS NULL, each printed from one clone of
+    // the base with its WHERE replaced.
+    SelectPtr partition = base.cloneSelect();
+    ResultSet parts[3];
+    for (size_t i = 0; i < 3; ++i) {
+        ExprPtr where = predicate.clone();
+        if (i > 0)
+            where = std::make_unique<UnaryExpr>(
+                i == 1 ? UnaryOp::Not : UnaryOp::IsNull, std::move(where));
+        partition->where = std::move(where);
+        std::string text = printSelect(*partition);
         result.queries.push_back(text);
         auto rows = connection.execute(text);
         if (!rows.isOk()) {
@@ -60,48 +49,40 @@ runTlp(Connection &connection, const SelectStmt &base,
                 "partition failed: " + rows.status().toString();
             return result;
         }
-        combined.absorb(rows.value());
+        parts[i] = rows.takeValue();
     }
 
-    // DISTINCT bases compare as sets: partitions are recombined and
-    // deduplicated client-side (as SQLancer's TLP does), so a faulty
-    // engine-side DISTINCT cannot hide.
+    // The base and the partitions' multiset union compare in place, as
+    // two sorted row lists. DISTINCT bases compare as sets: partitions
+    // are recombined and deduplicated client-side (as SQLancer's TLP
+    // does), so a faulty engine-side DISTINCT cannot hide.
+    std::vector<const Row *> lhs = sortedRows({&q.value()});
+    std::vector<const Row *> rhs =
+        sortedRows({&parts[0], &parts[1], &parts[2]});
     if (base.distinct) {
-        auto dedupe = [](const ResultSet &in) {
-            ResultSet out(in.columns());
-            std::set<std::string> seen;
-            for (const Row &row : in.rows()) {
-                std::string key;
-                for (const Value &value : row) {
-                    key += value.literal();
-                    key.push_back('\x1f');
-                }
-                if (seen.insert(key).second)
-                    out.addRow(row);
-            }
-            return out;
+        auto dedupe = [](std::vector<const Row *> &rows) {
+            rows.erase(std::unique(rows.begin(), rows.end(),
+                                   [](const Row *a, const Row *b) {
+                                       return *a == *b;
+                                   }),
+                       rows.end());
         };
-        ResultSet lhs = dedupe(q.value());
-        ResultSet rhs = dedupe(combined);
-        if (lhs.sameRowMultiset(rhs)) {
-            result.outcome = OracleOutcome::Passed;
-            return result;
-        }
-        result.outcome = OracleOutcome::Bug;
-        result.details = format(
-            "TLP(DISTINCT) mismatch: base has %zu distinct rows, "
-            "partitions %zu",
-            lhs.rowCount(), rhs.rowCount());
-        return result;
+        dedupe(lhs);
+        dedupe(rhs);
     }
-    if (q.value().sameRowMultiset(combined)) {
+    if (sameRows(lhs, rhs)) {
         result.outcome = OracleOutcome::Passed;
         return result;
     }
     result.outcome = OracleOutcome::Bug;
-    result.details = format(
-        "TLP mismatch: base returned %zu rows, partitions %zu rows",
-        q.value().rowCount(), combined.rowCount());
+    result.details =
+        base.distinct
+            ? format("TLP(DISTINCT) mismatch: base has %zu distinct "
+                     "rows, partitions %zu",
+                     lhs.size(), rhs.size())
+            : format("TLP mismatch: base returned %zu rows, "
+                     "partitions %zu rows",
+                     lhs.size(), rhs.size());
     return result;
 }
 
@@ -263,7 +244,8 @@ runPqs(Connection &connection, const SelectStmt &base,
         return result;
     }
 
-    SelectPtr containment = withWhere(base, std::move(rectified));
+    SelectPtr containment = base.cloneSelect();
+    containment->where = std::move(rectified);
     std::string containment_text = printSelect(*containment);
     result.queries.push_back(containment_text);
     auto rows = connection.execute(containment_text);
@@ -273,16 +255,8 @@ runPqs(Connection &connection, const SelectStmt &base,
         return result;
     }
 
-    auto sameRow = [](const Row &lhs, const Row &rhs) {
-        if (lhs.size() != rhs.size())
-            return false;
-        for (size_t i = 0; i < lhs.size(); ++i)
-            if (lhs[i].literal() != rhs[i].literal())
-                return false;
-        return true;
-    };
     for (const Row &row : rows.value().rows()) {
-        if (sameRow(row, pivot->row)) {
+        if (row == pivot->row) {
             result.outcome = OracleOutcome::Passed;
             return result;
         }
@@ -343,9 +317,9 @@ runEet(Connection &connection, const SelectStmt &base,
 
     // WHERE lane: truth-preservation is all the rewrite guarantees in
     // general, and all that WHERE membership can observe.
-    SelectPtr original = withWhere(base, predicate.clone());
-    SelectPtr rewritten = withWhere(base, rewrite->expr->clone());
-    std::string original_text = printSelect(*original);
+    SelectPtr query = base.cloneSelect();
+    query->where = predicate.clone();
+    std::string original_text = printSelect(*query);
     result.queries.push_back(original_text);
     auto lhs = connection.execute(original_text);
     if (!lhs.isOk()) {
@@ -353,7 +327,8 @@ runEet(Connection &connection, const SelectStmt &base,
             "original query failed: " + lhs.status().toString();
         return result;
     }
-    std::string rewritten_text = printSelect(*rewritten);
+    query->where = rewrite->expr->clone();
+    std::string rewritten_text = printSelect(*query);
     result.queries.push_back(rewritten_text);
     auto rhs = connection.execute(rewritten_text);
     if (!rhs.isOk()) {
@@ -377,21 +352,18 @@ runEet(Connection &connection, const SelectStmt &base,
     // bases are out (a bare predicate is not a grouped expression).
     if (exprBooleanRooted(predicate) && base.groupBy.empty() &&
         base.having == nullptr && !exprContainsAggregate(predicate)) {
-        auto project = [&base](const Expr &flag) {
-            SelectPtr query = base.cloneSelect();
-            query->items.clear();
-            SelectItem item;
-            item.expr = flag.clone();
-            item.alias = "eet";
-            query->items.push_back(std::move(item));
-            query->distinct = false;
-            query->orderBy.clear();
-            query->limit = -1;
-            query->offset = -1;
-            return query;
-        };
-        SelectPtr p_lane = project(predicate);
-        std::string p_text = printSelect(*p_lane);
+        // The same clone, back on the base's WHERE, projects p and
+        // then p' as its only item.
+        query->where = base.where ? base.where->clone() : nullptr;
+        query->items.clear();
+        query->items.emplace_back();
+        query->items[0].alias = "eet";
+        query->distinct = false;
+        query->orderBy.clear();
+        query->limit = -1;
+        query->offset = -1;
+        query->items[0].expr = predicate.clone();
+        std::string p_text = printSelect(*query);
         result.queries.push_back(p_text);
         auto p_rows = connection.execute(p_text);
         if (!p_rows.isOk()) {
@@ -399,8 +371,8 @@ runEet(Connection &connection, const SelectStmt &base,
                              p_rows.status().toString();
             return result;
         }
-        SelectPtr q_lane = project(*rewrite->expr);
-        std::string q_text = printSelect(*q_lane);
+        query->items[0].expr = rewrite->expr->clone();
+        std::string q_text = printSelect(*query);
         result.queries.push_back(q_text);
         auto q_rows = connection.execute(q_text);
         if (!q_rows.isOk()) {
@@ -449,7 +421,7 @@ analyzeSchedule(const TxnSchedule &schedule)
     return meta;
 }
 
-/** Ordered row rendering for bug evidence and ordered comparison. */
+/** Ordered row rendering, the evidence of an ISO mismatch. */
 std::string
 renderRowsOrdered(const ResultSet &rows)
 {
@@ -579,15 +551,14 @@ runIsoSchedule(const DialectProfile &profile,
                              expected.status().toString();
             return result;
         }
-        std::string got = renderRowsOrdered(r.value());
-        std::string want = renderRowsOrdered(expected.value());
-        if (got != want) {
+        if (r.value().rows() != expected.value().rows()) {
             result.outcome = OracleOutcome::Bug;
             result.details = format(
                 "isolation fault: t%02zu s%zu `%s` returned [%s] but "
                 "the serial-order witness returns [%s]",
-                tick, step.session, step.sql.c_str(), got.c_str(),
-                want.c_str());
+                tick, step.session, step.sql.c_str(),
+                renderRowsOrdered(r.value()).c_str(),
+                renderRowsOrdered(expected.value()).c_str());
             return result;
         }
     }
@@ -606,15 +577,15 @@ runIsoSchedule(const DialectProfile &profile,
                          final_expected.status().toString();
         return result;
     }
-    std::string got = renderRowsOrdered(final_observed.value());
-    std::string want = renderRowsOrdered(final_expected.value());
-    if (got != want) {
+    if (final_observed.value().rows() != final_expected.value().rows()) {
         result.outcome = OracleOutcome::Bug;
         result.details = format(
             "isolation fault: final committed state `%s` returned "
             "[%s] but serial replay of the committed sessions "
             "returns [%s]",
-            schedule.finalQuery.c_str(), got.c_str(), want.c_str());
+            schedule.finalQuery.c_str(),
+            renderRowsOrdered(final_observed.value()).c_str(),
+            renderRowsOrdered(final_expected.value()).c_str());
         return result;
     }
     result.outcome = OracleOutcome::Passed;

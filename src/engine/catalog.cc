@@ -12,21 +12,6 @@ StoredIndex::StoredIndex(const StoredIndex &other)
 {
 }
 
-int
-StoredIndex::compareKeys(const std::vector<Value> &a,
-                         const std::vector<Value> &b)
-{
-    size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-        int c = a[i].compareTotal(b[i]);
-        if (c != 0)
-            return c;
-    }
-    if (a.size() == b.size())
-        return 0;
-    return a.size() < b.size() ? -1 : 1;
-}
-
 void
 StoredIndex::insert(std::vector<Value> key, size_t row_ordinal)
 {
@@ -34,7 +19,7 @@ StoredIndex::insert(std::vector<Value> key, size_t row_ordinal)
     auto pos = std::lower_bound(
         entries.begin(), entries.end(), entry,
         [](const Entry &lhs, const Entry &rhs) {
-            return compareKeys(lhs.key, rhs.key) < 0;
+            return compareRows(lhs.key, rhs.key) < 0;
         });
     entries.insert(pos, std::move(entry));
 }
@@ -51,9 +36,9 @@ StoredIndex::containsConflictingKey(const std::vector<Value> &key) const
     auto pos = std::lower_bound(
         entries.begin(), entries.end(), probe,
         [](const Entry &lhs, const Entry &rhs) {
-            return compareKeys(lhs.key, rhs.key) < 0;
+            return compareRows(lhs.key, rhs.key) < 0;
         });
-    return pos != entries.end() && compareKeys(pos->key, key) == 0;
+    return pos != entries.end() && compareRows(pos->key, key) == 0;
 }
 
 size_t

@@ -41,8 +41,8 @@ class StoredIndex
     ExprPtr predicate;
 
     /**
-     * Entries sorted by key under Value::compareTotal lexicographic
-     * order. Each entry maps an index key to a row ordinal.
+     * Entries sorted by key under compareRows (sqlir/value.h). Each
+     * entry maps an index key to a row ordinal.
      */
     struct Entry
     {
@@ -56,10 +56,6 @@ class StoredIndex
     StoredIndex &operator=(const StoredIndex &) = delete;
     StoredIndex(StoredIndex &&) = default;
     StoredIndex &operator=(StoredIndex &&) = default;
-
-    /** Lexicographic three-way comparison of index keys. */
-    static int compareKeys(const std::vector<Value> &a,
-                           const std::vector<Value> &b);
 
     /** Insert an entry keeping the order invariant. */
     void insert(std::vector<Value> key, size_t row_ordinal);

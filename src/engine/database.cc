@@ -616,12 +616,12 @@ Database::runAnalyze(Catalog &catalog, const AnalyzeStmt &stmt)
     auto analyze_table = [](StoredTable &table) {
         table.stats.assign(table.columns.size(), ColumnStats{});
         for (size_t c = 0; c < table.columns.size(); ++c) {
-            std::set<std::string> distinct;
+            std::set<Value> distinct;
             for (const Row &row : table.rows) {
                 if (row[c].isNull())
                     ++table.stats[c].nullCount;
                 else
-                    distinct.insert(row[c].literal());
+                    distinct.insert(row[c]);
             }
             table.stats[c].distinctValues = distinct.size();
         }

@@ -725,10 +725,7 @@ evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
             values.push_back(value.takeValue());
     }
     if (fn.distinct) {
-        std::sort(values.begin(), values.end(),
-                  [](const Value &a, const Value &b) {
-                      return a.compareTotal(b) < 0;
-                  });
+        std::sort(values.begin(), values.end());
         values.erase(std::unique(values.begin(), values.end()),
                      values.end());
     }

@@ -27,30 +27,6 @@ compareForSort(const Value &lhs, const Value &rhs)
     return cmp.value_or(0);
 }
 
-/** Serialize a value for grouping/distinct keys (kind-tagged). */
-std::string
-valueKey(const Value &value)
-{
-    switch (value.kind()) {
-      case Value::Kind::Null: return "n";
-      case Value::Kind::Int: return "i" + std::to_string(value.asInt());
-      case Value::Kind::Text: return "t" + value.asText();
-      case Value::Kind::Bool: return value.asBool() ? "b1" : "b0";
-    }
-    return "?";
-}
-
-std::string
-rowKey(const Row &row)
-{
-    std::string key;
-    for (const Value &value : row) {
-        key += valueKey(value);
-        key.push_back('\x1f');
-    }
-    return key;
-}
-
 /** A combined join row: @p left's values, then @p right's. */
 Row
 combineRows(const Row &left, const Row &right)
@@ -1321,39 +1297,44 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     "aggregate functions are not allowed in GROUP BY");
             }
         }
-        // Build groups.
-        std::vector<std::pair<std::string, std::vector<Row>>> groups;
-        std::map<std::string, size_t> group_index;
+        // Build groups, in order of first appearance.
+        std::vector<std::vector<Row>> groups;
+        auto row_less = [](const Row &a, const Row &b) {
+            return compareRows(a, b) < 0;
+        };
+        std::map<Row, size_t, decltype(row_less)> group_index(row_less);
         bool null_separate =
             faults_.isEnabled(FaultId::GroupByNullSeparate);
-        size_t null_counter = 0;
         if (select.groupBy.empty()) {
-            groups.emplace_back("", std::move(current));
+            groups.push_back(std::move(current));
         } else {
             for (Row &row : current) {
                 EvalContext ctx = base_ctx();
                 ctx.row = &row;
-                std::string key;
+                Row key;
+                key.reserve(select.groupBy.size());
+                bool separate = false;
                 for (const ExprPtr &key_expr : select.groupBy) {
                     auto value = evalExpr(*key_expr, ctx);
                     if (!value.isOk())
                         return value.status();
                     if (value.value().isNull() && null_separate) {
                         SQLPP_COVER("exec.fault.group_null_separate");
-                        key += format("n#%zu", null_counter++);
-                    } else {
-                        key += valueKey(value.value());
+                        separate = true;
                     }
-                    key.push_back('\x1f');
+                    key.push_back(value.takeValue());
                 }
-                auto [it, inserted] =
-                    group_index.emplace(key, groups.size());
-                if (inserted)
-                    groups.emplace_back(key, std::vector<Row>{});
-                groups[it->second].second.push_back(std::move(row));
+                // The fault gives every NULL-bearing row its own group.
+                size_t group = groups.size();
+                if (!separate)
+                    group = group_index.emplace(std::move(key), group)
+                                .first->second;
+                if (group == groups.size())
+                    groups.emplace_back();
+                groups[group].push_back(std::move(row));
             }
         }
-        for (auto &[key, rows] : groups) {
+        for (std::vector<Row> &rows : groups) {
             EvalContext ctx = base_ctx();
             ctx.groupRows = &rows;
             ctx.row = rows.empty() ? nullptr : &rows[0];
@@ -1399,7 +1380,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         note("DISTINCT");
         bool null_collapse =
             faults_.isEnabled(FaultId::DistinctNullCollapse);
-        std::set<std::string> seen;
+        auto row_less = [](const Row *a, const Row *b) {
+            return compareRows(*a, *b) < 0;
+        };
+        std::set<const Row *, decltype(row_less)> seen(row_less);
+        bool null_row_kept = false;
         std::vector<size_t> kept;
         for (size_t i : order) {
             if (Status s = budget_->chargeSteps(1); !s.isOk())
@@ -1408,13 +1393,15 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             bool has_null = false;
             for (const Value &value : row)
                 has_null |= value.isNull();
-            std::string key = (null_collapse && has_null)
-                                  ? std::string("\x01NULLROW")
-                                  : rowKey(row);
-            if (null_collapse && has_null)
+            // The fault keeps only the first NULL-bearing row.
+            if (null_collapse && has_null) {
                 SQLPP_COVER("exec.fault.distinct_null_collapse");
-            if (seen.insert(key).second)
+                if (!null_row_kept)
+                    kept.push_back(i);
+                null_row_kept = true;
+            } else if (seen.insert(&row).second) {
                 kept.push_back(i);
+            }
         }
         order = std::move(kept);
     }

@@ -1,7 +1,6 @@
 #include "sqlir/value.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/strutil.h"
 
@@ -155,36 +154,47 @@ ResultSet::multisetFingerprint() const
 bool
 ResultSet::sameRowMultiset(const ResultSet &other) const
 {
-    if (rowCount() != other.rowCount())
-        return false;
-    if (multisetFingerprint() != other.multisetFingerprint())
-        return false;
-    // Fingerprints can collide; confirm with a sorted comparison.
-    auto key = [](const Row &row) {
-        std::string out;
-        for (const Value &value : row) {
-            out += value.literal();
-            out.push_back('\x1f');
-        }
-        return out;
-    };
-    std::vector<std::string> lhs_keys, rhs_keys;
-    lhs_keys.reserve(rows_.size());
-    rhs_keys.reserve(other.rows_.size());
-    for (const Row &row : rows_)
-        lhs_keys.push_back(key(row));
-    for (const Row &row : other.rows_)
-        rhs_keys.push_back(key(row));
-    std::sort(lhs_keys.begin(), lhs_keys.end());
-    std::sort(rhs_keys.begin(), rhs_keys.end());
-    return lhs_keys == rhs_keys;
+    return rowCount() == other.rowCount() &&
+           sameRows(sortedRows({this}), sortedRows({&other}));
 }
 
-void
-ResultSet::absorb(const ResultSet &other)
+int
+compareRows(const Row &lhs, const Row &rhs)
 {
-    for (const Row &row : other.rows())
-        rows_.push_back(row);
+    size_t n = std::min(lhs.size(), rhs.size());
+    for (size_t i = 0; i < n; ++i) {
+        int c = lhs[i].compareTotal(rhs[i]);
+        if (c != 0)
+            return c;
+    }
+    if (lhs.size() == rhs.size())
+        return 0;
+    return lhs.size() < rhs.size() ? -1 : 1;
+}
+
+std::vector<const Row *>
+sortedRows(std::initializer_list<const ResultSet *> sets)
+{
+    std::vector<const Row *> out;
+    size_t total = 0;
+    for (const ResultSet *set : sets)
+        total += set->rowCount();
+    out.reserve(total);
+    for (const ResultSet *set : sets)
+        for (const Row &row : set->rows())
+            out.push_back(&row);
+    std::sort(out.begin(), out.end(), [](const Row *a, const Row *b) {
+        return compareRows(*a, *b) < 0;
+    });
+    return out;
+}
+
+bool
+sameRows(const std::vector<const Row *> &lhs,
+         const std::vector<const Row *> &rhs)
+{
+    return std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+                      [](const Row *a, const Row *b) { return *a == *b; });
 }
 
 std::string

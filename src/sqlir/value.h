@@ -11,6 +11,7 @@
 #define SQLPP_SQLIR_VALUE_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <variant>
 #include <vector>
@@ -89,6 +90,12 @@ class Value
         return compareTotal(other) == 0;
     }
 
+    /** compareTotal() order, consistent with operator==. */
+    bool operator<(const Value &other) const
+    {
+        return compareTotal(other) < 0;
+    }
+
     /** Stable hash for result-set comparison and dedup keys. */
     uint64_t hash() const;
 
@@ -103,11 +110,20 @@ class Value
 using Row = std::vector<Value>;
 
 /**
+ * The one definition of row identity and order: lexicographic by
+ * Value::compareTotal, then the shorter row first. Two rows compare 0
+ * exactly when they are equal under Row's operator==. Oracle multiset
+ * checks, DISTINCT, GROUP BY, ANALYZE and index keys all use it.
+ */
+int compareRows(const Row &lhs, const Row &rhs);
+
+/**
  * A query result: column names plus rows.
  *
- * Oracles compare results as multisets (paper: TLP recombines partitions
- * as a multiset union), so ResultSet offers an order-insensitive
- * fingerprint alongside ordered equality.
+ * Oracles compare results as multisets of rows under exact Value
+ * equality (paper: TLP recombines partitions as a multiset union), so
+ * ResultSet offers order-insensitive comparison alongside the ordered
+ * equality of rows().
  */
 class ResultSet
 {
@@ -140,9 +156,6 @@ class ResultSet
     /** True if both hold the same multiset of rows (column names ignored). */
     bool sameRowMultiset(const ResultSet &other) const;
 
-    /** Append all rows of `other` (multiset union; arity must match). */
-    void absorb(const ResultSet &other);
-
     /** Human-readable table, for bug reports and examples. */
     std::string toString(size_t max_rows = 16) const;
 
@@ -150,6 +163,17 @@ class ResultSet
     std::vector<std::string> columns_;
     std::vector<Row> rows_;
 };
+
+/**
+ * Pointers to every row of every set in @p sets, sorted by
+ * compareRows. They stay valid while the sets live unchanged.
+ */
+std::vector<const Row *> sortedRows(
+    std::initializer_list<const ResultSet *> sets);
+
+/** True if two sorted row lists hold equal rows, element by element. */
+bool sameRows(const std::vector<const Row *> &lhs,
+              const std::vector<const Row *> &rhs);
 
 } // namespace sqlpp
 

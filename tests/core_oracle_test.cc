@@ -75,6 +75,22 @@ TEST(TlpOracleTest, PassesOnCleanEngine)
     }
 }
 
+TEST(TlpOracleTest, DistinctPassesOnRowsSplitAtUnitSeparator)
+{
+    // Two different rows that a CHR(31)-joined row key would merge: the
+    // engine's DISTINCT and the client-side dedupe must both keep two.
+    Connection conn(*findDialect("postgres-like"));
+    ASSERT_TRUE(conn.execute("CREATE TABLE t0 (c0 TEXT, c1 TEXT)").isOk());
+    ASSERT_TRUE(conn.execute("INSERT INTO t0 VALUES "
+                             "('a' || CHR(31) || 'tb', 'c'), "
+                             "('a', 'b' || CHR(31) || 'tc')")
+                    .isOk());
+    TlpOracle tlp;
+    OracleResult result =
+        runOracle(tlp, conn, "SELECT DISTINCT * FROM t0", "t0.c0 = 'a'");
+    EXPECT_EQ(result.outcome, OracleOutcome::Passed) << result.details;
+}
+
 TEST(TlpOracleTest, CatchesNotNullFault)
 {
     DialectProfile profile = testProfile({FaultId::NotNullTrue});

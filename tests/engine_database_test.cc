@@ -240,6 +240,31 @@ TEST_F(DatabaseTest, DistinctDedupes)
     EXPECT_EQ(ok("SELECT DISTINCT c0 FROM t0").rowCount(), 3u);
 }
 
+TEST_F(DatabaseTest, DistinctAndGroupByKeepRowsSplitAtUnitSeparator)
+{
+    // Two different rows whose cells, joined by CHR(31), spell the same
+    // string: row identity must not rest on any such encoding.
+    ok("CREATE TABLE t0 (c0 TEXT, c1 TEXT)");
+    ok("INSERT INTO t0 VALUES ('a' || CHR(31) || 'tb', 'c'), "
+       "('a', 'b' || CHR(31) || 'tc')");
+    for (bool reference : {false, true}) {
+        auto run = [&](const std::string &sql) {
+            auto result =
+                reference ? db.executeReference(sql) : db.execute(sql);
+            EXPECT_TRUE(result.isOk())
+                << sql << " -> " << result.status().toString();
+            return result.isOk() ? result.takeValue() : ResultSet();
+        };
+        EXPECT_EQ(run("SELECT DISTINCT c0, c1 FROM t0").rowCount(), 2u)
+            << (reference ? "reference" : "optimized");
+        ResultSet groups = run("SELECT COUNT(*) FROM t0 GROUP BY c0, c1");
+        ASSERT_EQ(groups.rowCount(), 2u)
+            << (reference ? "reference" : "optimized");
+        EXPECT_EQ(groups.rows()[0][0].asInt(), 1);
+        EXPECT_EQ(groups.rows()[1][0].asInt(), 1);
+    }
+}
+
 TEST_F(DatabaseTest, OrderByNullsFirstAndDesc)
 {
     ok("CREATE TABLE t0 (c0 INT)");

@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for Value, DataType, and ResultSet multiset comparison.
+ * Unit tests for Value, DataType, and ResultSet multiset comparison,
+ * plus a property test of the row order against literal() keys.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 #include "sqlir/value.h"
+#include "util/rng.h"
 
 namespace sqlpp {
 namespace {
@@ -115,16 +121,6 @@ TEST(ResultSetTest, MultisetDistinguishesNullFromZero)
     EXPECT_FALSE(a.sameRowMultiset(b));
 }
 
-TEST(ResultSetTest, AbsorbUnionsRows)
-{
-    ResultSet a({"c0"});
-    a.addRow({Value::integer(1)});
-    ResultSet b({"c0"});
-    b.addRow({Value::integer(2)});
-    a.absorb(b);
-    EXPECT_EQ(a.rowCount(), 2u);
-}
-
 TEST(ResultSetTest, FingerprintOrderInsensitive)
 {
     ResultSet a({"c0", "c1"});
@@ -143,6 +139,194 @@ TEST(ResultSetTest, ToStringTruncates)
         rs.addRow({Value::integer(i)});
     std::string rendered = rs.toString(4);
     EXPECT_NE(rendered.find("20 rows total"), std::string::npos);
+}
+
+TEST(ResultSetTest, RowsDifferingOnlyAcrossTheUnitSeparatorDiffer)
+{
+    ResultSet a({"c0", "c1"});
+    a.addRow({Value::text("a\x1f" "tb"), Value::text("c")});
+    ResultSet b({"c0", "c1"});
+    b.addRow({Value::text("a"), Value::text("b\x1f" "tc")});
+    EXPECT_NE(compareRows(a.rows()[0], b.rows()[0]), 0);
+    EXPECT_FALSE(a.sameRowMultiset(b));
+}
+
+// Property test: the compareRows-based multiset comparison agrees with
+// the literal()-key comparator it replaced, which stays here as the
+// reference. literal() is injective and kind-exact ('1' is not 1), so
+// the two must agree on every pair.
+
+/** The former comparator: sorted per-row strings of literal()s. */
+bool
+literalKeyMultisetEqual(const ResultSet &lhs, const ResultSet &rhs)
+{
+    if (lhs.rowCount() != rhs.rowCount())
+        return false;
+    auto keys = [](const ResultSet &set) {
+        std::vector<std::string> out;
+        for (const Row &row : set.rows()) {
+            std::string key;
+            for (const Value &value : row) {
+                key += value.literal();
+                key.push_back('\x1f');
+            }
+            out.push_back(std::move(key));
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    return keys(lhs) == keys(rhs);
+}
+
+/** A value biased towards the cases a string encoding gets wrong. */
+Value
+edgeValue(Rng &rng)
+{
+    static const std::vector<std::string> texts = {
+        "", "1", "0", "NULL", "TRUE", "'", "a'b", "''", "\x1f",
+        "a\x1f" "tb", "a", "b\x1f" "tc", "1\x1f", "-9223372036854775808",
+    };
+    switch (rng.below(8)) {
+      case 0: return Value::null();
+      case 1: return Value::boolean(rng.coin());
+      case 2: return Value::integer(rng.coin() ? 1 : 0);
+      case 3:
+        return Value::integer(rng.coin()
+                                  ? std::numeric_limits<int64_t>::min()
+                                  : std::numeric_limits<int64_t>::max());
+      case 4: return Value::integer(rng.range(-3, 3));
+      case 5: return Value::text(rng.pick(texts));
+      case 6: return Value::text(rng.text(3));
+      default: return Value::text(rng.pick(texts) + rng.pick(texts));
+    }
+}
+
+Row
+edgeRow(Rng &rng, size_t arity)
+{
+    Row row;
+    for (size_t i = 0; i < arity; ++i)
+        row.push_back(edgeValue(rng));
+    return row;
+}
+
+TEST(RowOrderPropertyTest, MultisetCompareAgreesWithLiteralKeys)
+{
+    Rng rng(0x5eed0016);
+    size_t equal = 0;
+    size_t unequal_same_size = 0;
+    for (int trial = 0; trial < 12000; ++trial) {
+        size_t arity = 1 + rng.below(3);
+        // A small pool, so rows repeat and duplicate counts matter.
+        std::vector<Row> pool;
+        for (size_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+            pool.push_back(edgeRow(rng, arity));
+        ResultSet lhs;
+        for (size_t i = 0, n = rng.below(7); i < n; ++i)
+            lhs.addRow(rng.pick(pool));
+
+        // The other side: a permutation of lhs, then maybe a mutation
+        // that keeps the size (so only the row contents or duplicate
+        // counts differ), or an independent draw.
+        std::vector<Row> rows = lhs.rows();
+        for (size_t i = rows.size(); i > 1; --i)
+            std::swap(rows[i - 1], rows[rng.below(i)]);
+        switch (rng.below(4)) {
+          case 0:
+            if (!rows.empty())
+                rows[rng.below(rows.size())] = rng.pick(pool);
+            break;
+          case 1:
+            if (!rows.empty())
+                rows[rng.below(rows.size())] = edgeRow(rng, arity);
+            break;
+          case 2:
+            rows.clear();
+            for (size_t i = 0, n = rng.below(7); i < n; ++i)
+                rows.push_back(rng.pick(pool));
+            break;
+          default: break;
+        }
+        ResultSet rhs;
+        for (Row &row : rows)
+            rhs.addRow(row);
+
+        bool expected = literalKeyMultisetEqual(lhs, rhs);
+        ASSERT_EQ(lhs.sameRowMultiset(rhs), expected)
+            << "trial " << trial << "\n" << lhs.toString() << "vs\n"
+            << rhs.toString();
+        ASSERT_EQ(rhs.sameRowMultiset(lhs), expected);
+        equal += expected;
+        unequal_same_size +=
+            !expected && lhs.rowCount() == rhs.rowCount();
+
+        // The TLP form: rhs split into three partitions compares in
+        // place exactly as their concatenation does.
+        size_t cut_a = rng.below(rows.size() + 1);
+        size_t cut_b = cut_a + rng.below(rows.size() - cut_a + 1);
+        ResultSet parts[3];
+        for (size_t i = 0; i < rows.size(); ++i)
+            parts[i < cut_a ? 0 : (i < cut_b ? 1 : 2)].addRow(rows[i]);
+        ASSERT_EQ(sameRows(sortedRows({&lhs}),
+                           sortedRows({&parts[0], &parts[1], &parts[2]})),
+                  expected)
+            << "trial " << trial;
+    }
+    // Both verdicts, and same-size mismatches, are well exercised.
+    EXPECT_GT(equal, 2000u);
+    EXPECT_GT(unequal_same_size, 2000u);
+}
+
+TEST(RowOrderPropertyTest, CompareRowsIsATotalOrderMatchingEquality)
+{
+    Rng rng(0x5eed0017);
+    auto sign = [](int c) { return (c > 0) - (c < 0); };
+    auto literal_key = [](const Row &row) {
+        std::string key;
+        for (const Value &value : row) {
+            key += value.literal();
+            key.push_back('\x1f');
+        }
+        return key;
+    };
+    for (int trial = 0; trial < 12000; ++trial) {
+        // Mixed arities exercise the shorter-row-first tie break.
+        Row a = edgeRow(rng, rng.below(3));
+        Row b = rng.chance(0.3) ? a : edgeRow(rng, rng.below(3));
+        Row c = rng.chance(0.3) ? b : edgeRow(rng, rng.below(3));
+        int ab = compareRows(a, b);
+        int bc = compareRows(b, c);
+        int ac = compareRows(a, c);
+        ASSERT_EQ(sign(ab), -sign(compareRows(b, a)));
+        ASSERT_EQ(ab == 0, a == b);
+        ASSERT_EQ(ab == 0, literal_key(a) == literal_key(b));
+        if (ab <= 0 && bc <= 0) {
+            ASSERT_LE(ac, 0);
+            if (ab < 0 || bc < 0) {
+                ASSERT_LT(ac, 0);
+            }
+        }
+        if (ab >= 0 && bc >= 0) {
+            ASSERT_GE(ac, 0);
+            if (ab > 0 || bc > 0) {
+                ASSERT_GT(ac, 0);
+            }
+        }
+    }
+}
+
+TEST(RowOrderPropertyTest, KindsNeverCompareEqualAcrossLiterals)
+{
+    EXPECT_NE(compareRows({Value::text("1")}, {Value::integer(1)}), 0);
+    EXPECT_NE(compareRows({Value::boolean(true)}, {Value::integer(1)}), 0);
+    EXPECT_NE(compareRows({Value::text("NULL")}, {Value::null()}), 0);
+    EXPECT_NE(compareRows({Value::text("")}, {Value::null()}), 0);
+    EXPECT_LT(compareRows({Value::integer(1)}, {Value::integer(1),
+                                                Value::null()}),
+              0);
+    EXPECT_TRUE(Value::integer(std::numeric_limits<int64_t>::min()) <
+                Value::integer(std::numeric_limits<int64_t>::max()));
+    EXPECT_FALSE(Value::text("a") < Value::text("a"));
 }
 
 } // namespace
