@@ -1,6 +1,7 @@
 #include "core/oracle.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "core/pivot.h"
@@ -625,122 +626,96 @@ runIso(Connection &connection, const SelectStmt &base,
     return result;
 }
 
+using OracleRun = OracleResult (*)(Connection &, const SelectStmt &,
+                                   const Expr &);
+
+/**
+ * One oracle's instrumentation, keyed by its lowercase name: a
+ * wall-clock span, an OracleCheck trace event and an outcome counter
+ * per check, with the metric ids resolved once. TLP and NoREC always
+ * apply, so they never register an `.inapplicable` counter (the
+ * metrics export lists every registered metric).
+ */
+class OracleMetrics
+{
+  public:
+    OracleMetrics(const char *name, bool may_be_inapplicable)
+        : name_(name), wall_(id("wall_us", MetricKind::Timer)),
+          outcomes_{id("pass"), id("bug"), id("skip"),
+                    may_be_inapplicable ? id("inapplicable") : kNone}
+    {
+    }
+
+    OracleResult
+    check(OracleRun run, Connection &connection, const SelectStmt &base,
+          const Expr &predicate) const
+    {
+        MetricsSpan span(wall_);
+        OracleResult result = run(connection, base, predicate);
+        SQLPP_TRACE_EVENT(OracleCheck, name_,
+                          static_cast<uint64_t>(result.outcome), 0);
+        size_t counter = outcomes_[static_cast<size_t>(result.outcome)];
+        if (counter != kNone)
+            MetricsRegistry::instance().add(counter);
+        return result;
+    }
+
+  private:
+    static constexpr size_t kNone = SIZE_MAX;
+
+    size_t
+    id(const char *suffix, MetricKind kind = MetricKind::Counter) const
+    {
+        return MetricsRegistry::instance().metricId(
+            format("oracle.%s.%s", name_, suffix), kind);
+    }
+
+    const char *name_;
+    size_t wall_;
+    /** Counter per OracleOutcome, in enum order. */
+    size_t outcomes_[4];
+};
+
 } // namespace
 
 OracleResult
 TlpOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    SQLPP_SPAN("oracle.tlp.wall_us");
-    OracleResult result = runTlp(connection, base, predicate);
-    SQLPP_TRACE_EVENT(OracleCheck, "tlp",
-                      static_cast<uint64_t>(result.outcome), 0);
-    switch (result.outcome) {
-      case OracleOutcome::Passed: SQLPP_COUNT("oracle.tlp.pass"); break;
-      case OracleOutcome::Bug: SQLPP_COUNT("oracle.tlp.bug"); break;
-      case OracleOutcome::Skipped: SQLPP_COUNT("oracle.tlp.skip"); break;
-      case OracleOutcome::Inapplicable: break; // TLP always applies
-    }
-    return result;
+    static const OracleMetrics metrics("tlp", false);
+    return metrics.check(runTlp, connection, base, predicate);
 }
 
 OracleResult
 NorecOracle::check(Connection &connection, const SelectStmt &base,
                    const Expr &predicate)
 {
-    SQLPP_SPAN("oracle.norec.wall_us");
-    OracleResult result = runNorec(connection, base, predicate);
-    SQLPP_TRACE_EVENT(OracleCheck, "norec",
-                      static_cast<uint64_t>(result.outcome), 0);
-    switch (result.outcome) {
-      case OracleOutcome::Passed:
-        SQLPP_COUNT("oracle.norec.pass");
-        break;
-      case OracleOutcome::Bug:
-        SQLPP_COUNT("oracle.norec.bug");
-        break;
-      case OracleOutcome::Skipped:
-        SQLPP_COUNT("oracle.norec.skip");
-        break;
-      case OracleOutcome::Inapplicable:
-        break; // NoREC always applies
-    }
-    return result;
+    static const OracleMetrics metrics("norec", false);
+    return metrics.check(runNorec, connection, base, predicate);
 }
 
 OracleResult
 PqsOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    SQLPP_SPAN("oracle.pqs.wall_us");
-    OracleResult result = runPqs(connection, base, predicate);
-    SQLPP_TRACE_EVENT(OracleCheck, "pqs",
-                      static_cast<uint64_t>(result.outcome), 0);
-    switch (result.outcome) {
-      case OracleOutcome::Passed:
-        SQLPP_COUNT("oracle.pqs.pass");
-        break;
-      case OracleOutcome::Bug:
-        SQLPP_COUNT("oracle.pqs.bug");
-        break;
-      case OracleOutcome::Skipped:
-        SQLPP_COUNT("oracle.pqs.skip");
-        break;
-      case OracleOutcome::Inapplicable:
-        SQLPP_COUNT("oracle.pqs.inapplicable");
-        break;
-    }
-    return result;
+    static const OracleMetrics metrics("pqs", true);
+    return metrics.check(runPqs, connection, base, predicate);
 }
 
 OracleResult
 EetOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    SQLPP_SPAN("oracle.eet.wall_us");
-    OracleResult result = runEet(connection, base, predicate);
-    SQLPP_TRACE_EVENT(OracleCheck, "eet",
-                      static_cast<uint64_t>(result.outcome), 0);
-    switch (result.outcome) {
-      case OracleOutcome::Passed:
-        SQLPP_COUNT("oracle.eet.pass");
-        break;
-      case OracleOutcome::Bug:
-        SQLPP_COUNT("oracle.eet.bug");
-        break;
-      case OracleOutcome::Skipped:
-        SQLPP_COUNT("oracle.eet.skip");
-        break;
-      case OracleOutcome::Inapplicable:
-        SQLPP_COUNT("oracle.eet.inapplicable");
-        break;
-    }
-    return result;
+    static const OracleMetrics metrics("eet", true);
+    return metrics.check(runEet, connection, base, predicate);
 }
 
 OracleResult
 IsolationOracle::check(Connection &connection, const SelectStmt &base,
                        const Expr &predicate)
 {
-    SQLPP_SPAN("oracle.iso.wall_us");
-    OracleResult result = runIso(connection, base, predicate);
-    SQLPP_TRACE_EVENT(OracleCheck, "iso",
-                      static_cast<uint64_t>(result.outcome), 0);
-    switch (result.outcome) {
-      case OracleOutcome::Passed:
-        SQLPP_COUNT("oracle.iso.pass");
-        break;
-      case OracleOutcome::Bug:
-        SQLPP_COUNT("oracle.iso.bug");
-        break;
-      case OracleOutcome::Skipped:
-        SQLPP_COUNT("oracle.iso.skip");
-        break;
-      case OracleOutcome::Inapplicable:
-        SQLPP_COUNT("oracle.iso.inapplicable");
-        break;
-    }
-    return result;
+    static const OracleMetrics metrics("iso", true);
+    return metrics.check(runIso, connection, base, predicate);
 }
 
 std::unique_ptr<Oracle>
