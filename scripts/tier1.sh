@@ -4,7 +4,11 @@
 #   1. unit lane    — configure + build, then `ctest -L unit`: the
 #                     sub-second suites, for a quick inner loop.
 #   2. full suite   — every registered test (unit + integration +
-#                     smoke), the bar every PR must clear.
+#                     smoke), the bar every PR must clear. The smoke
+#                     tests include deep_replay_smoke: a repro.sql
+#                     whose predicate nests 5,000 parentheses must
+#                     replay to the parser's "nested too deeply"
+#                     SyntaxError, not kill dialect_probe by a signal.
 #   3. trace lane   — run the flight-recorder smoke test against the
 #                     main build.
 #   4. bench lane   — run the campaign benchmark's self-test

@@ -392,8 +392,13 @@ CampaignRunner::reproduces(const DialectProfile &profile,
         return false;
     auto base = parseStatement(bug.baseText);
     auto predicate = parseExpression(bug.predicateText);
-    if (!base.isOk() || !predicate.isOk())
+    if (!base.isOk() || !predicate.isOk()) {
+        if (replayed != nullptr)
+            replayed->details = base.isOk()
+                                    ? predicate.status().toString()
+                                    : base.status().toString();
         return false;
+    }
     if (base.value()->kind() != StmtKind::Select)
         return false;
     OracleResult result = oracle->check(

@@ -2,7 +2,7 @@
  * @file
  * SQL lexer for the engine's dialect.
  *
- * Produces a flat token stream consumed by the recursive-descent parser.
+ * Produces a flat token stream consumed by the parser (parser.h).
  * Keywords are not distinguished from identifiers at the lexer level;
  * the parser matches identifier tokens case-insensitively against the
  * keyword it expects, which is how most hand-written SQL front ends

@@ -1,6 +1,8 @@
 #include "parser/parser.h"
 
-#include <cassert>
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
 
 #include "parser/lexer.h"
 #include "util/strutil.h"
@@ -108,28 +110,84 @@ class Parser
     StatusOr<SelectPtr> parseSelect();
     StatusOr<TableRef> parseTableRef();
 
-    // Expression precedence ladder (lowest first).
-    StatusOr<ExprPtr> parseExpr() { return parseOr(); }
-    StatusOr<ExprPtr> parseOr();
-    StatusOr<ExprPtr> parseAnd();
-    StatusOr<ExprPtr> parseNot();
-    StatusOr<ExprPtr> parseComparison();
-    StatusOr<ExprPtr> parseBitOr();
-    StatusOr<ExprPtr> parseBitAnd();
-    StatusOr<ExprPtr> parseShift();
-    StatusOr<ExprPtr> parseAdditive();
-    StatusOr<ExprPtr> parseMultiplicative();
-    StatusOr<ExprPtr> parseConcat();
+    /** `name` after SAVEPOINT, RELEASE [SAVEPOINT] or ROLLBACK TO. */
+    StatusOr<StmtPtr> parseSavepoint(StmtKind kind);
+
+    // Expressions: one precedence-climbing loop over binaryOpTable().
+    StatusOr<ExprPtr> parseExpr() { return parseBinary(binding::Or); }
+    /** A chain of operators binding at @p min_level or tighter. */
+    StatusOr<ExprPtr> parseBinary(int min_level);
     StatusOr<ExprPtr> parseUnary();
     StatusOr<ExprPtr> parsePrimary();
 
-    /** IS / IN / BETWEEN / LIKE postfix chain applied after an operand. */
+    /** IS / IN / BETWEEN / NOT LIKE postfix chain applied after an operand. */
     StatusOr<ExprPtr> parsePostfix(ExprPtr operand);
 
     StatusOr<std::vector<ExprPtr>> parseExprList();
 
+    /** The operator-table row of the token at the cursor, if any. */
+    const BinaryOpInfo *
+    peekBinaryOp()
+    {
+        // Chains nested inside one another all end at the same token;
+        // look each token up once.
+        if (op_pos_ == pos_)
+            return op_;
+        op_pos_ = pos_;
+        op_ = nullptr;
+        for (const BinaryOpInfo &info : binaryOpTable()) {
+            bool keyword =
+                std::isalpha(static_cast<unsigned char>(info.symbol[0]));
+            if (keyword ? atKeyword(info.symbol) : atSymbol(info.symbol)) {
+                op_ = &info;
+                break;
+            }
+        }
+        return op_;
+    }
+
+    /**
+     * Holds one level of nesting for the scope of a nested parse: an
+     * operand (so each parenthesis, function call, CASE, CAST and
+     * prefix operator), a prefix NOT, or a SELECT.
+     */
+    struct Nested
+    {
+        explicit Nested(Parser &parser) : parser(parser)
+        {
+            ++parser.depth_;
+            parser.peak_ = std::max(parser.peak_, parser.depth_);
+        }
+        ~Nested() { --parser.depth_; }
+        Nested(const Nested &) = delete;
+        Nested &operator=(const Nested &) = delete;
+        Parser &parser;
+    };
+
+    /** SyntaxError once peak_ passes kMaxParseNesting. */
+    Status
+    checkNesting() const
+    {
+        if (peak_ > kMaxParseNesting)
+            return err("statement nested too deeply");
+        return Status::ok();
+    }
+
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    /** peekBinaryOp()'s answer for the token at op_pos_. */
+    size_t op_pos_ = SIZE_MAX;
+    const BinaryOpInfo *op_ = nullptr;
+    /**
+     * The nesting bound. depth_ counts the Nested scopes open at the
+     * cursor. peak_ is the deepest level reached by the operator chain
+     * being built; each link of a chain pushes everything built so far
+     * one level down, so it adds one to peak_. Keeping peak_ within
+     * kMaxParseNesting bounds both the parser's recursion and the
+     * height of every tree it returns.
+     */
+    size_t depth_ = 0;
+    size_t peak_ = 0;
 };
 
 StatusOr<StmtPtr>
@@ -166,33 +224,18 @@ Parser::parseStatementTop()
         eatKeyword("TRANSACTION");
         if (eatKeyword("TO")) {
             eatKeyword("SAVEPOINT");
-            auto stmt = std::make_unique<TxnStmt>(StmtKind::RollbackTo);
-            auto name = expectIdentifier("savepoint name");
-            if (!name.isOk())
-                return name.status();
-            stmt->savepoint = name.value();
-            result = StmtPtr(std::move(stmt));
+            result = parseSavepoint(StmtKind::RollbackTo);
         } else {
             result =
                 StmtPtr(std::make_unique<TxnStmt>(StmtKind::Rollback));
         }
     } else if (atKeyword("SAVEPOINT")) {
         advance();
-        auto stmt = std::make_unique<TxnStmt>(StmtKind::Savepoint);
-        auto name = expectIdentifier("savepoint name");
-        if (!name.isOk())
-            return name.status();
-        stmt->savepoint = name.value();
-        result = StmtPtr(std::move(stmt));
+        result = parseSavepoint(StmtKind::Savepoint);
     } else if (atKeyword("RELEASE")) {
         advance();
         eatKeyword("SAVEPOINT");
-        auto stmt = std::make_unique<TxnStmt>(StmtKind::Release);
-        auto name = expectIdentifier("savepoint name");
-        if (!name.isOk())
-            return name.status();
-        stmt->savepoint = name.value();
-        result = StmtPtr(std::move(stmt));
+        result = parseSavepoint(StmtKind::Release);
     } else if (peek().kind == TokenKind::EndOfInput) {
         return Status::syntaxError("empty statement");
     } else {
@@ -204,6 +247,17 @@ Parser::parseStatementTop()
     if (peek().kind != TokenKind::EndOfInput)
         return err("trailing input after statement");
     return result;
+}
+
+StatusOr<StmtPtr>
+Parser::parseSavepoint(StmtKind kind)
+{
+    auto stmt = std::make_unique<TxnStmt>(kind);
+    auto name = expectIdentifier("savepoint name");
+    if (!name.isOk())
+        return name.status();
+    stmt->savepoint = name.takeValue();
+    return StmtPtr(std::move(stmt));
 }
 
 StatusOr<ExprPtr>
@@ -473,6 +527,9 @@ Parser::parseTableRef()
 StatusOr<SelectPtr>
 Parser::parseSelect()
 {
+    Nested nested(*this);
+    if (Status s = checkNesting(); !s.isOk())
+        return s;
     if (Status s = expectKeyword("SELECT"); !s.isOk())
         return s;
     auto select = std::make_unique<SelectStmt>();
@@ -647,368 +704,154 @@ Parser::parseExprList()
 }
 
 StatusOr<ExprPtr>
-Parser::parseOr()
+Parser::parseBinary(int min_level)
 {
-    auto lhs = parseAnd();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    while (eatKeyword("OR")) {
-        auto rhs = parseAnd();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(BinaryOp::Or, std::move(expr),
-                                            rhs.takeValue());
-    }
-    return expr;
-}
-
-StatusOr<ExprPtr>
-Parser::parseAnd()
-{
-    auto lhs = parseNot();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    while (atKeyword("AND")) {
+    // The chain measures its own height; the caller keeps the deeper.
+    const size_t outer_peak = peak_;
+    peak_ = depth_;
+    // A chain at comparison level or looser ends in the postfix family;
+    // after that, and after a prefix NOT, only AND and OR may follow.
+    bool postfix_pending = min_level <= binding::Comparison;
+    int max_level = binding::Concat;
+    ExprPtr lhs;
+    if (min_level <= binding::Not && atKeyword("NOT") &&
+        !atKeyword("EXISTS", 1)) {
         advance();
-        auto rhs = parseNot();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(BinaryOp::And, std::move(expr),
-                                            rhs.takeValue());
-    }
-    return expr;
-}
-
-StatusOr<ExprPtr>
-Parser::parseNot()
-{
-    if (atKeyword("NOT") && !atKeyword("EXISTS", 1)) {
-        advance();
-        auto operand = parseNot();
+        Nested nested(*this);
+        if (Status s = checkNesting(); !s.isOk())
+            return s;
+        auto operand = parseBinary(binding::Not);
         if (!operand.isOk())
             return operand;
-        return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::Not,
-                                                   operand.takeValue()));
+        lhs = std::make_unique<UnaryExpr>(UnaryOp::Not, operand.takeValue());
+        postfix_pending = false;
+        max_level = binding::Not;
+    } else {
+        auto operand = parseUnary();
+        if (!operand.isOk())
+            return operand;
+        lhs = operand.takeValue();
     }
-    return parseComparison();
-}
-
-StatusOr<ExprPtr>
-Parser::parseComparison()
-{
-    auto lhs = parseBitOr();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
     for (;;) {
-        BinaryOp op;
-        if (eatSymbol("<=>")) {
-            op = BinaryOp::NullSafeEq;
-        } else if (eatSymbol("<>")) {
-            op = BinaryOp::NotEq;
-        } else if (eatSymbol("!=")) {
-            op = BinaryOp::NotEqBang;
-        } else if (eatSymbol("<=")) {
-            op = BinaryOp::LessEq;
-        } else if (eatSymbol(">=")) {
-            op = BinaryOp::GreaterEq;
-        } else if (eatSymbol("=")) {
-            op = BinaryOp::Eq;
-        } else if (eatSymbol("<")) {
-            op = BinaryOp::Less;
-        } else if (eatSymbol(">")) {
-            op = BinaryOp::Greater;
-        } else if (atKeyword("LIKE")) {
-            advance();
-            op = BinaryOp::Like;
-        } else if (atKeyword("GLOB")) {
-            advance();
-            op = BinaryOp::Glob;
-        } else {
-            // IS / IN / BETWEEN / NOT LIKE postfix family.
-            auto post = parsePostfix(std::move(expr));
-            return post;
+        const BinaryOpInfo *op = peekBinaryOp();
+        if (postfix_pending &&
+            (op == nullptr || op->level < binding::Comparison)) {
+            auto post = parsePostfix(std::move(lhs));
+            if (!post.isOk())
+                return post;
+            lhs = post.takeValue();
+            postfix_pending = false;
+            max_level = binding::Not;
+            op = peekBinaryOp();
         }
-        auto rhs = parseBitOr();
+        if (op == nullptr || op->level < min_level || op->level > max_level)
+            break;
+        advance();
+        ++peak_; // the chain so far becomes the new node's left operand
+        if (Status s = checkNesting(); !s.isOk())
+            return s;
+        auto rhs = parseBinary(op->level + 1);
         if (!rhs.isOk())
             return rhs;
-        expr = std::make_unique<BinaryExpr>(op, std::move(expr),
-                                            rhs.takeValue());
+        lhs = std::make_unique<BinaryExpr>(op->op, std::move(lhs),
+                                           rhs.takeValue());
     }
+    peak_ = std::max(outer_peak, peak_);
+    return lhs;
 }
 
 StatusOr<ExprPtr>
 Parser::parsePostfix(ExprPtr operand)
 {
     for (;;) {
-        if (atKeyword("IS")) {
-            advance();
-            bool negated = eatKeyword("NOT");
-            if (eatKeyword("NULL")) {
-                operand = std::make_unique<UnaryExpr>(
-                    negated ? UnaryOp::IsNotNull : UnaryOp::IsNull,
-                    std::move(operand));
-                continue;
-            }
-            if (eatKeyword("TRUE")) {
-                operand = std::make_unique<UnaryExpr>(
-                    negated ? UnaryOp::IsNotTrue : UnaryOp::IsTrue,
-                    std::move(operand));
-                continue;
-            }
-            if (eatKeyword("FALSE")) {
-                operand = std::make_unique<UnaryExpr>(
-                    negated ? UnaryOp::IsNotFalse : UnaryOp::IsFalse,
-                    std::move(operand));
-                continue;
-            }
+        bool negated = atKeyword("NOT") &&
+                       (atKeyword("IN", 1) || atKeyword("BETWEEN", 1) ||
+                        atKeyword("LIKE", 1));
+        if (!negated && !atKeyword("IS") && !atKeyword("BETWEEN") &&
+            !atKeyword("IN"))
+            return operand;
+        ++peak_; // the operand so far moves one level down
+        if (Status s = checkNesting(); !s.isOk())
+            return s;
+        if (negated)
+            advance(); // NOT
+        if (eatKeyword("IS")) {
+            bool is_not = eatKeyword("NOT");
             if (eatKeyword("DISTINCT")) {
                 if (Status s = expectKeyword("FROM"); !s.isOk())
                     return s;
-                auto rhs = parseBitOr();
+                auto rhs = parseBinary(binding::BitOr);
                 if (!rhs.isOk())
                     return rhs;
                 operand = std::make_unique<BinaryExpr>(
-                    negated ? BinaryOp::IsNotDistinctFrom
-                            : BinaryOp::IsDistinctFrom,
+                    is_not ? BinaryOp::IsNotDistinctFrom
+                           : BinaryOp::IsDistinctFrom,
                     std::move(operand), rhs.takeValue());
                 continue;
             }
-            return err("expected NULL, TRUE, FALSE, or DISTINCT after IS");
-        }
-        if (atKeyword("NOT") &&
-            (atKeyword("IN", 1) || atKeyword("BETWEEN", 1) ||
-             atKeyword("LIKE", 1))) {
-            advance(); // NOT
-            if (eatKeyword("LIKE")) {
-                auto rhs = parseBitOr();
-                if (!rhs.isOk())
-                    return rhs;
-                operand = std::make_unique<BinaryExpr>(
-                    BinaryOp::NotLike, std::move(operand), rhs.takeValue());
-                continue;
-            }
-            if (eatKeyword("BETWEEN")) {
-                auto low = parseBitOr();
-                if (!low.isOk())
-                    return low;
-                if (Status s = expectKeyword("AND"); !s.isOk())
-                    return s;
-                auto high = parseBitOr();
-                if (!high.isOk())
-                    return high;
-                operand = std::make_unique<BetweenExpr>(
-                    std::move(operand), low.takeValue(), high.takeValue(),
-                    /*negated=*/true);
-                continue;
-            }
-            // NOT IN
-            advance(); // IN
-            if (Status s = expectSymbol("("); !s.isOk())
-                return s;
-            if (atKeyword("SELECT")) {
-                auto select = parseSelect();
-                if (!select.isOk())
-                    return select.status();
-                if (Status s = expectSymbol(")"); !s.isOk())
-                    return s;
-                operand = std::make_unique<InSubqueryExpr>(
-                    std::move(operand), select.takeValue(),
-                    /*negated=*/true);
-            } else {
-                auto items = parseExprList();
-                if (!items.isOk())
-                    return items.status();
-                if (Status s = expectSymbol(")"); !s.isOk())
-                    return s;
-                operand = std::make_unique<InListExpr>(
-                    std::move(operand), items.takeValue(), /*negated=*/true);
-            }
+            UnaryOp op;
+            if (eatKeyword("NULL"))
+                op = is_not ? UnaryOp::IsNotNull : UnaryOp::IsNull;
+            else if (eatKeyword("TRUE"))
+                op = is_not ? UnaryOp::IsNotTrue : UnaryOp::IsTrue;
+            else if (eatKeyword("FALSE"))
+                op = is_not ? UnaryOp::IsNotFalse : UnaryOp::IsFalse;
+            else
+                return err("expected NULL, TRUE, FALSE, or DISTINCT after IS");
+            operand = std::make_unique<UnaryExpr>(op, std::move(operand));
             continue;
         }
-        if (atKeyword("BETWEEN")) {
-            advance();
-            auto low = parseBitOr();
+        if (negated && eatKeyword("LIKE")) {
+            auto rhs = parseBinary(binding::BitOr);
+            if (!rhs.isOk())
+                return rhs;
+            operand = std::make_unique<BinaryExpr>(
+                BinaryOp::NotLike, std::move(operand), rhs.takeValue());
+            continue;
+        }
+        if (eatKeyword("BETWEEN")) {
+            auto low = parseBinary(binding::BitOr);
             if (!low.isOk())
                 return low;
             if (Status s = expectKeyword("AND"); !s.isOk())
                 return s;
-            auto high = parseBitOr();
+            auto high = parseBinary(binding::BitOr);
             if (!high.isOk())
                 return high;
             operand = std::make_unique<BetweenExpr>(
                 std::move(operand), low.takeValue(), high.takeValue(),
-                /*negated=*/false);
+                negated);
             continue;
         }
-        if (atKeyword("IN")) {
-            advance();
-            if (Status s = expectSymbol("("); !s.isOk())
+        advance(); // IN
+        if (Status s = expectSymbol("("); !s.isOk())
+            return s;
+        if (atKeyword("SELECT")) {
+            auto select = parseSelect();
+            if (!select.isOk())
+                return select.status();
+            if (Status s = expectSymbol(")"); !s.isOk())
                 return s;
-            if (atKeyword("SELECT")) {
-                auto select = parseSelect();
-                if (!select.isOk())
-                    return select.status();
-                if (Status s = expectSymbol(")"); !s.isOk())
-                    return s;
-                operand = std::make_unique<InSubqueryExpr>(
-                    std::move(operand), select.takeValue(),
-                    /*negated=*/false);
-            } else {
-                auto items = parseExprList();
-                if (!items.isOk())
-                    return items.status();
-                if (Status s = expectSymbol(")"); !s.isOk())
-                    return s;
-                operand = std::make_unique<InListExpr>(
-                    std::move(operand), items.takeValue(),
-                    /*negated=*/false);
-            }
-            continue;
-        }
-        return operand;
-    }
-}
-
-StatusOr<ExprPtr>
-Parser::parseBitOr()
-{
-    auto lhs = parseBitAnd();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    for (;;) {
-        BinaryOp op;
-        if (eatSymbol("|")) {
-            op = BinaryOp::BitOr;
-        } else if (eatSymbol("^")) {
-            op = BinaryOp::BitXor;
+            operand = std::make_unique<InSubqueryExpr>(
+                std::move(operand), select.takeValue(), negated);
         } else {
-            return expr;
+            auto items = parseExprList();
+            if (!items.isOk())
+                return items.status();
+            if (Status s = expectSymbol(")"); !s.isOk())
+                return s;
+            operand = std::make_unique<InListExpr>(
+                std::move(operand), items.takeValue(), negated);
         }
-        auto rhs = parseBitAnd();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(op, std::move(expr),
-                                            rhs.takeValue());
     }
-}
-
-StatusOr<ExprPtr>
-Parser::parseBitAnd()
-{
-    auto lhs = parseShift();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    while (eatSymbol("&")) {
-        auto rhs = parseShift();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(BinaryOp::BitAnd,
-                                            std::move(expr),
-                                            rhs.takeValue());
-    }
-    return expr;
-}
-
-StatusOr<ExprPtr>
-Parser::parseShift()
-{
-    auto lhs = parseAdditive();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    for (;;) {
-        BinaryOp op;
-        if (eatSymbol("<<")) {
-            op = BinaryOp::ShiftLeft;
-        } else if (eatSymbol(">>")) {
-            op = BinaryOp::ShiftRight;
-        } else {
-            return expr;
-        }
-        auto rhs = parseAdditive();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(op, std::move(expr),
-                                            rhs.takeValue());
-    }
-}
-
-StatusOr<ExprPtr>
-Parser::parseAdditive()
-{
-    auto lhs = parseMultiplicative();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    for (;;) {
-        BinaryOp op;
-        if (eatSymbol("+")) {
-            op = BinaryOp::Add;
-        } else if (eatSymbol("-")) {
-            op = BinaryOp::Sub;
-        } else {
-            return expr;
-        }
-        auto rhs = parseMultiplicative();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(op, std::move(expr),
-                                            rhs.takeValue());
-    }
-}
-
-StatusOr<ExprPtr>
-Parser::parseMultiplicative()
-{
-    auto lhs = parseConcat();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    for (;;) {
-        BinaryOp op;
-        if (eatSymbol("*")) {
-            op = BinaryOp::Mul;
-        } else if (eatSymbol("/")) {
-            op = BinaryOp::Div;
-        } else if (eatSymbol("%")) {
-            op = BinaryOp::Mod;
-        } else {
-            return expr;
-        }
-        auto rhs = parseConcat();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(op, std::move(expr),
-                                            rhs.takeValue());
-    }
-}
-
-StatusOr<ExprPtr>
-Parser::parseConcat()
-{
-    auto lhs = parseUnary();
-    if (!lhs.isOk())
-        return lhs;
-    ExprPtr expr = lhs.takeValue();
-    while (eatSymbol("||")) {
-        auto rhs = parseUnary();
-        if (!rhs.isOk())
-            return rhs;
-        expr = std::make_unique<BinaryExpr>(BinaryOp::Concat,
-                                            std::move(expr),
-                                            rhs.takeValue());
-    }
-    return expr;
 }
 
 StatusOr<ExprPtr>
 Parser::parseUnary()
 {
+    Nested nested(*this);
+    if (Status s = checkNesting(); !s.isOk())
+        return s;
     if (eatSymbol("-")) {
         // `-9223372036854775808` (the printed INT64_MIN literal) is the
         // one place an out-of-range magnitude is legal: the pair folds

@@ -1,6 +1,8 @@
 /**
  * @file
- * Recursive-descent SQL parser producing the shared AST.
+ * SQL parser producing the shared AST: recursive descent for statements,
+ * one precedence-climbing loop over the operator table (binaryOpTable()
+ * in sqlir/ast.h) for expressions, and one bound on nesting.
  *
  * Grammar (simplified):
  *
@@ -9,9 +11,13 @@
  *   select      ::= SELECT [DISTINCT] items FROM sources join* [WHERE expr]
  *                   [GROUP BY exprs [HAVING expr]] [ORDER BY terms]
  *                   [LIMIT n [OFFSET n]]
- *   expr        ::= or-expr with standard SQL precedence, IS/IN/BETWEEN/
- *                   LIKE postfix forms, CASE, CAST, function calls, and
- *                   (SELECT ...) scalar/EXISTS/IN subqueries
+ *   expr        ::= binary operators by binding level, loosest first:
+ *                   OR < AND < prefix NOT < comparison/LIKE/GLOB
+ *                   < | ^ < & < << >> < + - < * / % < ||, all
+ *                   left-associative; the IS/IN/BETWEEN/NOT LIKE postfix
+ *                   family closes a comparison chain; unary - + ~, CASE,
+ *                   CAST, function calls, and (SELECT ...) scalar/EXISTS/
+ *                   IN subqueries
  *
  * Unknown leading keywords and malformed syntax yield SyntaxError; name
  * resolution and typing are deferred to the engine (SemanticError there),
@@ -21,6 +27,7 @@
 #ifndef SQLPP_PARSER_PARSER_H
 #define SQLPP_PARSER_PARSER_H
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -28,6 +35,17 @@
 #include "util/status.h"
 
 namespace sqlpp {
+
+/**
+ * The deepest nesting the parser accepts. Each nested parse (an operand,
+ * so each parenthesis, function call, CASE, CAST and prefix operator; a
+ * prefix NOT; a SELECT) and each link of an operator or postfix chain
+ * takes one level. Past the bound the parse fails with SyntaxError
+ * "statement nested too deeply", so every tree built from text is
+ * bounded, and so is everything that walks one recursively: printing,
+ * clone(), teardown, type checking, folding and evaluation.
+ */
+inline constexpr size_t kMaxParseNesting = 256;
 
 /** Parse one SQL statement (optional trailing semicolon). */
 StatusOr<StmtPtr> parseStatement(const std::string &sql);

@@ -2,38 +2,61 @@
 
 namespace sqlpp {
 
+namespace {
+
+constexpr BinaryOpInfo kBinaryOps[] = {
+    {BinaryOp::Add, "+", binding::Additive},
+    {BinaryOp::Sub, "-", binding::Additive},
+    {BinaryOp::Mul, "*", binding::Multiplicative},
+    {BinaryOp::Div, "/", binding::Multiplicative},
+    {BinaryOp::Mod, "%", binding::Multiplicative},
+    {BinaryOp::Eq, "=", binding::Comparison},
+    {BinaryOp::NotEq, "<>", binding::Comparison},
+    {BinaryOp::NotEqBang, "!=", binding::Comparison},
+    {BinaryOp::Less, "<", binding::Comparison},
+    {BinaryOp::LessEq, "<=", binding::Comparison},
+    {BinaryOp::Greater, ">", binding::Comparison},
+    {BinaryOp::GreaterEq, ">=", binding::Comparison},
+    {BinaryOp::NullSafeEq, "<=>", binding::Comparison},
+    {BinaryOp::And, "AND", binding::And},
+    {BinaryOp::Or, "OR", binding::Or},
+    {BinaryOp::BitAnd, "&", binding::BitAnd},
+    {BinaryOp::BitOr, "|", binding::BitOr},
+    {BinaryOp::BitXor, "^", binding::BitOr},
+    {BinaryOp::ShiftLeft, "<<", binding::Shift},
+    {BinaryOp::ShiftRight, ">>", binding::Shift},
+    {BinaryOp::Concat, "||", binding::Concat},
+    {BinaryOp::Like, "LIKE", binding::Comparison},
+    {BinaryOp::NotLike, "NOT LIKE", binding::Comparison},
+    {BinaryOp::Glob, "GLOB", binding::Comparison},
+    {BinaryOp::IsDistinctFrom, "IS DISTINCT FROM", binding::Comparison},
+    {BinaryOp::IsNotDistinctFrom, "IS NOT DISTINCT FROM",
+     binding::Comparison},
+};
+
+constexpr bool
+inEnumOrder()
+{
+    for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
+        if (static_cast<size_t>(kBinaryOps[i].op) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(inEnumOrder(), "kBinaryOps must list BinaryOp in enum order");
+
+} // namespace
+
+std::span<const BinaryOpInfo>
+binaryOpTable()
+{
+    return kBinaryOps;
+}
+
 const char *
 binaryOpSymbol(BinaryOp op)
 {
-    switch (op) {
-      case BinaryOp::Add: return "+";
-      case BinaryOp::Sub: return "-";
-      case BinaryOp::Mul: return "*";
-      case BinaryOp::Div: return "/";
-      case BinaryOp::Mod: return "%";
-      case BinaryOp::Eq: return "=";
-      case BinaryOp::NotEq: return "<>";
-      case BinaryOp::NotEqBang: return "!=";
-      case BinaryOp::Less: return "<";
-      case BinaryOp::LessEq: return "<=";
-      case BinaryOp::Greater: return ">";
-      case BinaryOp::GreaterEq: return ">=";
-      case BinaryOp::NullSafeEq: return "<=>";
-      case BinaryOp::And: return "AND";
-      case BinaryOp::Or: return "OR";
-      case BinaryOp::BitAnd: return "&";
-      case BinaryOp::BitOr: return "|";
-      case BinaryOp::BitXor: return "^";
-      case BinaryOp::ShiftLeft: return "<<";
-      case BinaryOp::ShiftRight: return ">>";
-      case BinaryOp::Concat: return "||";
-      case BinaryOp::Like: return "LIKE";
-      case BinaryOp::NotLike: return "NOT LIKE";
-      case BinaryOp::Glob: return "GLOB";
-      case BinaryOp::IsDistinctFrom: return "IS DISTINCT FROM";
-      case BinaryOp::IsNotDistinctFrom: return "IS NOT DISTINCT FROM";
-    }
-    return "?";
+    return kBinaryOps[static_cast<size_t>(op)].symbol;
 }
 
 bool

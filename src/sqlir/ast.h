@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,41 @@ enum class UnaryOp
     IsNotTrue,
     IsNotFalse,
 };
+
+/** Binding levels of the expression grammar, loosest first. */
+namespace binding {
+enum Level : int
+{
+    Or = 1,
+    And,
+    /** Prefix NOT; no binary operator binds here. */
+    Not,
+    Comparison,
+    BitOr,
+    BitAnd,
+    Shift,
+    Additive,
+    Multiplicative,
+    Concat,
+};
+} // namespace binding
+
+/** One row of the operator table. */
+struct BinaryOpInfo
+{
+    BinaryOp op;
+    /** SQL spelling (e.g. "<=>", "IS NOT DISTINCT FROM"). */
+    const char *symbol;
+    /** binding::Level; higher binds tighter. */
+    int level;
+};
+
+/**
+ * The operator table: every BinaryOp, in enum order, with its spelling
+ * and binding level. LIKE, GLOB, NOT LIKE and IS [NOT] DISTINCT FROM
+ * sit at the comparison level but are not comparisons.
+ */
+std::span<const BinaryOpInfo> binaryOpTable();
 
 /** SQL token text of a binary operator (e.g. "<=>"). */
 const char *binaryOpSymbol(BinaryOp op);
