@@ -682,7 +682,7 @@ OracleResult
 TlpOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("tlp", false);
+    static const OracleMetrics metrics("tlp", /*may_be_inapplicable=*/false);
     return metrics.check(runTlp, connection, base, predicate);
 }
 
@@ -690,7 +690,7 @@ OracleResult
 NorecOracle::check(Connection &connection, const SelectStmt &base,
                    const Expr &predicate)
 {
-    static const OracleMetrics metrics("norec", false);
+    static const OracleMetrics metrics("norec", /*may_be_inapplicable=*/false);
     return metrics.check(runNorec, connection, base, predicate);
 }
 
@@ -698,7 +698,7 @@ OracleResult
 PqsOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("pqs", true);
+    static const OracleMetrics metrics("pqs", /*may_be_inapplicable=*/true);
     return metrics.check(runPqs, connection, base, predicate);
 }
 
@@ -706,7 +706,7 @@ OracleResult
 EetOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("eet", true);
+    static const OracleMetrics metrics("eet", /*may_be_inapplicable=*/true);
     return metrics.check(runEet, connection, base, predicate);
 }
 
@@ -714,7 +714,7 @@ OracleResult
 IsolationOracle::check(Connection &connection, const SelectStmt &base,
                        const Expr &predicate)
 {
-    static const OracleMetrics metrics("iso", true);
+    static const OracleMetrics metrics("iso", /*may_be_inapplicable=*/true);
     return metrics.check(runIso, connection, base, predicate);
 }
 
