@@ -348,15 +348,13 @@ main(int argc, char **argv)
     std::printf("(ground truth: every campaign dialect ships a fixed "
                 "fault set; see src/engine/faults.h)\n");
     if (!metrics_out.empty()) {
-        MetricsJsonOptions options;
-        options.includeTimings = metrics_timings;
         std::ofstream out(metrics_out, std::ios::binary);
         if (!out) {
             std::fprintf(stderr, "cannot write metrics to %s\n",
                          metrics_out.c_str());
             return 1;
         }
-        out << exportMetricsJson(options);
+        out << exportMetricsJson(metrics_timings);
         std::printf("metrics: %s\n", metrics_out.c_str());
     }
     if (metrics_summary)

@@ -107,13 +107,6 @@ class CoverageRegistry
     std::unique_ptr<std::atomic<uint64_t>[]> counts_;
 };
 
-/** Hit a probe on the process-wide registry (cold path). */
-inline void
-coverProbe(const std::string &name)
-{
-    CoverageRegistry::instance().hit(name);
-}
-
 /**
  * Thread-local view of coverage-probe novelty.
  *

@@ -165,107 +165,96 @@ MetricsRegistry::addByName(const std::string &name, uint64_t delta)
     add(metricId(name, MetricKind::Counter), delta);
 }
 
-void
-MetricsRegistry::setByName(const std::string &name, uint64_t value)
-{
-    set(metricId(name, MetricKind::Gauge), value);
-}
-
-void
-MetricsRegistry::observeByName(const std::string &name, uint64_t value)
-{
-    observe(metricId(name, MetricKind::Histogram), value);
-}
-
 size_t
 MetricsRegistry::registered() const
 {
     return registered_.load(std::memory_order_acquire);
 }
 
-uint64_t
-MetricsRegistry::counterTotal(const std::string &name) const
+MetricsRegistry::MetricSnapshot
+MetricsRegistry::read(const Metric &metric) const
+{
+    MetricSnapshot snap;
+    snap.name = metric.name;
+    snap.kind = metric.kind;
+    bool scalar = metric.kind == MetricKind::Counter ||
+                  metric.kind == MetricKind::Gauge;
+    for (size_t index = 0; index <= kMaxShards; ++index) {
+        const Lane *lane_ptr = lane(index);
+        if (lane_ptr == nullptr)
+            continue;
+        const std::atomic<uint64_t> *cells = &lane_ptr->cells[metric.cell];
+        if (scalar) {
+            uint64_t value = cells[0].load(std::memory_order_relaxed);
+            if (value != 0 && index != 0)
+                snap.shards.emplace_back(lane_ptr->label, value);
+            if (metric.kind == MetricKind::Gauge)
+                snap.total = std::max(snap.total, value);
+            else
+                snap.total += value;
+            continue;
+        }
+        for (size_t b = 0; b < kHistogramBuckets; ++b) {
+            uint64_t hits = cells[b].load(std::memory_order_relaxed);
+            snap.buckets[b] += hits;
+            snap.count += hits;
+        }
+        snap.sum +=
+            cells[kHistogramBuckets].load(std::memory_order_relaxed);
+    }
+    return snap;
+}
+
+MetricsRegistry::MetricSnapshot
+MetricsRegistry::readByName(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = ids_.find(name);
-    if (it == ids_.end())
-        return 0;
-    const Metric &metric = metrics_[it->second];
-    uint64_t total = 0;
-    for (size_t index = 0; index <= kMaxShards; ++index) {
-        Lane *lane_ptr = lane(index);
-        if (lane_ptr == nullptr)
-            continue;
-        uint64_t value =
-            lane_ptr->cells[metric.cell].load(std::memory_order_relaxed);
-        if (metric.kind == MetricKind::Gauge)
-            total = std::max(total, value);
-        else
-            total += value;
+    return it == ids_.end() ? MetricSnapshot{} : read(metrics_[it->second]);
+}
+
+std::vector<MetricsRegistry::MetricSnapshot>
+MetricsRegistry::snapshot() const
+{
+    std::vector<MetricSnapshot> snapshots;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        snapshots.reserve(metrics_.size());
+        for (const Metric &metric : metrics_)
+            snapshots.push_back(read(metric));
     }
-    return total;
+    std::sort(snapshots.begin(), snapshots.end(),
+              [](const MetricSnapshot &a, const MetricSnapshot &b) {
+                  return a.name < b.name;
+              });
+    return snapshots;
+}
+
+uint64_t
+MetricsRegistry::counterTotal(const std::string &name) const
+{
+    return readByName(name).total;
 }
 
 uint64_t
 MetricsRegistry::histogramCount(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = ids_.find(name);
-    if (it == ids_.end())
-        return 0;
-    const Metric &metric = metrics_[it->second];
-    uint64_t total = 0;
-    for (size_t index = 0; index <= kMaxShards; ++index) {
-        Lane *lane_ptr = lane(index);
-        if (lane_ptr == nullptr)
-            continue;
-        for (size_t bucket = 0; bucket < kHistogramBuckets; ++bucket)
-            total += lane_ptr->cells[metric.cell + bucket].load(
-                std::memory_order_relaxed);
-    }
-    return total;
-}
-
-std::vector<uint64_t>
-MetricsRegistry::histogramBucketTotals(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = ids_.find(name);
-    if (it == ids_.end())
-        return {};
-    const Metric &metric = metrics_[it->second];
-    if (metric.kind != MetricKind::Histogram &&
-        metric.kind != MetricKind::Timer)
-        return {};
-    std::vector<uint64_t> totals(kHistogramBuckets, 0);
-    for (size_t index = 0; index <= kMaxShards; ++index) {
-        Lane *lane_ptr = lane(index);
-        if (lane_ptr == nullptr)
-            continue;
-        for (size_t bucket = 0; bucket < kHistogramBuckets; ++bucket)
-            totals[bucket] += lane_ptr->cells[metric.cell + bucket].load(
-                std::memory_order_relaxed);
-    }
-    return totals;
+    return readByName(name).count;
 }
 
 uint64_t
 MetricsRegistry::histogramSum(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = ids_.find(name);
-    if (it == ids_.end())
-        return 0;
-    const Metric &metric = metrics_[it->second];
-    uint64_t total = 0;
-    for (size_t index = 0; index <= kMaxShards; ++index) {
-        Lane *lane_ptr = lane(index);
-        if (lane_ptr == nullptr)
-            continue;
-        total += lane_ptr->cells[metric.cell + kHistogramBuckets].load(
-            std::memory_order_relaxed);
-    }
-    return total;
+    return readByName(name).sum;
+}
+
+std::vector<uint64_t>
+MetricsRegistry::histogramBucketTotals(const std::string &name) const
+{
+    MetricSnapshot snap = readByName(name);
+    if (snap.kind != MetricKind::Histogram && snap.kind != MetricKind::Timer)
+        return {};
+    return {std::begin(snap.buckets), std::end(snap.buckets)};
 }
 
 void
@@ -285,88 +274,18 @@ MetricsRegistry::reset()
 // Export
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** One metric's values snapshotted across lanes. */
-struct MetricSnapshot
-{
-    std::string name;
-    MetricKind kind = MetricKind::Counter;
-    /** (lane label, scalar value) for counters/gauges, lane order. */
-    std::vector<std::pair<std::string, uint64_t>> laneValues;
-    uint64_t total = 0;
-    /** Histogram data summed across lanes. */
-    uint64_t buckets[MetricsRegistry::kHistogramBuckets] = {};
-    uint64_t count = 0;
-    uint64_t sum = 0;
-};
-
-} // namespace
+using MetricSnapshot = MetricsRegistry::MetricSnapshot;
 
 std::string
-exportMetricsJson(const MetricsJsonOptions &options)
+exportMetricsJson(bool include_timings)
 {
-    MetricsRegistry &registry = MetricsRegistry::instance();
-    std::vector<MetricSnapshot> snapshots;
-    {
-        std::lock_guard<std::mutex> lock(registry.mutex_);
-        for (const auto &metric : registry.metrics_) {
-            MetricSnapshot snap;
-            snap.name = metric.name;
-            snap.kind = metric.kind;
-            for (size_t index = 0;
-                 index <= kMaxShards; ++index) {
-                const MetricsRegistry::Lane *lane_ptr =
-                    registry.lane(index);
-                if (lane_ptr == nullptr)
-                    continue;
-                if (metric.kind == MetricKind::Counter ||
-                    metric.kind == MetricKind::Gauge) {
-                    uint64_t value = lane_ptr->cells[metric.cell].load(
-                        std::memory_order_relaxed);
-                    if (value != 0 && index != 0)
-                        snap.laneValues.emplace_back(lane_ptr->label,
-                                                     value);
-                    if (metric.kind == MetricKind::Gauge)
-                        snap.total = std::max(snap.total, value);
-                    else
-                        snap.total += value;
-                } else {
-                    for (size_t b = 0;
-                         b < MetricsRegistry::kHistogramBuckets; ++b) {
-                        uint64_t hits =
-                            lane_ptr->cells[metric.cell + b].load(
-                                std::memory_order_relaxed);
-                        snap.buckets[b] += hits;
-                        snap.count += hits;
-                    }
-                    snap.sum +=
-                        lane_ptr
-                            ->cells[metric.cell +
-                                    MetricsRegistry::kHistogramBuckets]
-                            .load(std::memory_order_relaxed);
-                }
-            }
-            snapshots.push_back(std::move(snap));
-        }
-    }
-    std::sort(snapshots.begin(), snapshots.end(),
-              [](const MetricSnapshot &a, const MetricSnapshot &b) {
-                  return a.name < b.name;
-              });
-
     std::string out = "{\n  \"schema\": \"sqlpp.metrics.v1\",\n"
                       "  \"metrics\": [";
     bool first = true;
-    for (const MetricSnapshot &snap : snapshots) {
+    for (const MetricSnapshot &snap :
+         MetricsRegistry::instance().snapshot()) {
         bool scalar = snap.kind == MetricKind::Counter ||
                       snap.kind == MetricKind::Gauge;
-        if (!options.includeZero) {
-            if (scalar && snap.total == 0)
-                continue;
-            if (!scalar && snap.count == 0)
-                continue;
-        }
         if (!first)
             out += ",";
         first = false;
@@ -376,15 +295,15 @@ exportMetricsJson(const MetricsJsonOptions &options)
         if (scalar) {
             out += format(", \"total\": %llu",
                           (unsigned long long)snap.total);
-            if (options.includeShards && !snap.laneValues.empty()) {
+            if (!snap.shards.empty()) {
                 out += ", \"shards\": [";
-                for (size_t i = 0; i < snap.laneValues.size(); ++i) {
+                for (size_t i = 0; i < snap.shards.size(); ++i) {
                     if (i > 0)
                         out += ", ";
                     out += format(
                         "{\"shard\": \"%s\", \"value\": %llu}",
-                        jsonEscape(snap.laneValues[i].first).c_str(),
-                        (unsigned long long)snap.laneValues[i].second);
+                        jsonEscape(snap.shards[i].first).c_str(),
+                        (unsigned long long)snap.shards[i].second);
                 }
                 out += "]";
             }
@@ -392,7 +311,7 @@ exportMetricsJson(const MetricsJsonOptions &options)
             out += format(", \"count\": %llu",
                           (unsigned long long)snap.count);
             bool values = snap.kind == MetricKind::Histogram ||
-                          options.includeTimings;
+                          include_timings;
             if (values) {
                 out += format(", \"sum\": %llu",
                               (unsigned long long)snap.sum);
@@ -430,56 +349,11 @@ exportMetricsJson(const MetricsJsonOptions &options)
 std::string
 metricsSummaryTable()
 {
-    MetricsRegistry &registry = MetricsRegistry::instance();
-    std::vector<MetricSnapshot> snapshots;
-    {
-        std::lock_guard<std::mutex> lock(registry.mutex_);
-        for (const auto &metric : registry.metrics_) {
-            MetricSnapshot snap;
-            snap.name = metric.name;
-            snap.kind = metric.kind;
-            for (size_t index = 0;
-                 index <= kMaxShards; ++index) {
-                const MetricsRegistry::Lane *lane_ptr =
-                    registry.lane(index);
-                if (lane_ptr == nullptr)
-                    continue;
-                if (metric.kind == MetricKind::Counter ||
-                    metric.kind == MetricKind::Gauge) {
-                    uint64_t value = lane_ptr->cells[metric.cell].load(
-                        std::memory_order_relaxed);
-                    if (metric.kind == MetricKind::Gauge)
-                        snap.total = std::max(snap.total, value);
-                    else
-                        snap.total += value;
-                } else {
-                    for (size_t b = 0;
-                         b < MetricsRegistry::kHistogramBuckets; ++b) {
-                        uint64_t hits =
-                            lane_ptr->cells[metric.cell + b].load(
-                                std::memory_order_relaxed);
-                        snap.buckets[b] += hits;
-                        snap.count += hits;
-                    }
-                    snap.sum +=
-                        lane_ptr
-                            ->cells[metric.cell +
-                                    MetricsRegistry::kHistogramBuckets]
-                            .load(std::memory_order_relaxed);
-                }
-            }
-            snapshots.push_back(std::move(snap));
-        }
-    }
-    std::sort(snapshots.begin(), snapshots.end(),
-              [](const MetricSnapshot &a, const MetricSnapshot &b) {
-                  return a.name < b.name;
-              });
-
     std::string out =
         format("%-40s %-9s %12s %14s %10s %10s %10s\n", "metric",
                "kind", "count", "total/avg", "p50", "p95", "p99");
-    for (const MetricSnapshot &snap : snapshots) {
+    for (const MetricSnapshot &snap :
+         MetricsRegistry::instance().snapshot()) {
         double p50 = histogramQuantileFromBuckets(
             snap.buckets, MetricsRegistry::kHistogramBuckets, 0.50);
         double p95 = histogramQuantileFromBuckets(
@@ -607,56 +481,11 @@ prometheusName(const std::string &name)
 std::string
 exportMetricsPrometheus()
 {
-    MetricsRegistry &registry = MetricsRegistry::instance();
-    std::vector<MetricSnapshot> snapshots;
-    {
-        std::lock_guard<std::mutex> lock(registry.mutex_);
-        for (const auto &metric : registry.metrics_) {
-            MetricSnapshot snap;
-            snap.name = metric.name;
-            snap.kind = metric.kind;
-            for (size_t index = 0;
-                 index <= kMaxShards; ++index) {
-                const MetricsRegistry::Lane *lane_ptr =
-                    registry.lane(index);
-                if (lane_ptr == nullptr)
-                    continue;
-                if (metric.kind == MetricKind::Counter ||
-                    metric.kind == MetricKind::Gauge) {
-                    uint64_t value = lane_ptr->cells[metric.cell].load(
-                        std::memory_order_relaxed);
-                    if (metric.kind == MetricKind::Gauge)
-                        snap.total = std::max(snap.total, value);
-                    else
-                        snap.total += value;
-                } else {
-                    for (size_t b = 0;
-                         b < MetricsRegistry::kHistogramBuckets; ++b) {
-                        uint64_t hits =
-                            lane_ptr->cells[metric.cell + b].load(
-                                std::memory_order_relaxed);
-                        snap.buckets[b] += hits;
-                        snap.count += hits;
-                    }
-                    snap.sum +=
-                        lane_ptr
-                            ->cells[metric.cell +
-                                    MetricsRegistry::kHistogramBuckets]
-                            .load(std::memory_order_relaxed);
-                }
-            }
-            snapshots.push_back(std::move(snap));
-        }
-    }
-    std::sort(snapshots.begin(), snapshots.end(),
-              [](const MetricSnapshot &a, const MetricSnapshot &b) {
-                  return a.name < b.name;
-              });
-
     // Every declared metric is emitted, zero or not: a scraper wants a
     // stable series set, not one that flickers as counters first fire.
     std::string out;
-    for (const MetricSnapshot &snap : snapshots) {
+    for (const MetricSnapshot &snap :
+         MetricsRegistry::instance().snapshot()) {
         std::string name = prometheusName(snap.name);
         switch (snap.kind) {
           case MetricKind::Counter:

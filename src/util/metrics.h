@@ -27,13 +27,22 @@
  * shard — per-lane values and their sums are independent of the
  * worker count.
  *
+ * Read side: one reader turns a metric's cells in every lane into a
+ * MetricSnapshot (the counter sum or gauge max, the non-zero shard
+ * lanes with their labels, the histogram buckets, count and sum), and
+ * MetricsRegistry::snapshot() returns that for every metric, sorted by
+ * name, under one hold of the registry mutex. The JSON, summary-table
+ * and Prometheus exporters render only from that list, and the
+ * counterTotal / histogram* accessors are a name lookup plus the same
+ * reader, so every view of the registry agrees.
+ *
  * Determinism contract of the JSON export (exportMetricsJson):
  * counters, gauges, and logical histograms are functions of the
  * campaign seed alone, and Timer metrics export only their observation
- * *count* by default — wall-clock durations appear only under
- * MetricsJsonOptions::includeTimings (or in the human summary table).
- * The default document is therefore byte-identical across runs for a
- * fixed seed with one worker.
+ * *count* by default — wall-clock durations appear only when its one
+ * option, include_timings, is set (bug_hunt --metrics-timings), or in
+ * the human summary table. The default document is therefore
+ * byte-identical across runs for a fixed seed with one worker.
  */
 #ifndef SQLPP_UTIL_METRICS_H
 #define SQLPP_UTIL_METRICS_H
@@ -45,6 +54,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/shard_scope.h"
@@ -64,21 +74,6 @@ enum class MetricKind
 
 /** Stable name of a MetricKind ("counter", "gauge", ...). */
 const char *metricKindName(MetricKind kind);
-
-/** Options for exportMetricsJson(). */
-struct MetricsJsonOptions
-{
-    /**
-     * Include wall-clock sums and bucket counts for Timer metrics.
-     * Off by default: timing values vary run to run, and the default
-     * document must be byte-identical for a fixed seed.
-     */
-    bool includeTimings = false;
-    /** Include per-shard lane breakdowns (on by default). */
-    bool includeShards = true;
-    /** Include metrics whose every value is zero (schema stability). */
-    bool includeZero = true;
-};
 
 /** Process-wide registry of named campaign metrics. */
 class MetricsRegistry
@@ -119,15 +114,41 @@ class MetricsRegistry
     /** Observe a histogram/timer value (hot path; lock-free). */
     void observe(size_t id, uint64_t value);
 
-    /** Cold-path conveniences resolving the name every call. */
+    /** Cold-path counter add resolving the name every call. */
     void addByName(const std::string &name, uint64_t delta = 1);
-    void setByName(const std::string &name, uint64_t value);
-    void observeByName(const std::string &name, uint64_t value);
 
     /** Number of registered metrics. */
     size_t registered() const;
 
-    /** Sum of a counter/gauge across lanes (gauge: max, see export). */
+    /** One metric's values read across every lane. */
+    struct MetricSnapshot
+    {
+        std::string name;
+        MetricKind kind = MetricKind::Counter;
+        /** Counter: sum across lanes; gauge: max. 0 for histograms. */
+        uint64_t total = 0;
+        /**
+         * Counters and gauges: (label, value) of each non-zero shard
+         * lane 1..kMaxShards, in lane order. Lane 0 only adds to total.
+         */
+        std::vector<std::pair<std::string, uint64_t>> shards;
+        /** Histograms and timers: bucket counts summed across lanes. */
+        uint64_t buckets[kHistogramBuckets] = {};
+        uint64_t count = 0;
+        uint64_t sum = 0;
+    };
+
+    /**
+     * Every registered metric read across every lane, sorted by name,
+     * under one hold of the registry mutex. All exporters render from
+     * this list.
+     */
+    std::vector<MetricSnapshot> snapshot() const;
+
+    /**
+     * Sum of a counter across lanes, or a gauge's maximum; 0 for
+     * unknown names and histograms.
+     */
     uint64_t counterTotal(const std::string &name) const;
 
     /** Total observations of a histogram/timer across lanes. */
@@ -159,9 +180,6 @@ class MetricsRegistry
 
   private:
     friend class ShardScope;
-    friend std::string exportMetricsJson(const MetricsJsonOptions &);
-    friend std::string metricsSummaryTable();
-    friend std::string exportMetricsPrometheus();
 
     struct Metric
     {
@@ -177,6 +195,15 @@ class MetricsRegistry
         std::string label;
         std::unique_ptr<std::atomic<uint64_t>[]> cells;
     };
+
+    /**
+     * The one reader: a metric's cells in every lane, folded into a
+     * snapshot. Callers hold mutex_ (lane labels are written under it).
+     */
+    MetricSnapshot read(const Metric &metric) const;
+
+    /** read() of a named metric; an empty snapshot for unknown names. */
+    MetricSnapshot readByName(const std::string &name) const;
 
     /** Create a lane's storage if absent and set its label. */
     void bindLane(size_t lane_index, const std::string &label);
@@ -228,10 +255,12 @@ class MetricsSpan
 
 /**
  * Serialize the registry as a stable JSON document (schema
- * "sqlpp.metrics.v1"): metrics sorted by name, lanes by index, sparse
- * non-empty buckets. See the determinism contract in the file header.
+ * "sqlpp.metrics.v1"): every metric sorted by name, zero-valued ones
+ * included, non-zero shard lanes by index, sparse non-empty buckets.
+ * Timer sums and buckets appear only with `include_timings`; see the
+ * determinism contract in the file header.
  */
-std::string exportMetricsJson(const MetricsJsonOptions &options = {});
+std::string exportMetricsJson(bool include_timings = false);
 
 /** Human-readable summary table (includes wall-clock timings). */
 std::string metricsSummaryTable();
@@ -279,34 +308,9 @@ bool metricQuantiles(const std::string &name, HistogramQuantiles &out);
 void declarePlatformMetrics();
 
 // ---------------------------------------------------------------------
-// Instrumentation helpers. Names passed to the macros must be string
-// literals (they are resolved once per call site).
+// Instrumentation macros. Names passed to them must be string literals
+// (they are resolved once per call site).
 // ---------------------------------------------------------------------
-
-namespace metrics {
-
-/** Cold path: count by a runtime-computed name. */
-inline void
-count(const std::string &name, uint64_t delta = 1)
-{
-    MetricsRegistry::instance().addByName(name, delta);
-}
-
-/** Cold path: set a gauge by a runtime-computed name. */
-inline void
-gaugeSet(const std::string &name, uint64_t value)
-{
-    MetricsRegistry::instance().setByName(name, value);
-}
-
-/** Cold path: observe a histogram value by a runtime-computed name. */
-inline void
-observe(const std::string &name, uint64_t value)
-{
-    MetricsRegistry::instance().observeByName(name, value);
-}
-
-} // namespace metrics
 
 #define SQLPP_METRICS_CAT2(a, b) a##b
 #define SQLPP_METRICS_CAT(a, b) SQLPP_METRICS_CAT2(a, b)

@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/seqlock.h"
 #include "util/strutil.h"
@@ -192,6 +193,23 @@ TraceRecorder::laneLabel(size_t lane_index) const
     return lane_ptr == nullptr ? "" : lane_ptr->label;
 }
 
+std::vector<TraceLane>
+TraceRecorder::usedLanes() const
+{
+    std::vector<TraceLane> out;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t index = 0; index <= kMaxShards; ++index) {
+        const Lane *lane_ptr = lane(index);
+        if (lane_ptr == nullptr)
+            continue;
+        uint64_t recorded =
+            lane_ptr->recorded.load(std::memory_order_acquire);
+        if (recorded != 0)
+            out.push_back({index, lane_ptr->label, recorded});
+    }
+    return out;
+}
+
 void
 TraceRecorder::reset()
 {
@@ -219,98 +237,85 @@ traceEventJson(size_t lane_index, const std::string &label,
         (unsigned long long)event.a, (unsigned long long)event.b);
 }
 
+namespace {
+
+/** The event lines of an export and the counts its header carries. */
+struct TraceBody
+{
+    std::string lines;
+    /** Lanes contributing at least one line. */
+    size_t lanes = 0;
+    /** Lines written. */
+    uint64_t events = 0;
+    /** Recorded minus retained, summed over lanes. */
+    uint64_t dropped = 0;
+    /** Largest retained tick, filtered out or not. */
+    uint64_t maxTick = 0;
+};
+
+/**
+ * Render every retained event of every used lane, lanes in lane order
+ * and events oldest first, keeping only ticks above `since_tick` when
+ * one is given.
+ */
+TraceBody
+traceBody(std::optional<uint64_t> since_tick)
+{
+    TraceRecorder &recorder = TraceRecorder::instance();
+    TraceBody body;
+    for (const TraceLane &lane : recorder.usedLanes()) {
+        std::vector<TraceEvent> events = recorder.laneEvents(lane.index);
+        body.dropped += lane.recorded - events.size();
+        uint64_t written = 0;
+        for (const TraceEvent &event : events) {
+            body.maxTick = std::max(body.maxTick, event.tick);
+            if (since_tick && event.tick <= *since_tick)
+                continue;
+            body.lines += traceEventJson(lane.index, lane.label, event);
+            body.lines += "\n";
+            ++written;
+        }
+        if (written != 0)
+            ++body.lanes;
+        body.events += written;
+    }
+    return body;
+}
+
+} // namespace
+
 std::string
 exportTraceJsonl()
 {
-    TraceRecorder &recorder = TraceRecorder::instance();
-    // Snapshot lanes under the mutex so labels are consistent; ring
-    // contents are read via the same acquire protocol laneEvents uses.
-    size_t lanes_used = 0;
-    uint64_t total_retained = 0;
-    uint64_t total_dropped = 0;
-    std::vector<std::pair<std::string, std::vector<TraceEvent>>> lanes;
-    lanes.resize(kMaxShards + 1);
-    for (size_t index = 0; index <= kMaxShards;
-         ++index) {
-        uint64_t recorded = recorder.laneRecorded(index);
-        if (recorded == 0)
-            continue;
-        lanes[index].first = recorder.laneLabel(index);
-        lanes[index].second = recorder.laneEvents(index);
-        ++lanes_used;
-        total_retained += lanes[index].second.size();
-        total_dropped += recorded - lanes[index].second.size();
-    }
-    std::string out = format(
-        "{\"schema\": \"sqlpp.trace.v1\", \"ring\": %zu, "
-        "\"lanes\": %zu, \"events\": %llu, \"dropped\": %llu}\n",
-        TraceRecorder::kRingCapacity, lanes_used,
-        (unsigned long long)total_retained,
-        (unsigned long long)total_dropped);
-    for (size_t index = 0; index <= kMaxShards;
-         ++index) {
-        for (const TraceEvent &event : lanes[index].second) {
-            out += traceEventJson(index, lanes[index].first, event);
-            out += "\n";
-        }
-    }
-    return out;
+    TraceBody body = traceBody(std::nullopt);
+    return format("{\"schema\": \"sqlpp.trace.v1\", \"ring\": %zu, "
+                  "\"lanes\": %zu, \"events\": %llu, \"dropped\": %llu}\n",
+                  TraceRecorder::kRingCapacity, body.lanes,
+                  (unsigned long long)body.events,
+                  (unsigned long long)body.dropped) +
+           body.lines;
 }
 
 std::string
 exportTraceDeltaJsonl(uint64_t since_tick)
 {
-    TraceRecorder &recorder = TraceRecorder::instance();
-    size_t lanes_used = 0;
-    uint64_t max_tick = 0;
-    uint64_t total_events = 0;
-    std::vector<std::pair<std::string, std::vector<TraceEvent>>> lanes;
-    lanes.resize(kMaxShards + 1);
-    for (size_t index = 0; index <= kMaxShards;
-         ++index) {
-        if (recorder.laneRecorded(index) == 0)
-            continue;
-        std::vector<TraceEvent> events = recorder.laneEvents(index);
-        std::vector<TraceEvent> fresh;
-        for (const TraceEvent &event : events) {
-            max_tick = std::max(max_tick, event.tick);
-            if (event.tick > since_tick)
-                fresh.push_back(event);
-        }
-        if (fresh.empty())
-            continue;
-        lanes[index].first = recorder.laneLabel(index);
-        lanes[index].second = std::move(fresh);
-        ++lanes_used;
-        total_events += lanes[index].second.size();
-    }
-    std::string out = format(
-        "{\"schema\": \"sqlpp.trace.delta.v1\", \"since\": %llu, "
-        "\"tick\": %llu, \"lanes\": %zu, \"events\": %llu}\n",
-        (unsigned long long)since_tick, (unsigned long long)max_tick,
-        lanes_used, (unsigned long long)total_events);
-    for (size_t index = 0; index <= kMaxShards;
-         ++index) {
-        for (const TraceEvent &event : lanes[index].second) {
-            out += traceEventJson(index, lanes[index].first, event);
-            out += "\n";
-        }
-    }
-    return out;
+    TraceBody body = traceBody(since_tick);
+    return format("{\"schema\": \"sqlpp.trace.delta.v1\", \"since\": %llu, "
+                  "\"tick\": %llu, \"lanes\": %zu, \"events\": %llu}\n",
+                  (unsigned long long)since_tick,
+                  (unsigned long long)body.maxTick, body.lanes,
+                  (unsigned long long)body.events) +
+           body.lines;
 }
 
 uint64_t
 traceDroppedTotal()
 {
-    TraceRecorder &recorder = TraceRecorder::instance();
     uint64_t dropped = 0;
-    for (size_t index = 0; index <= kMaxShards;
-         ++index) {
-        uint64_t recorded = recorder.laneRecorded(index);
-        uint64_t retained =
-            std::min<uint64_t>(recorded, TraceRecorder::kRingCapacity);
-        dropped += recorded - retained;
-    }
+    for (const TraceLane &lane : TraceRecorder::instance().usedLanes())
+        dropped += lane.recorded -
+                   std::min<uint64_t>(lane.recorded,
+                                      TraceRecorder::kRingCapacity);
     return dropped;
 }
 

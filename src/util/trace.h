@@ -109,6 +109,15 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 static_assert(sizeof(TraceEvent) % sizeof(uint64_t) == 0,
               "TraceEvent must pack into whole uint64_t words");
 
+/** A lane that recorded at least one event, as the exports see it. */
+struct TraceLane
+{
+    size_t index = 0;
+    std::string label;
+    /** Events ever recorded into the lane (retained + dropped). */
+    uint64_t recorded = 0;
+};
+
 /** Process-wide flight recorder with per-shard ring-buffer lanes. */
 class TraceRecorder
 {
@@ -154,6 +163,14 @@ class TraceRecorder
     std::string laneLabel(size_t lane_index) const;
 
     /**
+     * The one lane walk behind every export: each lane with at least
+     * one recorded event, in lane order, labels read under one hold
+     * of the mutex. Ring contents stay where they are; exporters read
+     * them lane by lane through laneEvents().
+     */
+    std::vector<TraceLane> usedLanes() const;
+
+    /**
      * Zero every lane's ring, tick, and event count. Campaign drivers
      * call this before a run so repeated in-process runs start clean.
      */
@@ -161,7 +178,6 @@ class TraceRecorder
 
   private:
     friend class ShardScope;
-    friend std::string exportTraceJsonl();
 
     /** Words one packed event occupies in the ring. */
     static constexpr size_t kEventWords =

@@ -156,9 +156,7 @@ TEST_F(MetricsTest, TimerValuesStayOutOfDefaultJson)
         << json;
     EXPECT_EQ(json.find("123456"), std::string::npos) << json;
 
-    MetricsJsonOptions timings;
-    timings.includeTimings = true;
-    std::string full = exportMetricsJson(timings);
+    std::string full = exportMetricsJson(/*include_timings=*/true);
     EXPECT_NE(full.find("\"sum\": 123456"), std::string::npos) << full;
 }
 
@@ -424,6 +422,29 @@ TEST_F(MetricsTest, PrometheusSanitizesNamesAndKeepsZeroSeries)
     EXPECT_NE(text.find("sqlpp_campaign_trace_dropped 0"),
               std::string::npos)
         << text;
+}
+
+/**
+ * Each accessor reads its own kind: a counter has no observations and
+ * a histogram no counter total, rather than the cells that follow the
+ * metric's own.
+ */
+TEST_F(MetricsTest, AccessorsOfTheOtherKindReadZero)
+{
+    MetricsRegistry registry;
+    size_t counter =
+        registry.metricId("test.kind.counter", MetricKind::Counter);
+    size_t histogram =
+        registry.metricId("test.kind.histogram", MetricKind::Histogram);
+    registry.add(counter, 5);
+    registry.observe(histogram, 0);
+    registry.observe(histogram, 9);
+    EXPECT_EQ(registry.counterTotal("test.kind.counter"), 5u);
+    EXPECT_EQ(registry.histogramCount("test.kind.counter"), 0u);
+    EXPECT_EQ(registry.histogramSum("test.kind.counter"), 0u);
+    EXPECT_EQ(registry.counterTotal("test.kind.histogram"), 0u);
+    EXPECT_EQ(registry.histogramCount("test.kind.histogram"), 2u);
+    EXPECT_EQ(registry.histogramSum("test.kind.histogram"), 9u);
 }
 
 /** Concurrent SQLPP_SPAN use: timer counts must be exact too. */

@@ -196,11 +196,7 @@ renderExports()
     MetricsRegistry &registry = MetricsRegistry::instance();
     std::string out;
     out += section("exportMetricsJson()", exportMetricsJson());
-    out += section("exportMetricsJson(timings)", [] {
-        MetricsJsonOptions options;
-        options.includeTimings = true;
-        return exportMetricsJson(options);
-    }());
+    out += section("exportMetricsJson(timings)", exportMetricsJson(true));
     out += section("metricsSummaryTable()", metricsSummaryTable());
     out += section("exportMetricsPrometheus()", exportMetricsPrometheus());
 
