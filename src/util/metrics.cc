@@ -91,9 +91,9 @@ MetricsRegistry::metricId(const std::string &name, MetricKind kind)
     size_t cells = cellCount(kind);
     if (metrics_.size() >= kMaxMetrics ||
         next_cell_ + cells > kMaxCells) {
-        // Registry full: fold the overflow into slot 0 rather than
-        // aborting a campaign over an observability limit.
-        return 0;
+        // Registry full: drop the overflow's writes rather than abort
+        // a campaign over an observability limit.
+        return kOverflowId;
     }
     Metric metric;
     metric.name = name;

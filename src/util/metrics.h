@@ -90,6 +90,11 @@ class MetricsRegistry
     static constexpr size_t kHistogramBuckets = 28;
     /** Value cells per lane (counters 1, gauges 1, histograms B+1). */
     static constexpr size_t kMaxCells = 8192;
+    /**
+     * The id metricId() answers when the registry is full: never a
+     * registered id, so add/set/observe drop writes through it.
+     */
+    static constexpr size_t kOverflowId = kMaxMetrics;
 
     MetricsRegistry();
 
@@ -101,7 +106,9 @@ class MetricsRegistry
      * are stable for the process lifetime. Registering the same name
      * under a different kind keeps the first kind (and logs nothing:
      * the declared universe in declarePlatformMetrics() is the source
-     * of truth). Thread-safe; takes the registry mutex.
+     * of truth). A name that no longer fits (kMaxMetrics metrics or
+     * kMaxCells cells) gets kOverflowId. Thread-safe; takes the
+     * registry mutex.
      */
     size_t metricId(const std::string &name, MetricKind kind);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -445,6 +446,60 @@ TEST_F(MetricsTest, AccessorsOfTheOtherKindReadZero)
     EXPECT_EQ(registry.counterTotal("test.kind.histogram"), 0u);
     EXPECT_EQ(registry.histogramCount("test.kind.histogram"), 2u);
     EXPECT_EQ(registry.histogramSum("test.kind.histogram"), 9u);
+}
+
+TEST_F(MetricsTest, FullRegistryDropsWritesPastTheMetricCap)
+{
+    MetricsRegistry registry;
+    for (size_t i = 0; i < MetricsRegistry::kMaxMetrics; ++i)
+        registry.metricId("test.full.counter." + std::to_string(i),
+                          MetricKind::Counter);
+    size_t overflow =
+        registry.metricId("test.full.histogram", MetricKind::Histogram);
+    EXPECT_EQ(overflow, MetricsRegistry::kOverflowId);
+    EXPECT_EQ(registry.registered(), MetricsRegistry::kMaxMetrics);
+    // A histogram's buckets and sum span 29 cells: written through
+    // metric 0 they would land in counters 0..28.
+    registry.observe(overflow, 1000);
+    registry.observe(overflow, 0);
+    registry.add(overflow, 7);
+    registry.set(overflow, 9);
+    for (size_t i = 0; i < MetricsRegistry::kMaxMetrics; ++i)
+        EXPECT_EQ(registry.counterTotal("test.full.counter." +
+                                        std::to_string(i)),
+                  0u)
+            << i;
+    EXPECT_EQ(registry.histogramCount("test.full.histogram"), 0u);
+}
+
+TEST_F(MetricsTest, FullRegistryDropsWritesPastTheCellCap)
+{
+    MetricsRegistry registry;
+    size_t first = registry.metricId("test.cells.counter",
+                                     MetricKind::Counter);
+    size_t cells = 1;
+    size_t histograms = 0;
+    while (cells + MetricsRegistry::kHistogramBuckets + 1 <=
+           MetricsRegistry::kMaxCells) {
+        registry.metricId("test.cells.histogram." +
+                              std::to_string(histograms++),
+                          MetricKind::Histogram);
+        cells += MetricsRegistry::kHistogramBuckets + 1;
+    }
+    ASSERT_LT(registry.registered(), MetricsRegistry::kMaxMetrics);
+    size_t overflow =
+        registry.metricId("test.cells.overflow", MetricKind::Timer);
+    EXPECT_EQ(overflow, MetricsRegistry::kOverflowId);
+    EXPECT_NE(overflow, first);
+    registry.observe(overflow, 1000);
+    registry.observe(overflow, UINT64_MAX);
+    registry.add(overflow, 3);
+    EXPECT_EQ(registry.counterTotal("test.cells.counter"), 0u);
+    for (size_t i = 0; i < histograms; ++i) {
+        std::string name = "test.cells.histogram." + std::to_string(i);
+        EXPECT_EQ(registry.histogramCount(name), 0u) << name;
+        EXPECT_EQ(registry.histogramSum(name), 0u) << name;
+    }
 }
 
 /** Concurrent SQLPP_SPAN use: timer counts must be exact too. */
