@@ -36,24 +36,6 @@ CampaignStats::merge(const CampaignStats &other)
                             other.planFingerprints.end());
 }
 
-bool
-CampaignStats::operator==(const CampaignStats &other) const
-{
-    return setupGenerated == other.setupGenerated &&
-           setupSucceeded == other.setupSucceeded &&
-           checksAttempted == other.checksAttempted &&
-           checksValid == other.checksValid &&
-           bugsDetected == other.bugsDetected &&
-           bugsByOracle == other.bugsByOracle &&
-           checksInapplicable == other.checksInapplicable &&
-           resourceErrors == other.resourceErrors &&
-           refreshRetries == other.refreshRetries &&
-           shardsAbandoned == other.shardsAbandoned &&
-           curve == other.curve &&
-           prioritizedBugs == other.prioritizedBugs &&
-           planFingerprints == other.planFingerprints;
-}
-
 CampaignRunner::CampaignRunner(CampaignConfig config)
     : config_(std::move(config))
 {

@@ -208,7 +208,7 @@ struct CampaignStats
     void merge(const CampaignStats &other);
 
     /** Field-by-field equality (checkpoint/resume verification). */
-    bool operator==(const CampaignStats &other) const;
+    bool operator==(const CampaignStats &other) const = default;
 };
 
 /** Runs campaigns against one dialect. */

@@ -51,16 +51,7 @@ struct BugCase
      */
     std::vector<std::string> queries;
 
-    bool
-    operator==(const BugCase &other) const
-    {
-        return dialect == other.dialect && oracle == other.oracle &&
-               execMode == other.execMode && setup == other.setup &&
-               baseText == other.baseText &&
-               predicateText == other.predicateText &&
-               featureNames == other.featureNames &&
-               details == other.details && queries == other.queries;
-    }
+    bool operator==(const BugCase &other) const = default;
 };
 
 /**
