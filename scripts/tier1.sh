@@ -5,43 +5,42 @@
 #                     sub-second suites, for a quick inner loop.
 #   2. full suite   — every registered test (unit + integration +
 #                     smoke), the bar every PR must clear. The smoke
-#                     tests include deep_replay_smoke: a repro.sql
-#                     whose predicate nests 5,000 parentheses must
-#                     replay to the parser's "nested too deeply"
-#                     SyntaxError, not kill dialect_probe by a signal.
-#   3. trace lane   — run the flight-recorder smoke test against the
-#                     main build.
-#   4. bench lane   — run the campaign benchmark's self-test
+#                     tests drive the built binaries end to end, each
+#                     run once here:
+#                       metrics_smoke, trace_smoke — the metrics JSON
+#                         and the flight-recorder trace and dossiers;
+#                       guided_smoke — fixed-seed guided campaigns are
+#                         byte-deterministic at --workers 1 and beat
+#                         the adaptive lane on unique plan fingerprints
+#                         at the same statement budget;
+#                       status_smoke — the /status, /metrics and /trace
+#                         endpoints answer while a campaign runs;
+#                       txn_replay_smoke — a tick-annotated
+#                         transactional dossier (bug_hunt --oracles
+#                         iso) replays through dialect_probe;
+#                       deep_replay_smoke — a repro.sql whose
+#                         predicate nests 5,000 parentheses replays to
+#                         the parser's "nested too deeply" SyntaxError,
+#                         not a signal.
+#   3. bench lane   — run the campaign benchmark's self-test
 #                     (campaign_bench/test_bench.py): the benchmark
 #                     compiles the library sources itself, so this
 #                     proves it still builds, reports every metric of
 #                     BENCHMARK.json, and passes its pinned-digest gate.
-#   5. asan lane    — rebuild in a separate tree with
+#   4. asan lane    — rebuild in a separate tree with
 #                     -DSQLPP_SANITIZE=address and rerun the unit lane
 #                     under AddressSanitizer plus UBSan (any undefined
 #                     behaviour aborts the test) with libstdc++'s
 #                     _GLIBCXX_ASSERTIONS bounds checks.
-#   6. guided lane  — run the guided-generation smoke test: fixed-seed
-#                     guided campaigns must be byte-deterministic at
-#                     --workers 1 (stdout table, metrics JSON, and the
-#                     learning-curve trajectory), and the guided lanes
-#                     must beat the adaptive lane on unique plan
-#                     fingerprints at the same statement budget.
-#   7. status lane  — run the live status-service smoke test (the
-#                     /status, /metrics, and /trace endpoints answer
-#                     while a campaign runs).
-#   8. txn lanes    — replay-smoke a tick-annotated transactional
-#                     dossier (bug_hunt --oracles iso → dialect_probe
-#                     --replay), then rebuild with
-#                     -DSQLPP_SANITIZE=thread and run the interleaving,
-#                     scheduler, and telemetry suites under
-#                     ThreadSanitizer: the multi-session transaction
-#                     tests, the worker pool, and the shard-bound
-#                     metric/trace/progress lanes with their live
-#                     readers are the code most worth race-checking.
+#   5. tsan lane    — rebuild with -DSQLPP_SANITIZE=thread and run the
+#                     interleaving, scheduler, and telemetry suites
+#                     under ThreadSanitizer: the multi-session
+#                     transaction tests, the worker pool, and the
+#                     shard-bound metric/trace/progress lanes with
+#                     their live readers are the code most worth
+#                     race-checking.
 #
-# Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-trace]
-#                         [--no-guided] [--no-status] [--no-txn] [-j N]
+# Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-txn] [-j N]
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,25 +50,16 @@ TSAN_BUILD="$ROOT/build-tsan"
 JOBS=4
 RUN_FULL=1
 RUN_ASAN=1
-RUN_TRACE=1
 RUN_BENCH=1
-RUN_GUIDED=1
-RUN_STATUS=1
 RUN_TXN=1
 
 while [ $# -gt 0 ]; do
     case "$1" in
-      --unit-only)
-          RUN_FULL=0; RUN_ASAN=0; RUN_TRACE=0; RUN_BENCH=0
-          RUN_GUIDED=0; RUN_STATUS=0; RUN_TXN=0 ;;
+      --unit-only) RUN_FULL=0; RUN_ASAN=0; RUN_BENCH=0; RUN_TXN=0 ;;
       --no-asan) RUN_ASAN=0 ;;
-      --no-trace) RUN_TRACE=0 ;;
-      --no-guided) RUN_GUIDED=0 ;;
-      --no-status) RUN_STATUS=0 ;;
       --no-txn) RUN_TXN=0 ;;
       -j) JOBS="$2"; shift ;;
-      *) echo "usage: $0 [--unit-only] [--no-asan] [--no-trace]" \
-             "[--no-guided] [--no-status] [--no-txn] [-j N]" >&2
+      *) echo "usage: $0 [--unit-only] [--no-asan] [--no-txn] [-j N]" >&2
          exit 2 ;;
     esac
     shift
@@ -89,12 +79,6 @@ if [ "$RUN_FULL" -eq 1 ]; then
         --timeout 300
 fi
 
-if [ "$RUN_TRACE" -eq 1 ]; then
-    echo "== tier1: flight-recorder smoke =="
-    "$ROOT/scripts/trace_smoke.sh" "$BUILD/examples/bug_hunt" \
-        "$BUILD/examples/dialect_probe"
-fi
-
 if [ "$RUN_BENCH" -eq 1 ]; then
     echo "== tier1: campaign benchmark self-test =="
     (cd "$ROOT" && python3 campaign_bench/test_bench.py)
@@ -109,22 +93,7 @@ if [ "$RUN_ASAN" -eq 1 ]; then
         -j "$JOBS" --timeout 300
 fi
 
-if [ "$RUN_GUIDED" -eq 1 ]; then
-    echo "== tier1: guided-generation smoke =="
-    "$ROOT/scripts/guided_smoke.sh" "$BUILD/examples/bug_hunt" \
-        "$BUILD/bench/learning_curve"
-fi
-
-if [ "$RUN_STATUS" -eq 1 ]; then
-    echo "== tier1: status-service smoke =="
-    "$ROOT/scripts/status_smoke.sh" "$BUILD/examples/bug_hunt"
-fi
-
 if [ "$RUN_TXN" -eq 1 ]; then
-    echo "== tier1: transactional dossier replay smoke =="
-    "$ROOT/scripts/txn_replay_smoke.sh" "$BUILD/examples/bug_hunt" \
-        "$BUILD/examples/dialect_probe"
-
     echo "== tier1: tsan interleaving lane =="
     cmake -B "$TSAN_BUILD" -S "$ROOT" -DSQLPP_SANITIZE=thread \
         >/dev/null
