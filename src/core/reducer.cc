@@ -3,32 +3,42 @@
 #include "parser/parser.h"
 #include "sqlir/printer.h"
 #include "util/metrics.h"
-#include "util/strutil.h"
 #include "util/trace.h"
 
 namespace sqlpp {
 
 namespace {
 
-bool
-opensTxnBlock(const std::string &statement)
+/** A setup statement's part in transaction control. */
+enum class TxnRole
 {
-    std::string upper = toUpper(std::string(trim(statement)));
-    return upper == "BEGIN" || startsWith(upper, "BEGIN ");
-}
+    None,
+    /** BEGIN [TRANSACTION]. */
+    Opens,
+    /** COMMIT or ROLLBACK; ROLLBACK TO [SAVEPOINT] is None. */
+    Closes,
+};
 
-bool
-closesTxnBlock(const std::string &statement)
+/**
+ * Classify by the parsed statement, so every form the parser accepts
+ * counts ("BEGIN;", "commit transaction", any whitespace between
+ * words). A statement that does not parse never runs, so it is None.
+ */
+TxnRole
+txnRole(const std::string &statement)
 {
-    std::string upper = toUpper(std::string(trim(statement)));
-    if (upper == "COMMIT" || startsWith(upper, "COMMIT "))
-        return true;
-    // ROLLBACK ends the transaction; ROLLBACK TO [SAVEPOINT] does not.
-    if (upper == "ROLLBACK")
-        return true;
-    return startsWith(upper, "ROLLBACK ") &&
-           !startsWith(upper, "ROLLBACK TO") &&
-           !startsWith(upper, "ROLLBACK TRANSACTION TO");
+    auto parsed = parseStatement(statement);
+    if (!parsed.isOk())
+        return TxnRole::None;
+    switch (parsed.value()->kind()) {
+      case StmtKind::Begin:
+        return TxnRole::Opens;
+      case StmtKind::Commit:
+      case StmtKind::Rollback:
+        return TxnRole::Closes;
+      default:
+        return TxnRole::None;
+    }
 }
 
 /**
@@ -37,22 +47,23 @@ closesTxnBlock(const std::string &statement)
  * or only its COMMIT would change the meaning of every following
  * statement — the rest of the block would silently join the
  * surrounding transaction state); everything else is a unit of one.
- * Returned as (start, length) pairs over the current setup.
+ * Returned as (start, length) pairs over the setup whose statements
+ * have @p roles.
  */
 std::vector<std::pair<size_t, size_t>>
-eliminationUnits(const std::vector<std::string> &setup)
+eliminationUnits(const std::vector<TxnRole> &roles)
 {
     std::vector<std::pair<size_t, size_t>> units;
-    for (size_t i = 0; i < setup.size();) {
-        if (!opensTxnBlock(setup[i])) {
+    for (size_t i = 0; i < roles.size();) {
+        if (roles[i] != TxnRole::Opens) {
             units.emplace_back(i, 1);
             ++i;
             continue;
         }
         size_t end = i + 1;
-        while (end < setup.size() && !closesTxnBlock(setup[end]))
+        while (end < roles.size() && roles[end] != TxnRole::Closes)
             ++end;
-        if (end < setup.size())
+        if (end < roles.size())
             ++end; // include the COMMIT/ROLLBACK
         units.emplace_back(i, end - i);
         i = end;
@@ -135,21 +146,26 @@ reduceBugCase(BugCase &bug, const ReplayFn &replay, size_t max_replays)
     // index (the next candidate just shifted into it) — restarting
     // from 0 would re-replay prefixes already proven necessary this
     // pass.
+    std::vector<TxnRole> roles;
+    for (const std::string &statement : bug.setup)
+        roles.push_back(txnRole(statement));
     bool progress = true;
     while (progress && stats.replays < max_replays) {
         progress = false;
         for (size_t u = 0; stats.replays < max_replays;) {
             std::vector<std::pair<size_t, size_t>> units =
-                eliminationUnits(bug.setup);
+                eliminationUnits(roles);
             if (u >= units.size())
                 break;
             auto [start, length] = units[u];
+            auto first = static_cast<long>(start);
+            auto last = static_cast<long>(start + length);
             std::vector<std::string> saved = bug.setup;
-            bug.setup.erase(
-                bug.setup.begin() + static_cast<long>(start),
-                bug.setup.begin() + static_cast<long>(start + length));
+            bug.setup.erase(bug.setup.begin() + first,
+                            bug.setup.begin() + last);
             ++stats.replays;
             if (replay(bug)) {
+                roles.erase(roles.begin() + first, roles.begin() + last);
                 progress = true;
             } else {
                 bug.setup = std::move(saved);

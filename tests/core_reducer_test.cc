@@ -7,6 +7,7 @@
 
 #include "core/campaign.h"
 #include "core/reducer.h"
+#include "parser/parser.h"
 
 namespace sqlpp {
 namespace {
@@ -137,6 +138,66 @@ TEST(ReducerTest, TxnBlocksAreAtomicEliminationUnits)
     ASSERT_TRUE(replay(bug));
     ReduceStats stats = reduceBugCase(bug, replay);
     EXPECT_EQ(stats.setupBefore, 10u);
+    ASSERT_EQ(bug.setup.size(), 2u);
+    EXPECT_EQ(bug.setup[0], "CREATE TABLE t0 (a INT)");
+    EXPECT_EQ(bug.setup[1], "INSERT INTO t0 VALUES (7)");
+}
+
+TEST(ReducerTest, TxnUnitsCoverEveryFormTheParserAccepts)
+{
+    // Transaction control is recognised in every spelling the parser
+    // accepts: a trailing ";", any whitespace between words, any case.
+    // "ROLLBACK TO sp;" rolls back to a savepoint and does not end the
+    // block. The replay predicate tracks blocks by parsed statement
+    // kind and rejects unbalanced transaction control, so a reducer
+    // that split a block would keep its BEGIN and COMMIT behind.
+    BugCase bug;
+    bug.setup = {
+        "CREATE TABLE t0 (a INT)",       // load-bearing
+        "BEGIN;",                        // block 1: irrelevant
+        "INSERT INTO t9 VALUES (1)",
+        "COMMIT;",
+        "BEGIN\tTRANSACTION",            // block 2: irrelevant
+        "SAVEPOINT sp",
+        "INSERT INTO t9 VALUES (2)",
+        "ROLLBACK TO sp;",
+        "INSERT INTO t9 VALUES (3)",
+        "ROLLBACK;",
+        "INSERT INTO t0 VALUES (7)",     // load-bearing
+    };
+    bug.predicateText = "TRUE";
+    auto replay = [](const BugCase &candidate) {
+        int depth = 0;
+        bool sawTable = false, sawInsert = false;
+        for (const std::string &statement : candidate.setup) {
+            auto parsed = parseStatement(statement);
+            if (!parsed.isOk())
+                return false;
+            StmtKind kind = parsed.value()->kind();
+            if (kind == StmtKind::Begin) {
+                if (depth != 0)
+                    return false; // nested BEGIN: malformed
+                depth = 1;
+            } else if (kind == StmtKind::Commit ||
+                       kind == StmtKind::Rollback) {
+                if (depth != 1)
+                    return false; // dangling COMMIT/ROLLBACK
+                depth = 0;
+            } else if (kind == StmtKind::Savepoint ||
+                       kind == StmtKind::RollbackTo) {
+                if (depth != 1)
+                    return false; // savepoint outside a block
+            } else if (statement.rfind("CREATE TABLE t0", 0) == 0) {
+                sawTable = true;
+            } else if (statement.rfind("INSERT INTO t0", 0) == 0) {
+                sawInsert = true;
+            }
+        }
+        return depth == 0 && sawTable && sawInsert;
+    };
+    ASSERT_TRUE(replay(bug));
+    ReduceStats stats = reduceBugCase(bug, replay);
+    EXPECT_EQ(stats.setupBefore, 11u);
     ASSERT_EQ(bug.setup.size(), 2u);
     EXPECT_EQ(bug.setup[0], "CREATE TABLE t0 (a INT)");
     EXPECT_EQ(bug.setup[1], "INSERT INTO t0 VALUES (7)");
