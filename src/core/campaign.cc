@@ -273,14 +273,17 @@ CampaignRunner::run()
             bug.details = result.details;
             bug.queries = std::move(result.queries);
             if (config_.reduce) {
+                // One cache for every replay of this bug, freed with it.
+                StatementCache cache;
                 reduceBugCase(bug, [&](const BugCase &candidate) {
-                    return reproduces(profile, candidate);
+                    return reproduces(profile, candidate, nullptr,
+                                      &cache);
                 });
                 // The reduced case issues different SQL; refresh the
                 // recorded statement list from a final replay so the
                 // repro always carries exactly what it runs.
                 OracleResult replay;
-                if (reproduces(profile, bug, &replay))
+                if (reproduces(profile, bug, &replay, &cache))
                     bug.queries = std::move(replay.queries);
             }
             stats.prioritizedBugs.push_back(std::move(bug));
@@ -358,7 +361,8 @@ CampaignRunner::run()
 
 bool
 CampaignRunner::reproduces(const DialectProfile &profile,
-                           const BugCase &bug, OracleResult *replayed)
+                           const BugCase &bug, OracleResult *replayed,
+                           StatementCache *cache)
 {
     // Replay under the execution mode the bug was found with. Names this
     // build does not know (e.g. the retired "batch" pipeline) leave the
@@ -366,7 +370,7 @@ CampaignRunner::reproduces(const DialectProfile &profile,
     ConnectionOptions options;
     if (!bug.execMode.empty())
         (void)parseExecMode(bug.execMode, options.execMode);
-    Connection connection(profile, options);
+    Connection connection(profile, options, cache);
     for (const std::string &statement : bug.setup)
         (void)connection.executeAdapted(statement);
     auto oracle = makeOracle(bug.oracle);
@@ -396,12 +400,14 @@ std::optional<FaultId>
 CampaignRunner::attributeFault(const DialectProfile &profile,
                                const BugCase &bug)
 {
-    if (!reproduces(profile, bug))
+    // The parser takes no profile: one parse serves every ablation.
+    StatementCache cache;
+    if (!reproduces(profile, bug, nullptr, &cache))
         return std::nullopt;
     for (FaultId fault : profile.faults.ids()) {
         DialectProfile ablated = profile;
         ablated.faults.disable(fault);
-        if (!reproduces(ablated, bug))
+        if (!reproduces(ablated, bug, nullptr, &cache))
             return fault;
     }
     return std::nullopt;

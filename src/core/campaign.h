@@ -239,15 +239,19 @@ class CampaignRunner
      * Replay a bug case on a profile: rebuild the database, rerun the
      * oracle. True when the bug still manifests. When @p replayed is
      * non-null it receives the oracle's full result (e.g. to refresh a
-     * reduced case's recorded query list).
+     * reduced case's recorded query list). A replay loop passes one
+     * @p cache to all its replays so each distinct text is parsed
+     * once; with none every statement is parsed afresh.
      */
     static bool reproduces(const DialectProfile &profile,
                            const BugCase &bug,
-                           OracleResult *replayed = nullptr);
+                           OracleResult *replayed = nullptr,
+                           StatementCache *cache = nullptr);
 
     /**
      * Ground-truth attribution: find the injected fault whose removal
      * makes the bug disappear. nullopt when no single fault explains it.
+     * The replays on every ablated profile share one StatementCache.
      */
     static std::optional<FaultId>
     attributeFault(const DialectProfile &profile, const BugCase &bug);

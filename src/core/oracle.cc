@@ -8,6 +8,7 @@
 #include "core/rewrite.h"
 #include "core/txn_gen.h"
 #include "engine/eval.h"
+#include "parser/statement_cache.h"
 #include "sqlir/printer.h"
 #include "util/metrics.h"
 #include "util/strutil.h"
@@ -463,6 +464,20 @@ committedBefore(const std::vector<IsoSessionMeta> &meta,
 }
 
 /**
+ * Database::execute through a schedule's cache: the same parse, then
+ * the same executeStmt, without parsing a text twice.
+ */
+StatusOr<ResultSet>
+executeCached(Database &db, StatementCache &cache, const std::string &sql,
+              SessionId session = Database::kDefaultSession)
+{
+    const StatusOr<StmtPtr> &parsed = cache.parse(sql);
+    if (!parsed.isOk())
+        return parsed.status();
+    return db.executeStmt(*parsed.value(), ExecMode::Optimized, session);
+}
+
+/**
  * The serial-order witness for one read (or, with readTick ==
  * schedule.steps.size(), for the final committed state): a fault-free
  * engine replays setup, then every session committed before the
@@ -471,13 +486,14 @@ committedBefore(const std::vector<IsoSessionMeta> &meta,
  */
 StatusOr<ResultSet>
 isoWitness(const EngineBehavior &behavior, const TxnSchedule &schedule,
-           const std::vector<IsoSessionMeta> &meta, size_t readTick)
+           const std::vector<IsoSessionMeta> &meta, size_t readTick,
+           StatementCache &cache)
 {
     EngineConfig config;
     config.behavior = behavior;
     Database witness(config);
     for (const std::string &statement : schedule.setup) {
-        auto r = witness.execute(statement);
+        auto r = executeCached(witness, cache, statement);
         if (!r.isOk())
             return r.status();
     }
@@ -492,22 +508,23 @@ isoWitness(const EngineBehavior &behavior, const TxnSchedule &schedule,
         for (const TxnStep &step : schedule.steps) {
             if (step.session != session)
                 continue;
-            auto r = witness.execute(step.sql);
+            auto r = executeCached(witness, cache, step.sql);
             if (!r.isOk())
                 return r.status();
         }
     }
     if (final_state)
-        return witness.execute(schedule.finalQuery);
+        return executeCached(witness, cache, schedule.finalQuery);
     for (size_t tick = meta[reader].beginTick; tick < readTick; ++tick) {
         const TxnStep &step = schedule.steps[tick];
         if (step.session != reader)
             continue;
-        auto r = witness.execute(step.sql);
+        auto r = executeCached(witness, cache, step.sql);
         if (!r.isOk())
             return r.status();
     }
-    return witness.execute(schedule.steps[readTick].sql);
+    return executeCached(witness, cache,
+                         schedule.steps[readTick].sql);
 }
 
 /** Run one schedule: observed (faulty) engine vs serial witnesses. */
@@ -518,13 +535,16 @@ runIsoSchedule(const DialectProfile &profile,
     OracleResult result;
     result.queries = renderTxnSchedule(schedule);
     std::vector<IsoSessionMeta> meta = analyzeSchedule(schedule);
+    // The observed engine and every witness replay the same texts:
+    // parse each once for this schedule.
+    StatementCache cache;
 
     EngineConfig observed_config;
     observed_config.behavior = profile.behavior;
     observed_config.faults = profile.faults;
     Database observed(observed_config);
     for (const std::string &statement : schedule.setup) {
-        auto r = observed.execute(statement);
+        auto r = executeCached(observed, cache, statement);
         if (!r.isOk()) {
             result.details =
                 "setup failed: " + r.status().toString();
@@ -537,7 +557,8 @@ runIsoSchedule(const DialectProfile &profile,
 
     for (size_t tick = 0; tick < schedule.steps.size(); ++tick) {
         const TxnStep &step = schedule.steps[tick];
-        auto r = observed.execute(step.sql, sessions[step.session]);
+        auto r = executeCached(observed, cache, step.sql,
+                               sessions[step.session]);
         if (!r.isOk()) {
             result.details = format("t%02zu failed: ", tick) +
                              r.status().toString();
@@ -546,7 +567,7 @@ runIsoSchedule(const DialectProfile &profile,
         if (!step.isRead)
             continue;
         auto expected = isoWitness(profile.behavior, schedule, meta,
-                                   tick);
+                                   tick, cache);
         if (!expected.isOk()) {
             result.details = "witness failed: " +
                              expected.status().toString();
@@ -565,14 +586,15 @@ runIsoSchedule(const DialectProfile &profile,
     }
 
     // Final committed state vs serial replay of committed sessions.
-    auto final_observed = observed.execute(schedule.finalQuery);
+    auto final_observed = executeCached(observed, cache,
+                                        schedule.finalQuery);
     if (!final_observed.isOk()) {
         result.details = "final read failed: " +
                          final_observed.status().toString();
         return result;
     }
     auto final_expected = isoWitness(profile.behavior, schedule, meta,
-                                     schedule.steps.size());
+                                     schedule.steps.size(), cache);
     if (!final_expected.isOk()) {
         result.details = "final witness failed: " +
                          final_expected.status().toString();

@@ -68,6 +68,8 @@ struct ReduceStats
     size_t predicateNodesBefore = 0;
     size_t predicateNodesAfter = 0;
     size_t replays = 0;
+
+    bool operator==(const ReduceStats &other) const = default;
 };
 
 /**

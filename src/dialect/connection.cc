@@ -1,6 +1,7 @@
 #include "dialect/connection.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "parser/parser.h"
@@ -59,6 +60,14 @@ Connection::Connection(const DialectProfile &profile,
     config.faults = profile.faults;
     config.budget = options.budget;
     db_ = std::make_shared<Database>(config);
+}
+
+Connection::Connection(const DialectProfile &profile,
+                       const ConnectionOptions &options,
+                       StatementCache *cache)
+    : Connection(profile, options)
+{
+    cache_ = cache;
 }
 
 Connection::Connection(const DialectProfile &profile,
@@ -166,7 +175,10 @@ Connection::executeInternal(const std::string &sql)
         return handleRefresh(table);
     }
 
-    auto parsed = parseStatement(sql);
+    std::optional<StatusOr<StmtPtr>> fresh;
+    const StatusOr<StmtPtr> &parsed =
+        cache_ != nullptr ? cache_->parse(sql)
+                          : fresh.emplace(parseStatement(sql));
     if (!parsed.isOk())
         return parsed.status();
     const Stmt &stmt = *parsed.value();

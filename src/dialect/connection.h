@@ -21,6 +21,7 @@
 
 #include "dialect/profile.h"
 #include "engine/database.h"
+#include "parser/statement_cache.h"
 
 namespace sqlpp {
 
@@ -66,6 +67,16 @@ class Connection
     Connection(const DialectProfile &profile,
                const ConnectionOptions &options,
                std::shared_ptr<Database> db);
+
+    /**
+     * A fresh session that parses through @p cache: each distinct text
+     * is parsed once across every connection sharing the cache. For
+     * replay loops, which run the same texts on fresh databases; the
+     * cache must outlive the connection. A null cache parses every
+     * statement afresh, as the two-argument form does.
+     */
+    Connection(const DialectProfile &profile,
+               const ConnectionOptions &options, StatementCache *cache);
 
     /**
      * Execute one SQL statement exactly as a client would: parse,
@@ -139,6 +150,8 @@ class Connection
     const DialectProfile &profile_;
     ConnectionOptions options_;
     std::shared_ptr<Database> db_;
+    /** Parse outcomes shared with other replays; null parses afresh. */
+    StatementCache *cache_ = nullptr;
     /** Engine session this connection's statements run on. */
     SessionId session_ = Database::kDefaultSession;
     /** Buffered INSERTs per refresh-required dialect semantics. */
