@@ -17,10 +17,15 @@
 # campaign_bench/ itself is only read.
 #
 # Output: one line per pair, then each side's median and quartiles of
-# checks_per_s, the change's win count, whether bugs_distinct,
-# plans_unique and invalid_check_pct agreed on every seed, and each
-# side's median of the other end-to-end metrics. The exit code is
-# non-zero when a run fails its gate.
+# checks_per_s, the change's win count, and whether checks_per_s meets
+# the gain rule: the change wins at least 9 of 10 pairs and its median
+# beats the parent's by more than the parent's quartile spread. Then
+# whether bugs_distinct, plans_unique and invalid_check_pct agreed on
+# every seed; for each end-to-end metric, both medians and whether the
+# change is worse than the metric's bound in its direction; and each
+# side's share of failed operations. Metrics, directions and bounds are
+# read from BENCHMARK.json. The exit code is non-zero when a run fails
+# its gate.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -68,13 +73,18 @@ for ((i = 0; i < PAIRS; ++i)); do
     done
 done
 
-python3 - "$WORK" "$FIRST_SEED" "$PAIRS" <<'EOF'
+python3 - "$WORK" "$FIRST_SEED" "$PAIRS" "$ROOT/BENCHMARK.json" <<'EOF'
 import json
 import statistics
 import sys
 
 work, first, pairs = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+with open(sys.argv[4]) as handle:
+    END_TO_END = json.load(handle)["end_to_end"]
+SIDES = ("parent", "change")
 SAME = ("bugs_distinct", "plans_unique", "invalid_check_pct")
+CLAIM = "checks_per_s"
+seeds = range(first, first + pairs)
 
 
 def load(side, seed):
@@ -87,36 +97,77 @@ def quartiles(values):
     return median, q1, q3
 
 
-runs = {side: [] for side in ("parent", "change")}
-wins, same, ok = 0, True, True
-for seed in range(first, first + pairs):
-    parent, change = load("parent", seed), load("change", seed)
-    ok = ok and parent["correct"] and change["correct"]
-    p = parent["metrics"]["checks_per_s"]["value"]
-    c = change["metrics"]["checks_per_s"]["value"]
-    runs["parent"].append(p)
-    runs["change"].append(c)
-    wins += c > p
-    agree = all(parent["metrics"][m]["value"] == change["metrics"][m]["value"]
+def gain(parent, change, better):
+    """Relative change from parent to change, positive when better."""
+    if parent == change:
+        return 0.0
+    if parent == 0:
+        improved = (change > parent) == (better == "higher")
+        return float("inf") if improved else float("-inf")
+    delta = (change - parent) / abs(parent)
+    return delta if better == "higher" else -delta
+
+
+results = {side: [load(side, seed) for seed in seeds] for side in SIDES}
+values = {side: {spec["name"]: [r["metrics"][spec["name"]]["value"]
+                                for r in results[side]]
+                 for spec in END_TO_END}
+          for side in SIDES}
+ok = all(r["correct"] for side in SIDES for r in results[side])
+
+claim = next(spec for spec in END_TO_END if spec["name"] == CLAIM)
+wins, same = 0, True
+for i, seed in enumerate(seeds):
+    p, c = values["parent"][CLAIM][i], values["change"][CLAIM][i]
+    won = gain(p, c, claim["better"]) > 0
+    wins += won
+    agree = all(values["parent"][m][i] == values["change"][m][i]
                 for m in SAME)
     same = same and agree
     print(f"seed {seed:4d}: parent {p:9.1f}  change {c:9.1f}  "
-          f"{100 * (c / p - 1):+6.1f}%  {'win' if c > p else 'loss'}"
+          f"{100 * gain(p, c, claim['better']):+6.1f}%  "
+          f"{'win' if won else 'loss'}"
           f"{'' if agree else '  (metrics differ)'}")
-for side, values in runs.items():
-    median, q1, q3 = quartiles(values)
-    print(f"{side:6s} checks_per_s median {median:9.1f}  "
+for side in SIDES:
+    median, q1, q3 = quartiles(values[side][CLAIM])
+    print(f"{side:6s} {CLAIM} median {median:9.1f}  "
           f"quartiles {q1:9.1f} - {q3:9.1f}")
-p_med, p_q1, p_q3 = quartiles(runs["parent"])
-c_med = quartiles(runs["change"])[0]
-print(f"change wins {wins}/{pairs}; median gain {100 * (c_med / p_med - 1):+.1f}%"
+
+# The gain rule: the change wins at least 9 of every 10 pairs, and its
+# median beats the parent's by more than the parent's quartile spread.
+p_med, p_q1, p_q3 = quartiles(values["parent"][CLAIM])
+c_med = quartiles(values["change"][CLAIM])[0]
+margin = c_med - p_med if claim["better"] == "higher" else p_med - c_med
+rule = 10 * wins >= 9 * pairs and margin > p_q3 - p_q1
+print(f"change wins {wins}/{pairs}; median gain "
+      f"{100 * gain(p_med, c_med, claim['better']):+.1f}%"
       f" (parent quartile spread {100 * (p_q3 - p_q1) / p_med:.1f}%)")
+print(f"{CLAIM} gain rule (>= 9/10 wins and median gain > parent "
+      f"quartile spread): {'met' if rule else 'NOT met'}")
 print(f"{', '.join(SAME)} identical per seed: {'yes' if same else 'NO'}")
-for metric in ("checks_per_cpu_s", "setup_s", "peak_rss_mb"):
-    medians = [statistics.median(load(side, seed)["metrics"][metric]["value"]
-                                 for seed in range(first, first + pairs))
-               for side in ("parent", "change")]
-    print(f"{metric} median: parent {medians[0]:.4g}  change {medians[1]:.4g}"
-          f"  ({100 * (medians[1] / medians[0] - 1):+.1f}%)")
+
+# Every end-to-end metric against its bound, on the medians.
+worse_any = False
+for spec in END_TO_END:
+    name, better, bound = spec["name"], spec["better"], spec["bound"]
+    p, c = (statistics.median(values[side][name]) for side in SIDES)
+    g = gain(p, c, better)
+    worse = g < -bound
+    worse_any = worse_any or worse
+    print(f"{name:17s} median: parent {p:10.4g}  change {c:10.4g}  "
+          f"{100 * g:+7.1f}% ({better} is better, bound "
+          f"{100 * bound:.0f}%): {'WORSE than bound' if worse else 'ok'}")
+share = {}
+for side in SIDES:
+    attempted = sum(r["attempted"] for r in results[side])
+    failed = sum(r["failed"] for r in results[side])
+    share[side] = failed / max(attempted, 1)
+    print(f"{side:6s} failed operations: {failed}/{attempted} "
+          f"({100 * share[side]:.2f}%)")
+more_failures = share["change"] > share["parent"]
+print("verdict: " + ("a metric is WORSE than its bound" if worse_any
+                     else "no metric worse than its bound") +
+      ("; the change FAILS a larger share of operations" if more_failures
+       else ""))
 sys.exit(0 if ok else 1)
 EOF
