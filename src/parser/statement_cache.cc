@@ -7,7 +7,6 @@ namespace sqlpp {
 const StatusOr<StmtPtr> &
 StatementCache::parse(const std::string &sql)
 {
-    ++lookups_;
     auto found = entries_.find(sql);
     if (found == entries_.end())
         found = entries_.emplace(sql, parseStatement(sql)).first;

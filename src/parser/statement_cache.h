@@ -38,12 +38,8 @@ class StatementCache
     /** Texts parsed so far: the number of distinct texts seen. */
     size_t parses() const { return entries_.size(); }
 
-    /** Calls to parse(), cached or not. */
-    size_t lookups() const { return lookups_; }
-
   private:
     std::unordered_map<std::string, StatusOr<StmtPtr>> entries_;
-    size_t lookups_ = 0;
 };
 
 } // namespace sqlpp

@@ -43,7 +43,6 @@ TEST(StatementCacheTest, SameTextThroughTwoConnectionsParsesOnce)
         EXPECT_EQ(rows.value().rowCount(), 1u);
     }
     EXPECT_EQ(cache.parses(), 3u);
-    EXPECT_EQ(cache.lookups(), 6u);
 }
 
 TEST(StatementCacheTest, SyntaxErrorIsCachedWithItsExactStatus)
@@ -83,7 +82,6 @@ TEST(StatementCacheTest, RefreshIsHandledByTheAdapterNotTheCache)
     ASSERT_TRUE(rows.isOk());
     EXPECT_EQ(rows.value().rowCount(), 2u);
     EXPECT_EQ(crate.statementsIssued(), 6u);
-    EXPECT_EQ(cache.lookups(), 4u);
     EXPECT_EQ(cache.parses(), 4u);
 
     // Where REFRESH is not a statement, the dialect rejects it before
@@ -92,7 +90,7 @@ TEST(StatementCacheTest, RefreshIsHandledByTheAdapterNotTheCache)
     auto refused = sqlite.execute("REFRESH t0");
     ASSERT_FALSE(refused.isOk());
     EXPECT_EQ(refused.status().code(), ErrorCode::SyntaxError);
-    EXPECT_EQ(cache.lookups(), 4u);
+    EXPECT_EQ(cache.parses(), 4u);
 }
 
 /** A TLP bug on sqlite-like, padded with setup the reducer drops. */
@@ -169,11 +167,10 @@ TEST(StatementCacheTest, SharedCacheReducesExactlyLikeFreshParses)
               fresh_stats.predicateNodesBefore);
 
     // The count the replay-scoped cache exists for: 17 replays run 109
-    // statements (setup writes and oracle queries), all through the
-    // cache, which parses only the 31 distinct texts among them.
+    // statements (setup writes and oracle queries), and the cache
+    // parses only the 31 distinct texts among them.
     EXPECT_EQ(fresh_stats.replays + 1, 17u);
     EXPECT_EQ(cached_log.statements, 109u);
-    EXPECT_EQ(cache.lookups(), cached_log.statements);
     EXPECT_EQ(cached_log.texts.size(), 31u);
     EXPECT_EQ(cache.parses(), cached_log.texts.size());
 }
