@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <variant>
+#include <vector>
 
 #include "sqlir/value.h"
 #include "util/rng.h"
@@ -87,6 +89,170 @@ TEST(ValueTest, HashDistinguishesKinds)
     EXPECT_NE(Value::integer(1).hash(), Value::text("1").hash());
     EXPECT_NE(Value::integer(1).hash(), Value::boolean(true).hash());
     EXPECT_EQ(Value::integer(1).hash(), Value::integer(1).hash());
+}
+
+// Pins: the exact renderings, hashes and order of the boundary values.
+// Result digests, dossier ids and plan fingerprints are built from
+// these, so a change of Value's representation must keep them.
+
+const int64_t kMin = std::numeric_limits<int64_t>::min();
+const int64_t kMax = std::numeric_limits<int64_t>::max();
+const std::string kText40 = "0123456789abcdefghijklmnopqrstuvwxyzABCD";
+
+TEST(ValueTest, PinsIntegerBoundaries)
+{
+    EXPECT_EQ(Value::integer(kMin).hash(), 0x2f63e44c8601fa24ULL);
+    EXPECT_EQ(Value::integer(kMax).hash(), 0x2fcdb46494ab8917ULL);
+    EXPECT_EQ(Value::integer(0).hash(), 0xaf63e44c8601fa24ULL);
+    EXPECT_EQ(Value::integer(kMin).literal(), "-9223372036854775808");
+    EXPECT_EQ(Value::integer(kMax).literal(), "9223372036854775807");
+    EXPECT_EQ(Value::integer(0).literal(), "0");
+    EXPECT_EQ(Value::integer(kMin).toString(), "-9223372036854775808");
+    EXPECT_EQ(Value::integer(kMax).toString(), "9223372036854775807");
+    EXPECT_EQ(Value::integer(0).toString(), "0");
+}
+
+TEST(ValueTest, PinsTexts)
+{
+    ASSERT_EQ(kText40.size(), 40u);
+    EXPECT_EQ(Value::text("").hash(), 0xaf63e94c860202a3ULL);
+    EXPECT_EQ(Value::text(kText40).hash(), 0x98f6a482f18e6b5bULL);
+    EXPECT_EQ(Value::text("it's").hash(), 0xd96f236c0b764418ULL);
+    EXPECT_EQ(Value::text("").literal(), "''");
+    EXPECT_EQ(Value::text(kText40).literal(), "'" + kText40 + "'");
+    EXPECT_EQ(Value::text("it's").literal(), "'it''s'");
+    EXPECT_EQ(Value::text("").toString(), "");
+    EXPECT_EQ(Value::text(kText40).toString(), kText40);
+    EXPECT_EQ(Value::text("it's").toString(), "it's");
+}
+
+TEST(ValueTest, PinsBoolsAndNull)
+{
+    EXPECT_EQ(Value::boolean(true).hash(), 0xda942042e4dd58b5ULL);
+    EXPECT_EQ(Value::boolean(false).hash(), 0x2545f4914f6cdd1dULL);
+    EXPECT_EQ(Value::null().hash(), 0x9e3779b97f4a7c15ULL);
+    EXPECT_EQ(Value::boolean(true).literal(), "TRUE");
+    EXPECT_EQ(Value::boolean(false).literal(), "FALSE");
+    EXPECT_EQ(Value::null().literal(), "NULL");
+    EXPECT_EQ(Value::boolean(true).toString(), "TRUE");
+    EXPECT_EQ(Value::boolean(false).toString(), "FALSE");
+    EXPECT_EQ(Value::null().toString(), "NULL");
+}
+
+/** The pinned values, in ascending compareTotal order. */
+std::vector<Value>
+pinnedValuesInOrder()
+{
+    return {Value::null(),         Value::boolean(false),
+            Value::boolean(true),  Value::integer(kMin),
+            Value::integer(0),     Value::integer(kMax),
+            Value::text(""),       Value::text(kText40),
+            Value::text("it's")};
+}
+
+TEST(ValueTest, PinsCompareTotalExactly)
+{
+    // compareTotal answers exactly -1, 0 or 1, never another sign.
+    std::vector<Value> values = pinnedValuesInOrder();
+    for (size_t i = 0; i < values.size(); ++i) {
+        for (size_t j = 0; j < values.size(); ++j) {
+            int expected = i < j ? -1 : (i > j ? 1 : 0);
+            EXPECT_EQ(values[i].compareTotal(values[j]), expected)
+                << values[i].literal() << " vs " << values[j].literal();
+            EXPECT_EQ(values[i] == values[j], i == j);
+            EXPECT_EQ(values[i] < values[j], i < j);
+        }
+    }
+}
+
+/** Every accessor of @p value matches @p expected, kind included. */
+void
+expectSame(const Value &value, const Value &expected)
+{
+    ASSERT_EQ(value.kind(), expected.kind());
+    EXPECT_EQ(value.isNull(), expected.isNull());
+    switch (value.kind()) {
+      case Value::Kind::Null: break;
+      case Value::Kind::Int:
+        EXPECT_EQ(value.asInt(), expected.asInt());
+        break;
+      case Value::Kind::Text:
+        EXPECT_EQ(value.asText(), expected.asText());
+        break;
+      case Value::Kind::Bool:
+        EXPECT_EQ(value.asBool(), expected.asBool());
+        break;
+    }
+    EXPECT_EQ(value.hash(), expected.hash());
+    EXPECT_EQ(value.literal(), expected.literal());
+    EXPECT_EQ(value.compareTotal(expected), 0);
+}
+
+TEST(ValueTest, CopyAndMoveEveryKind)
+{
+    for (const Value &original : pinnedValuesInOrder()) {
+        SCOPED_TRACE(original.literal());
+        Value copy(original);
+        expectSame(copy, original);
+
+        Value source(original);
+        Value moved(std::move(source));
+        expectSame(moved, original);
+
+        // Assignment over every kind, so each kind replaces each other.
+        for (const Value &target : pinnedValuesInOrder()) {
+            Value assigned(target);
+            assigned = original;
+            expectSame(assigned, original);
+
+            Value move_source(original);
+            Value move_assigned(target);
+            move_assigned = std::move(move_source);
+            expectSame(move_assigned, original);
+        }
+
+        Value self(original);
+        const Value &alias = self;
+        self = alias;
+        expectSame(self, original);
+    }
+}
+
+TEST(ValueTest, TextCopyOutlivesItsSource)
+{
+    Value copy;
+    Value assigned = Value::integer(1);
+    {
+        Value source = Value::text(kText40);
+        copy = source;
+        Value second(source);
+        assigned = second;
+    }
+    EXPECT_EQ(copy.asText(), kText40);
+    EXPECT_EQ(assigned.asText(), kText40);
+    std::vector<Value> row;
+    {
+        Value source = Value::text("it's");
+        for (int i = 0; i < 8; ++i)
+            row.push_back(source);
+    }
+    row.resize(64); // Reallocates, moving the shared copies.
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(row[i].literal(), "'it''s'");
+    EXPECT_TRUE(row[8].isNull());
+}
+
+TEST(ValueTest, WrongKindAccessThrows)
+{
+    EXPECT_THROW(Value::null().asInt(), std::bad_variant_access);
+    EXPECT_THROW(Value::null().asText(), std::bad_variant_access);
+    EXPECT_THROW(Value::null().asBool(), std::bad_variant_access);
+    EXPECT_THROW(Value::integer(1).asText(), std::bad_variant_access);
+    EXPECT_THROW(Value::integer(1).asBool(), std::bad_variant_access);
+    EXPECT_THROW(Value::text("1").asInt(), std::bad_variant_access);
+    EXPECT_THROW(Value::text("1").asBool(), std::bad_variant_access);
+    EXPECT_THROW(Value::boolean(true).asInt(), std::bad_variant_access);
+    EXPECT_THROW(Value::boolean(true).asText(), std::bad_variant_access);
 }
 
 TEST(ResultSetTest, MultisetEqualityIgnoresOrder)
