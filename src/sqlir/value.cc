@@ -37,15 +37,12 @@ parseDataType(const std::string &name, DataType &out)
     return false;
 }
 
-Value::Kind
-Value::kind() const
+Value
+Value::text(std::string v)
 {
-    switch (payload_.index()) {
-      case 0: return Kind::Null;
-      case 1: return Kind::Int;
-      case 2: return Kind::Text;
-      default: return Kind::Bool;
-    }
+    Value out(Kind::Text);
+    out.payload_.text = new TextBlock{{1}, std::move(v)};
+    return out;
 }
 
 std::string
@@ -91,23 +88,26 @@ kindRank(Value::Kind kind)
 int
 Value::compareTotal(const Value &other) const
 {
-    int lhs_rank = kindRank(kind());
-    int rhs_rank = kindRank(other.kind());
-    if (lhs_rank != rhs_rank)
+    if (kind_ != other.kind_) {
+        int lhs_rank = kindRank(kind_);
+        int rhs_rank = kindRank(other.kind_);
         return lhs_rank < rhs_rank ? -1 : 1;
-    switch (kind()) {
+    }
+    switch (kind_) {
       case Kind::Null:
         return 0;
       case Kind::Bool:
-        if (asBool() == other.asBool())
+        if (payload_.b == other.payload_.b)
             return 0;
-        return asBool() ? 1 : -1;
+        return payload_.b ? 1 : -1;
       case Kind::Int:
-        if (asInt() == other.asInt())
+        if (payload_.i == other.payload_.i)
             return 0;
-        return asInt() < other.asInt() ? -1 : 1;
+        return payload_.i < other.payload_.i ? -1 : 1;
       case Kind::Text: {
-        int c = asText().compare(other.asText());
+        if (payload_.text == other.payload_.text)
+            return 0;
+        int c = payload_.text->s.compare(other.payload_.text->s);
         return c < 0 ? -1 : (c > 0 ? 1 : 0);
       }
     }

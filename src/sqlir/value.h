@@ -10,6 +10,7 @@
 #ifndef SQLPP_SQLIR_VALUE_H
 #define SQLPP_SQLIR_VALUE_H
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -37,11 +38,18 @@ bool parseDataType(const std::string &name, DataType &out);
  *
  * Booleans are distinct from integers at the Value level; dialects with
  * numeric booleans (SQLite-style) coerce during evaluation, not here.
+ *
+ * Layout: a one-byte kind tag and an 8-byte payload, 16 bytes in all.
+ * The payload holds the integer or boolean itself, or points to an
+ * immutable heap block holding the text. Copies of a text Value share
+ * its block through an atomic reference count, so copying any Value
+ * copies 16 bytes (plus one relaxed increment for text) and never
+ * allocates. A move steals the payload and leaves the source NULL.
  */
 class Value
 {
   public:
-    enum class Kind
+    enum class Kind : uint8_t
     {
         Null,
         Int,
@@ -50,23 +58,87 @@ class Value
     };
 
     /** Default-constructed Value is NULL. */
-    Value() : payload_(std::monostate{}) {}
+    Value() = default;
+
+    Value(const Value &other) noexcept
+        : kind_(other.kind_), payload_(other.payload_)
+    {
+        retain();
+    }
+
+    Value(Value &&other) noexcept
+        : kind_(other.kind_), payload_(other.payload_)
+    {
+        other.kind_ = Kind::Null;
+    }
+
+    Value &
+    operator=(const Value &other) noexcept
+    {
+        // Retain before release, so self-assignment keeps its block.
+        other.retain();
+        release();
+        kind_ = other.kind_;
+        payload_ = other.payload_;
+        return *this;
+    }
+
+    Value &
+    operator=(Value &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            kind_ = other.kind_;
+            payload_ = other.payload_;
+            other.kind_ = Kind::Null;
+        }
+        return *this;
+    }
+
+    ~Value() { release(); }
 
     static Value null() { return Value(); }
-    static Value integer(int64_t v) { return Value(Payload(v)); }
-    static Value text(std::string v) { return Value(Payload(std::move(v))); }
-    static Value boolean(bool v) { return Value(Payload(v)); }
-
-    Kind kind() const;
-    bool isNull() const { return kind() == Kind::Null; }
-
-    /** Accessors; caller must check kind() first. */
-    int64_t asInt() const { return std::get<int64_t>(payload_); }
-    const std::string &asText() const
+    static Value
+    integer(int64_t v)
     {
-        return std::get<std::string>(payload_);
+        Value out(Kind::Int);
+        out.payload_.i = v;
+        return out;
     }
-    bool asBool() const { return std::get<bool>(payload_); }
+    static Value text(std::string v);
+    static Value
+    boolean(bool v)
+    {
+        Value out(Kind::Bool);
+        out.payload_.b = v;
+        return out;
+    }
+
+    Kind kind() const { return kind_; }
+    bool isNull() const { return kind_ == Kind::Null; }
+
+    /**
+     * Accessors; caller must check kind() first. The wrong kind throws
+     * std::bad_variant_access.
+     */
+    int64_t
+    asInt() const
+    {
+        expect(Kind::Int);
+        return payload_.i;
+    }
+    const std::string &
+    asText() const
+    {
+        expect(Kind::Text);
+        return payload_.text->s;
+    }
+    bool
+    asBool() const
+    {
+        expect(Kind::Bool);
+        return payload_.b;
+    }
 
     /**
      * SQL display rendering (NULL, 42, hello, TRUE) as a result cell.
@@ -100,11 +172,52 @@ class Value
     uint64_t hash() const;
 
   private:
-    using Payload = std::variant<std::monostate, int64_t, std::string, bool>;
-    explicit Value(Payload payload) : payload_(std::move(payload)) {}
+    /** The shared, immutable text of a Text Value. */
+    struct TextBlock
+    {
+        std::atomic<uint32_t> refs;
+        std::string s;
+    };
 
-    Payload payload_;
+    union Payload
+    {
+        int64_t i;
+        bool b;
+        TextBlock *text;
+    };
+
+    explicit Value(Kind kind) : kind_(kind) {}
+
+    void
+    expect(Kind kind) const
+    {
+        if (kind_ != kind)
+            throw std::bad_variant_access();
+    }
+
+    void
+    retain() const
+    {
+        if (kind_ == Kind::Text)
+            payload_.text->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /** Drop this owner's reference; the last owner frees the block. */
+    void
+    release()
+    {
+        if (kind_ == Kind::Text &&
+            payload_.text->refs.fetch_sub(1, std::memory_order_acq_rel) ==
+                1)
+            delete payload_.text;
+    }
+
+    Kind kind_ = Kind::Null;
+    /** Zero-initialised, so a BOOL leaves none of its 8 bytes undefined. */
+    Payload payload_{0};
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag plus an 8-byte payload");
 
 /** One result row. */
 using Row = std::vector<Value>;

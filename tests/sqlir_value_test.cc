@@ -218,6 +218,30 @@ TEST(ValueTest, CopyAndMoveEveryKind)
     }
 }
 
+TEST(ValueTest, MovedFromReadsNull)
+{
+    static_assert(sizeof(Value) == 16);
+    for (const Value &original : pinnedValuesInOrder()) {
+        SCOPED_TRACE(original.literal());
+        Value source(original);
+        Value moved(std::move(source));
+        EXPECT_TRUE(source.isNull());
+        EXPECT_EQ(source.literal(), "NULL");
+
+        Value assign_source(original);
+        Value assigned = Value::text("target");
+        assigned = std::move(assign_source);
+        EXPECT_TRUE(assign_source.isNull());
+        expectSame(assigned, original);
+
+        // Self-move keeps the value.
+        Value self(original);
+        Value &alias = self;
+        self = std::move(alias);
+        expectSame(self, original);
+    }
+}
+
 TEST(ValueTest, TextCopyOutlivesItsSource)
 {
     Value copy;
