@@ -7,7 +7,7 @@
  * concurrent-fleet setup); results are merged deterministically, so
  * the table below is identical for any --workers value.
  *
- *   ./bug_hunt [checks-per-dialect] [--workers N]
+ *   ./bug_hunt [checks-per-dialect] [--workers N] [--help]
  *              [--oracles tlp,norec,pqs,eet,iso]
  *              [--guidance off|ucb|thompson]
  *              [--checkpoint FILE] [--resume]
@@ -19,6 +19,10 @@
  *              [--trace-out FILE] [--dossier-dir DIR]
  *              [--curve-interval N] [--log-level LEVEL]
  *              [--status-port N] [--progress SEC]
+ *
+ * --help prints this usage and exits 0. Any other argument that is
+ * not a known flag with its value, or a count of decimal digits,
+ * prints the usage and exits 2.
  *
  * --oracles picks the logic-bug oracles run per query shape
  * (comma-separated, case-insensitive; default tlp,norec). Adding pqs
@@ -88,6 +92,37 @@
 #include "util/trace.h"
 
 using namespace sqlpp;
+
+namespace {
+
+const char kUsage[] =
+    "usage: bug_hunt [checks-per-dialect] [--workers N] [--help]\n"
+    "                [--oracles tlp,norec,pqs,eet,iso]\n"
+    "                [--guidance off|ucb|thompson]\n"
+    "                [--checkpoint FILE] [--resume]\n"
+    "                [--shard-deadline SEC]\n"
+    "                [--max-steps N] [--max-rows N]\n"
+    "                [--max-intermediate-rows N]\n"
+    "                [--metrics-out FILE] [--metrics-summary]\n"
+    "                [--metrics-timings]\n"
+    "                [--trace-out FILE] [--dossier-dir DIR]\n"
+    "                [--curve-interval N] [--log-level LEVEL]\n"
+    "                [--status-port N] [--progress SEC]\n";
+
+/** True if @p text is a non-empty run of decimal digits. */
+bool
+isCount(const char *text)
+{
+    if (*text == '\0')
+        return false;
+    for (; *text != '\0'; ++text) {
+        if (*text < '0' || *text > '9')
+            return false;
+    }
+    return true;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -172,8 +207,17 @@ main(int argc, char **argv)
         } else if (flagValue("--max-intermediate-rows", &value)) {
             budget.maxIntermediateRows =
                 std::strtoull(value, nullptr, 10);
-        } else {
+        } else if (std::strcmp(argv[arg], "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else if (isCount(argv[arg])) {
             checks = std::strtoul(argv[arg], nullptr, 10);
+        } else {
+            // An unknown flag, a flag missing its value, or a count
+            // that is not a number.
+            std::fprintf(stderr, "bug_hunt: bad argument '%s'\n%s",
+                         argv[arg], kUsage);
+            return 2;
         }
     }
     if (resume && checkpoint_path.empty()) {
