@@ -1,7 +1,5 @@
 #include "util/coverage.h"
 
-#include <cassert>
-
 namespace sqlpp {
 
 namespace {
@@ -18,6 +16,8 @@ thread_local CoverageCapture *t_active_capture = nullptr;
 void
 CoverageRegistry::hitSlot(size_t slot_index)
 {
+    if (slot_index >= kMaxProbes)
+        return;
     counts_[slot_index].fetch_add(1, std::memory_order_relaxed);
     if (t_active_capture != nullptr)
         t_active_capture->noteHit(slot_index);
@@ -75,7 +75,11 @@ CoverageRegistry::slot(const std::string &name)
     if (it != slots_.end())
         return it->second;
     size_t index = names_.size();
-    assert(index < kMaxProbes && "coverage probe universe overflow");
+    if (index >= kMaxProbes) {
+        // Registry full: drop the overflow's hits rather than write
+        // past the counters.
+        return kOverflowSlot;
+    }
     slots_.emplace(name, index);
     names_.push_back(name);
     declared_.store(names_.size(), std::memory_order_release);

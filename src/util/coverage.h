@@ -49,6 +49,12 @@ class CoverageRegistry
      * the engine universe is a few hundred probes, far below this.
      */
     static constexpr size_t kMaxProbes = 4096;
+    /**
+     * The slot slot() answers once kMaxProbes names are declared:
+     * never a declared slot, so hits through it are dropped and the
+     * name stays undeclared.
+     */
+    static constexpr size_t kOverflowSlot = kMaxProbes;
 
     CoverageRegistry();
 
@@ -57,7 +63,8 @@ class CoverageRegistry
 
     /**
      * Resolve a probe name to its slot, declaring it if unknown.
-     * Slots are stable for the process lifetime. Thread-safe.
+     * Slots are stable for the process lifetime. A name past capacity
+     * gets kOverflowSlot. Thread-safe.
      */
     size_t slot(const std::string &name);
 
@@ -75,7 +82,7 @@ class CoverageRegistry
     /** Record one hit by name (cold path; resolves the slot). */
     void hit(const std::string &name) { hitSlot(slot(name)); }
 
-    /** Number of declared probes. */
+    /** Number of declared probes, at most kMaxProbes. */
     size_t declared() const
     {
         return declared_.load(std::memory_order_acquire);

@@ -92,6 +92,34 @@ TEST(CoverageTest, ConcurrentHitsLoseNothing)
     EXPECT_EQ(reg.declared(), 1u + kThreads);
 }
 
+TEST(CoverageTest, PastCapacityHitsGoNowhere)
+{
+    // Past kMaxProbes names, slot() answers the overflow slot: hits,
+    // covered() and reset() must stay inside the counters (the ASan
+    // lane flags any write past them) and declared() stays capped.
+    CoverageRegistry reg;
+    const size_t capacity = CoverageRegistry::kMaxProbes;
+    for (size_t i = 0; i < capacity; ++i)
+        reg.declare("probe_" + std::to_string(i));
+    const size_t last = reg.slot("probe_" + std::to_string(capacity - 1));
+    EXPECT_EQ(last, capacity - 1);
+    for (size_t i = 0; i < 3; ++i) {
+        const std::string name = "extra_" + std::to_string(i);
+        EXPECT_EQ(reg.slot(name), CoverageRegistry::kOverflowSlot);
+        reg.hit(name);
+        EXPECT_EQ(reg.hits(name), 0u);
+    }
+    reg.hitSlot(CoverageRegistry::kOverflowSlot);
+    reg.hitSlot(last);
+    EXPECT_EQ(reg.declared(), capacity);
+    EXPECT_EQ(reg.covered(), 1u);
+    EXPECT_EQ(reg.uncovered().size(), capacity - 1);
+    reg.reset();
+    EXPECT_EQ(reg.covered(), 0u);
+    EXPECT_EQ(reg.declared(), capacity);
+    EXPECT_EQ(reg.hits("probe_0"), 0u);
+}
+
 TEST(CoverageTest, GlobalInstanceIsSingleton)
 {
     EXPECT_EQ(&CoverageRegistry::instance(), &CoverageRegistry::instance());
