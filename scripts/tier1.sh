@@ -37,8 +37,9 @@
 #                     under ThreadSanitizer: the multi-session
 #                     transaction tests, the worker pool, and the
 #                     shard-bound metric/trace/progress lanes with
-#                     their live readers are the code most worth
-#                     race-checking.
+#                     their live readers, and the reference counts of
+#                     Value's shared text blocks are the code most
+#                     worth race-checking.
 #
 # Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-txn] [-j N]
 set -eu
@@ -100,10 +101,10 @@ if [ "$RUN_TXN" -eq 1 ]; then
     cmake --build "$TSAN_BUILD" -j "$JOBS"
     # The multi-session transaction machinery (snapshot views, commit
     # replay, isolation-fault overlays), the ISO oracle, the threaded
-    # scheduler, and the shard-bound telemetry lanes, all under
-    # ThreadSanitizer.
+    # scheduler, the shard-bound telemetry lanes, and Value's shared
+    # text blocks, all under ThreadSanitizer.
     ctest --test-dir "$TSAN_BUILD" \
-        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest|MetricsTest|TraceTest|ProgressTest|ShardScopeTest" \
+        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest|MetricsTest|TraceTest|ProgressTest|ShardScopeTest|ValueTest" \
         --output-on-failure -j "$JOBS" --timeout 300
 fi
 

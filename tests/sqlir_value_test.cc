@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -264,6 +265,37 @@ TEST(ValueTest, TextCopyOutlivesItsSource)
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(row[i].literal(), "'it''s'");
     EXPECT_TRUE(row[8].isNull());
+}
+
+TEST(ValueTest, SharedTextAcrossThreads)
+{
+    // Every copy below shares one text block; the ThreadSanitizer lane
+    // checks the reference count under concurrent copy, assign and
+    // destroy.
+    const Value shared = Value::text(kText40);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&shared, t] {
+            std::vector<Value> held(8);
+            for (int i = 0; i < 20000; ++i) {
+                Value copy(shared);
+                held[(i + t) % held.size()] = copy;
+                Value moved(std::move(copy));
+                held[(i * 3 + t) % held.size()] = std::move(moved);
+                if (i % 7 == 0)
+                    held[i % held.size()] = Value::integer(i);
+            }
+            for (const Value &value : held) {
+                if (value.kind() == Value::Kind::Text) {
+                    EXPECT_EQ(value.asText(), kText40);
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(shared.asText(), kText40);
+    EXPECT_EQ(shared.hash(), 0x98f6a482f18e6b5bULL);
 }
 
 TEST(ValueTest, WrongKindAccessThrows)
