@@ -16,16 +16,16 @@
 # builds into its own CARGO_TARGET_DIR there; both are removed on exit.
 # campaign_bench/ itself is only read.
 #
-# Output: one line per pair, then each side's median and quartiles of
-# checks_per_s, the change's win count, and whether checks_per_s meets
-# the gain rule: the change wins at least 9 of 10 pairs and its median
-# beats the parent's by more than the parent's quartile spread. Then
-# whether bugs_distinct, plans_unique and invalid_check_pct agreed on
-# every seed; for each end-to-end metric, both medians and whether the
-# change is worse than the metric's bound in its direction; and each
-# side's share of failed operations. Metrics, directions and bounds are
-# read from BENCHMARK.json. The exit code is non-zero when a run fails
-# its gate.
+# Output: one line per pair with checks_per_s and checks_per_cpu_s on
+# both sides. Then one row per end-to-end metric: the parent's median
+# and quartiles, the change's median, the change's win count, whether
+# the metric meets the gain rule (the change wins at least 9 of 10
+# pairs and its median beats the parent's by more than the parent's
+# quartile spread), and whether the change is worse than the metric's
+# bound. Then whether bugs_distinct, plans_unique and invalid_check_pct
+# agreed on every seed, and each side's share of failed operations.
+# Metrics, directions and bounds are read from BENCHMARK.json. The exit
+# code is non-zero when a run fails its gate.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -82,8 +82,9 @@ work, first, pairs = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 with open(sys.argv[4]) as handle:
     END_TO_END = json.load(handle)["end_to_end"]
 SIDES = ("parent", "change")
+SPECS = {spec["name"]: spec for spec in END_TO_END}
 SAME = ("bugs_distinct", "plans_unique", "invalid_check_pct")
-CLAIM = "checks_per_s"
+THROUGHPUT = ("checks_per_s", "checks_per_cpu_s")
 seeds = range(first, first + pairs)
 
 
@@ -115,48 +116,50 @@ values = {side: {spec["name"]: [r["metrics"][spec["name"]]["value"]
           for side in SIDES}
 ok = all(r["correct"] for side in SIDES for r in results[side])
 
-claim = next(spec for spec in END_TO_END if spec["name"] == CLAIM)
-wins, same = 0, True
+# Per pair: the two throughput metrics, and whether the metrics that
+# must not move agreed on the seed.
+same = True
 for i, seed in enumerate(seeds):
-    p, c = values["parent"][CLAIM][i], values["change"][CLAIM][i]
-    won = gain(p, c, claim["better"]) > 0
-    wins += won
+    cells = []
+    for name in THROUGHPUT:
+        better = SPECS[name]["better"]
+        p, c = values["parent"][name][i], values["change"][name][i]
+        cells.append(f"{name} {p:8.1f} -> {c:8.1f} "
+                     f"{100 * gain(p, c, better):+6.1f}%")
     agree = all(values["parent"][m][i] == values["change"][m][i]
                 for m in SAME)
     same = same and agree
-    print(f"seed {seed:4d}: parent {p:9.1f}  change {c:9.1f}  "
-          f"{100 * gain(p, c, claim['better']):+6.1f}%  "
-          f"{'win' if won else 'loss'}"
+    print(f"seed {seed:4d}: {'  '.join(cells)}"
           f"{'' if agree else '  (metrics differ)'}")
-for side in SIDES:
-    median, q1, q3 = quartiles(values[side][CLAIM])
-    print(f"{side:6s} {CLAIM} median {median:9.1f}  "
-          f"quartiles {q1:9.1f} - {q3:9.1f}")
 
-# The gain rule: the change wins at least 9 of every 10 pairs, and its
-# median beats the parent's by more than the parent's quartile spread.
-p_med, p_q1, p_q3 = quartiles(values["parent"][CLAIM])
-c_med = quartiles(values["change"][CLAIM])[0]
-margin = c_med - p_med if claim["better"] == "higher" else p_med - c_med
-rule = 10 * wins >= 9 * pairs and margin > p_q3 - p_q1
-print(f"change wins {wins}/{pairs}; median gain "
-      f"{100 * gain(p_med, c_med, claim['better']):+.1f}%"
-      f" (parent quartile spread {100 * (p_q3 - p_q1) / p_med:.1f}%)")
-print(f"{CLAIM} gain rule (>= 9/10 wins and median gain > parent "
-      f"quartile spread): {'met' if rule else 'NOT met'}")
-print(f"{', '.join(SAME)} identical per seed: {'yes' if same else 'NO'}")
-
-# Every end-to-end metric against its bound, on the medians.
+# Every end-to-end metric, in its direction from BENCHMARK.json: each
+# side's median and quartiles, the change's win count, the gain rule
+# (the change wins at least 9 of every 10 pairs, and its median beats
+# the parent's by more than the parent's quartile spread), and whether
+# the change is worse than the metric's bound.
+print(f"{'metric':17s} {'parent median (q1 - q3)':>34s} "
+      f"{'change median':>13s} {'gain':>7s} {'wins':>5s} "
+      f"{'spread':>6s}  gain rule  bound")
 worse_any = False
 for spec in END_TO_END:
     name, better, bound = spec["name"], spec["better"], spec["bound"]
-    p, c = (statistics.median(values[side][name]) for side in SIDES)
-    g = gain(p, c, better)
+    p_med, p_q1, p_q3 = quartiles(values["parent"][name])
+    c_med = quartiles(values["change"][name])[0]
+    wins = sum(gain(p, c, better) > 0 for p, c in
+               zip(values["parent"][name], values["change"][name]))
+    margin = c_med - p_med if better == "higher" else p_med - c_med
+    rule = 10 * wins >= 9 * pairs and margin > p_q3 - p_q1
+    g = gain(p_med, c_med, better)
     worse = g < -bound
     worse_any = worse_any or worse
-    print(f"{name:17s} median: parent {p:10.4g}  change {c:10.4g}  "
-          f"{100 * g:+7.1f}% ({better} is better, bound "
-          f"{100 * bound:.0f}%): {'WORSE than bound' if worse else 'ok'}")
+    spread = (p_q3 - p_q1) / abs(p_med) if p_med else 0.0
+    print(f"{name:17s} {p_med:10.4g} ({p_q1:9.4g} - {p_q3:9.4g}) "
+          f"{c_med:13.4g} {100 * g:+6.1f}% {wins:2d}/{pairs:<2d} "
+          f"{100 * spread:5.1f}%  "
+          f"{'met    ' if rule else 'NOT met'}    "
+          f"{'WORSE' if worse else 'ok'} ({better} is better, "
+          f"bound {100 * bound:.0f}%)")
+print(f"{', '.join(SAME)} identical per seed: {'yes' if same else 'NO'}")
 share = {}
 for side in SIDES:
     attempted = sum(r["attempted"] for r in results[side])
