@@ -7,22 +7,11 @@
  * concurrent-fleet setup); results are merged deterministically, so
  * the table below is identical for any --workers value.
  *
- *   ./bug_hunt [checks-per-dialect] [--workers N] [--help]
- *              [--oracles tlp,norec,pqs,eet,iso]
- *              [--guidance off|ucb|thompson]
- *              [--checkpoint FILE] [--resume]
- *              [--shard-deadline SEC]
- *              [--max-steps N] [--max-rows N]
- *              [--max-intermediate-rows N]
- *              [--metrics-out FILE] [--metrics-summary]
- *              [--metrics-timings]
- *              [--trace-out FILE] [--dossier-dir DIR]
- *              [--curve-interval N] [--log-level LEVEL]
- *              [--status-port N] [--progress SEC]
+ *   ./bug_hunt [checks-per-dialect] [flags]
  *
- * --help prints this usage and exits 0. Any other argument that is
- * not a known flag with its value, or a count of decimal digits,
- * prints the usage and exits 2.
+ * kUsage below lists every flag; --help prints it and exits 0. Any
+ * other argument that is not a known flag with its value, or a count
+ * of decimal digits, prints the usage and exits 2.
  *
  * --oracles picks the logic-bug oracles run per query shape
  * (comma-separated, case-insensitive; default tlp,norec). Adding pqs
