@@ -12,6 +12,11 @@
  * second table pins where a tight step budget cuts each statement off,
  * which pins the order of the charges, not only their sums.
  *
+ * A third golden, executor_rows.txt, pins the result rows themselves,
+ * in output order, for the same statements plus a set of join, grouping
+ * and correlation shapes. It is what holds a change to how the executor
+ * stores intermediate rows to the same rows in the same order.
+ *
  * Rerun with SQLPP_UPDATE_GOLDEN=1 to regenerate after a deliberate
  * semantic change.
  */
@@ -19,7 +24,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/executor.h"
@@ -75,6 +83,45 @@ const char *const kStatements[] = {
     "ORDER BY t1.c3",
 };
 
+/**
+ * Extra tables for the rows golden only, so the charges golden keeps its
+ * catalog: t2 is small, t3 is empty.
+ */
+const char *const kRowsSetup[] = {
+    "CREATE TABLE t2 (c4 INT, c5 TEXT)",
+    "INSERT INTO t2 VALUES (3, 'x'), (NULL, 'y'), (10, NULL)",
+    "CREATE TABLE t3 (c6 INT, c7 TEXT)",
+};
+
+/** Shapes the rows golden covers beyond kStatements. */
+const char *const kRowsStatements[] = {
+    // LEFT hash join with unmatched left rows.
+    "SELECT t0.c0, t0.c1, t1.c3 FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0",
+    // A join, then a comma cross product (rejected), and the same shape
+    // spelled as a CROSS JOIN.
+    "SELECT t0.c0, t1.c3, t2.c5 FROM t0 JOIN t1 ON t0.c0 = t1.c0, t2",
+    "SELECT t0.c0, t1.c3, t2.c5 FROM t0 JOIN t1 ON t0.c0 = t1.c0 "
+    "CROSS JOIN t2",
+    // SELECT * over three tables: a comma product and a join chain.
+    "SELECT * FROM t1, t2, t2 AS u",
+    "SELECT * FROM t0 JOIN t1 ON t0.c0 = t1.c0 LEFT JOIN t2 "
+    "ON t1.c3 = t2.c4",
+    // FROM-less SELECT, with and without a passing WHERE.
+    "SELECT 1, 'x', NULL",
+    "SELECT 2 WHERE 1 = 0",
+    // Aggregates over an empty table, with and without GROUP BY.
+    "SELECT COUNT(*), SUM(c6), MAX(c7) FROM t3",
+    "SELECT c6, COUNT(*) FROM t3 GROUP BY c6",
+    // GROUP BY over a join.
+    "SELECT t1.c3, COUNT(*), MIN(t0.c1), SUM(t0.c2) FROM t0 JOIN t1 "
+    "ON t0.c0 = t1.c0 GROUP BY t1.c3",
+    // Correlated subqueries reading an outer row of a joined relation.
+    "SELECT t0.c0, t1.c3, (SELECT COUNT(*) FROM t2 WHERE t2.c4 > t1.c3 "
+    "AND t2.c4 < t0.c2 + 8) FROM t0 JOIN t1 ON t0.c0 = t1.c0",
+    "SELECT t0.c1, t1.c3 FROM t0 LEFT JOIN t1 ON t0.c2 = t1.c0 "
+    "WHERE EXISTS (SELECT 1 FROM t2 WHERE t2.c4 = t1.c0 OR t2.c4 = t0.c0)",
+};
+
 /** Step limits the cut table tries for every statement. */
 const uint64_t kStepCuts[] = {7, 40, 150};
 
@@ -108,6 +155,73 @@ runOne(const Catalog &catalog, const SelectStmt &select, ExecMode mode,
                   outcome.c_str(), executor.planDescription().c_str());
 }
 
+/** Every result row in output order, as SQL literals. */
+std::string
+rowsOne(const Catalog &catalog, const SelectStmt &select, ExecMode mode)
+{
+    EngineBehavior behavior;
+    FaultSet faults;
+    BudgetMeter meter(StepBudget{0, 0, 0});
+    Executor executor(catalog, behavior, faults, mode, &meter);
+    auto result = executor.runSelect(select);
+    if (!result.isOk())
+        return format("%s %s\n", execModeName(mode),
+                      result.status().toString().c_str());
+    std::string out = format("%s rows=%zu\n", execModeName(mode),
+                             result.value().rowCount());
+    for (const Row &row : result.value().rows()) {
+        out += " ";
+        for (size_t i = 0; i < row.size(); ++i)
+            out += (i == 0 ? " " : ", ") + row[i].literal();
+        out += "\n";
+    }
+    return out;
+}
+
+std::string
+renderRows(const Catalog &catalog)
+{
+    std::vector<const char *> statements(std::begin(kStatements),
+                                         std::end(kStatements));
+    statements.insert(statements.end(), std::begin(kRowsStatements),
+                      std::end(kRowsStatements));
+    std::string out;
+    for (const char *sql : statements) {
+        auto stmt = parseStatement(sql);
+        EXPECT_TRUE(stmt.isOk()) << sql;
+        if (!stmt.isOk())
+            continue;
+        const auto &select = static_cast<const SelectStmt &>(*stmt.value());
+        out += std::string("== ") + sql + "\n";
+        for (ExecMode mode : {ExecMode::Optimized, ExecMode::Reference})
+            out += rowsOne(catalog, select, mode);
+    }
+    return out;
+}
+
+/** Compare @p rendered with golden @p name, or rewrite it on request. */
+void
+expectGolden(const std::string &rendered, const std::string &name)
+{
+    std::string golden_path = std::string(SQLPP_GOLDEN_DIR) + "/" + name;
+    if (std::getenv("SQLPP_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(golden_path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+        out << rendered;
+        GTEST_SKIP() << "golden file regenerated: " << golden_path;
+    }
+
+    std::ifstream in(golden_path, std::ios::binary);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << golden_path
+        << "; run once with SQLPP_UPDATE_GOLDEN=1";
+    std::stringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(rendered, expected.str())
+        << name << " changed; if intentional, "
+           "regenerate with SQLPP_UPDATE_GOLDEN=1";
+}
+
 std::string
 render(const Catalog &catalog)
 {
@@ -134,26 +248,16 @@ TEST(ExecutorGoldenTest, ChargesAndPlansMatchGolden)
 {
     Database db;
     setUp(db);
-    std::string rendered = render(db.catalog());
+    expectGolden(render(db.catalog()), "executor_charges.txt");
+}
 
-    std::string golden_path =
-        std::string(SQLPP_GOLDEN_DIR) + "/executor_charges.txt";
-    if (std::getenv("SQLPP_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(golden_path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-        out << rendered;
-        GTEST_SKIP() << "golden file regenerated: " << golden_path;
-    }
-
-    std::ifstream in(golden_path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << golden_path
-        << "; run once with SQLPP_UPDATE_GOLDEN=1";
-    std::stringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(rendered, expected.str())
-        << "executor charges or plans changed; if intentional, "
-           "regenerate with SQLPP_UPDATE_GOLDEN=1";
+TEST(ExecutorGoldenTest, RowsMatchGolden)
+{
+    Database db;
+    setUp(db);
+    for (const char *sql : kRowsSetup)
+        ASSERT_TRUE(db.execute(sql).isOk()) << sql;
+    expectGolden(renderRows(db.catalog()), "executor_rows.txt");
 }
 
 TEST(ExecutorGoldenTest, RenderingIsRepeatable)
