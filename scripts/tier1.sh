@@ -31,7 +31,12 @@
 #                     -DSQLPP_SANITIZE=address and rerun the unit lane
 #                     under AddressSanitizer plus UBSan (any undefined
 #                     behaviour aborts the test) with libstdc++'s
-#                     _GLIBCXX_ASSERTIONS bounds checks.
+#                     _GLIBCXX_ASSERTIONS bounds checks, then the
+#                     integration-labelled EngineDifferentialTest: it
+#                     drives random optimized-vs-reference joins
+#                     through the executor's flat row buffers, where an
+#                     out-of-width column read is a bounds trap only
+#                     under these checks.
 #   5. tsan lane    — rebuild with -DSQLPP_SANITIZE=thread and run the
 #                     interleaving, scheduler, and telemetry suites
 #                     under ThreadSanitizer: the multi-session
@@ -92,6 +97,8 @@ if [ "$RUN_ASAN" -eq 1 ]; then
     cmake --build "$ASAN_BUILD" -j "$JOBS"
     ctest --test-dir "$ASAN_BUILD" -L unit --output-on-failure \
         -j "$JOBS" --timeout 300
+    ctest --test-dir "$ASAN_BUILD" -R EngineDifferentialTest \
+        --output-on-failure -j "$JOBS" --timeout 300
 fi
 
 if [ "$RUN_TXN" -eq 1 ]; then

@@ -84,7 +84,7 @@ evalOnPivot(const Expr &predicate, const Pivot &pivot,
 
     EvalContext ctx;
     ctx.scope = &scope;
-    ctx.row = &pivot.row;
+    ctx.row = pivot.row;
     ctx.behavior = &behavior;
     // Reference semantics: no fault set, no subquery runner, unmetered.
     auto value = evalExpr(predicate, ctx);

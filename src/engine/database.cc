@@ -386,7 +386,7 @@ Database::runCreateIndex(Catalog &catalog, const CreateIndexStmt &stmt)
         if (index.predicate != nullptr) {
             EvalContext ctx;
             ctx.scope = &scope;
-            ctx.row = &row;
+            ctx.row = row;
             ctx.behavior = &config_.behavior;
             ctx.faults = &config_.faults;
             auto value = evalExpr(*index.predicate, ctx);
@@ -553,7 +553,7 @@ Database::runInsert(Catalog &catalog, const InsertStmt &stmt)
                 if (index.predicate != nullptr) {
                     EvalContext pred_ctx;
                     pred_ctx.scope = &scope;
-                    pred_ctx.row = &row;
+                    pred_ctx.row = row;
                     pred_ctx.behavior = &config_.behavior;
                     pred_ctx.faults = &config_.faults;
                     auto value = evalExpr(*index.predicate, pred_ctx);
@@ -588,7 +588,7 @@ Database::runInsert(Catalog &catalog, const InsertStmt &stmt)
             if (index.predicate != nullptr) {
                 EvalContext pred_ctx;
                 pred_ctx.scope = &scope;
-                pred_ctx.row = &row;
+                pred_ctx.row = row;
                 pred_ctx.behavior = &config_.behavior;
                 pred_ctx.faults = &config_.faults;
                 auto value = evalExpr(*index.predicate, pred_ctx);

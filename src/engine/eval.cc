@@ -692,7 +692,7 @@ evalUnary(const UnaryExpr &expr, const EvalContext &ctx)
 StatusOr<Value>
 evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
 {
-    const std::vector<Row> &rows = *ctx.groupRows;
+    const std::vector<RowView> &rows = *ctx.groupRows;
     if (fn.name == "COUNT")
         SQLPP_COVER("eval.agg.count");
     else if (fn.name == "SUM")
@@ -714,9 +714,9 @@ evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
     // Evaluate the argument once per row of the group, in row context.
     std::vector<Value> values;
     values.reserve(rows.size());
-    for (const Row &row : rows) {
+    for (RowView row : rows) {
         EvalContext row_ctx = ctx;
-        row_ctx.row = &row;
+        row_ctx.row = row;
         row_ctx.groupRows = nullptr;
         auto value = evalExprImpl(*fn.args[0], row_ctx);
         if (!value.isOk())
@@ -882,9 +882,9 @@ readColumn(const BoundNode &bound, const EvalContext &ctx)
     const EvalContext *frame = &ctx;
     for (uint32_t hop = 0; hop < bound.depth; ++hop)
         frame = frame->outer;
-    if (frame->row == nullptr)
+    if (frame->row.empty())
         return Value::null();
-    return (*frame->row)[bound.offset];
+    return frame->row[bound.offset];
 }
 
 StatusOr<Value>

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,6 +144,12 @@ class Scope
 class EvalContext;
 
 /**
+ * One row as the evaluator reads it: a view of its Values, wherever they
+ * live (a stored table, a result set, or an executor's flat buffer).
+ */
+using RowView = std::span<const Value>;
+
+/**
  * Callback used by the evaluator to execute expression subqueries.
  * Implemented by the executor; null in contexts without subquery support.
  */
@@ -165,11 +172,18 @@ class EvalContext
 {
   public:
     const Scope *scope = nullptr;
-    const Row *row = nullptr;
+    /**
+     * The current row; empty means there is none (columns read NULL).
+     * A span rather than a bare pointer: rows often sit side by side in
+     * one buffer, and span's operator[] keeps the out-of-width trap that
+     * _GLIBCXX_ASSERTIONS builds had with std::vector, where a pointer
+     * would silently read the neighbouring row.
+     */
+    RowView row;
     /** Enclosing context for correlated subqueries. */
     const EvalContext *outer = nullptr;
     /** Non-null while evaluating aggregate select/having expressions. */
-    const std::vector<Row> *groupRows = nullptr;
+    const std::vector<RowView> *groupRows = nullptr;
 
     const EngineBehavior *behavior = nullptr;
     const FaultSet *faults = nullptr;

@@ -27,25 +27,17 @@ compareForSort(const Value &lhs, const Value &rhs)
     return cmp.value_or(0);
 }
 
-/** A combined join row: @p left's values, then @p right's. */
-Row
-combineRows(const Row &left, const Row &right)
+/**
+ * Append one row of @p width Values to @p cells: @p row's, or NULLs when
+ * the view is empty (the missing side of an outer join).
+ */
+void
+appendCells(std::vector<Value> &cells, RowView row, size_t width)
 {
-    Row combined;
-    combined.reserve(left.size() + right.size());
-    combined.insert(combined.end(), left.begin(), left.end());
-    combined.insert(combined.end(), right.begin(), right.end());
-    return combined;
-}
-
-/** combineRows() for a left row the caller no longer needs. */
-Row
-combineRows(Row &&left, const Row &right)
-{
-    Row combined = std::move(left);
-    combined.reserve(combined.size() + right.size());
-    combined.insert(combined.end(), right.begin(), right.end());
-    return combined;
+    if (row.empty())
+        cells.resize(cells.size() + width);
+    else
+        cells.insert(cells.end(), row.begin(), row.end());
 }
 
 /** Collect column references of an expression, skipping subqueries. */
@@ -72,8 +64,6 @@ containsSubquery(const Expr &expr)
       default:
         break;
     }
-    if (expr.kind() == ExprKind::InSubquery)
-        return true;
     for (const Expr *child : expr.children()) {
         if (containsSubquery(*child))
             return true;
@@ -246,6 +236,23 @@ Executor::Executor(const Executor *parent)
       budget_(parent->budget_), depth_(parent->depth_ + 1),
       state_(parent->state_)
 {
+}
+
+void
+Executor::Relation::append(RowView left, size_t left_width, RowView right,
+                           size_t right_width)
+{
+    appendCells(cells, left, left_width);
+    appendCells(cells, right, right_width);
+    // A placeholder until seal(): the cells may still move.
+    rows.emplace_back();
+}
+
+void
+Executor::Relation::seal(size_t width)
+{
+    for (size_t i = 0; i < rows.size(); ++i)
+        rows[i] = RowView(cells.data() + i * width, width);
 }
 
 uint64_t
@@ -427,7 +434,8 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
         note("DRV[" + child.plan_ + "]");
         source.binding = ref.alias;
         source.columns = std::move(result.value().columns());
-        source.rows = result.value().takeRows();
+        source.owned = result.value().takeRows();
+        source.rel.rows.assign(source.owned.begin(), source.owned.end());
         return source;
     }
     if (const StoredTable *table = catalog_.table(ref.name)) {
@@ -453,7 +461,8 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
             return Status::semanticError(
                 "view column list does not match query: " + view->name);
         }
-        source.rows = result.value().takeRows();
+        source.owned = result.value().takeRows();
+        source.rel.rows.assign(source.owned.begin(), source.owned.end());
         return source;
     }
     return Status::semanticError("no such table: " + ref.name);
@@ -464,12 +473,8 @@ Executor::applySourceFilters(Source &source,
                              std::vector<const Expr *> conjuncts,
                              const EvalContext *outer)
 {
-    // Materialize the base table if not yet done.
-    bool is_base = source.table != nullptr && source.rows.empty();
+    bool is_base = source.table != nullptr;
     const StoredTable *table = source.table;
-
-    Scope scope;
-    scope.addBinding(source.binding, source.columns);
 
     // Try to turn one conjunct into an index probe (base tables only).
     size_t probe_conjunct = static_cast<size_t>(-1);
@@ -650,27 +655,28 @@ Executor::applySourceFilters(Source &source,
         note(format("PFILT(%s,%zu)", source.binding.c_str(),
                     conjuncts.size()));
     }
-    if (!is_base)
-        return filterRows(source.rows, conjuncts, scope, outer);
-    // Base-table rows are read straight out of the table: only the rows
-    // the pushed filter keeps are copied.
-    size_t count = full_scan ? table->rows.size() : ordinals.size();
-    if (conjuncts.empty())
-        source.rows.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        const Row &row = table->rows[full_scan ? i : ordinals[i]];
-        auto keep = conjunctsKeep(conjuncts, scope, row, outer);
-        if (!keep.isOk())
-            return keep.status();
-        if (keep.value())
-            source.rows.push_back(row);
+    if (is_base) {
+        // Base-table rows are read in place: the source views the rows
+        // the scan or the probe selects, and the filter drops views.
+        std::vector<RowView> &rows = source.rel.rows;
+        if (full_scan) {
+            rows.assign(table->rows.begin(), table->rows.end());
+        } else {
+            rows.reserve(ordinals.size());
+            for (size_t ordinal : ordinals)
+                rows.emplace_back(table->rows[ordinal]);
+        }
     }
-    return Status::ok();
+    if (conjuncts.empty())
+        return Status::ok();
+    Scope scope;
+    scope.addBinding(source.binding, source.columns);
+    return filterRows(source.rel.rows, conjuncts, scope, outer);
 }
 
 StatusOr<bool>
 Executor::conjunctsKeep(const std::vector<const Expr *> &conjuncts,
-                        const Scope &scope, const Row &row,
+                        const Scope &scope, RowView row,
                         const EvalContext *outer)
 {
     for (const Expr *conjunct : conjuncts) {
@@ -683,7 +689,7 @@ Executor::conjunctsKeep(const std::vector<const Expr *> &conjuncts,
 }
 
 Status
-Executor::filterRows(std::vector<Row> &rows,
+Executor::filterRows(std::vector<RowView> &rows,
                      const std::vector<const Expr *> &conjuncts,
                      const Scope &scope, const EvalContext *outer)
 {
@@ -694,11 +700,8 @@ Executor::filterRows(std::vector<Row> &rows,
         auto keep = conjunctsKeep(conjuncts, scope, rows[i], outer);
         if (!keep.isOk())
             return keep.status();
-        if (keep.value()) {
-            if (kept != i)
-                rows[kept] = std::move(rows[i]);
-            ++kept;
-        }
+        if (keep.value())
+            rows[kept++] = rows[i];
     }
     rows.resize(kept);
     return Status::ok();
@@ -706,12 +709,12 @@ Executor::filterRows(std::vector<Row> &rows,
 
 StatusOr<bool>
 Executor::predicateKeeps(const Expr &predicate, const Scope &scope,
-                         const Row &row, const EvalContext *outer,
+                         RowView row, const EvalContext *outer,
                          bool where_clause)
 {
     EvalContext ctx;
     ctx.scope = &scope;
-    ctx.row = &row;
+    ctx.row = row;
     ctx.outer = outer;
     ctx.behavior = &behavior_;
     ctx.faults = &faults_;
@@ -750,26 +753,27 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // Materialize sources and compute outer-join nullability.
     // ------------------------------------------------------------------
     std::vector<Source> sources;
-    std::set<std::string> binding_names;
-    for (const TableRef &ref : select.from) {
+    sources.reserve(select.from.size() + select.joins.size());
+    auto add_source = [&](const TableRef &ref) -> Status {
         auto source = prepareSource(ref, outer);
         if (!source.isOk())
             return source.status();
-        if (!binding_names.insert(source.value().binding).second) {
-            return Status::semanticError("duplicate table binding: " +
-                                         source.value().binding);
+        for (const Source &other : sources) {
+            if (other.binding == source.value().binding) {
+                return Status::semanticError("duplicate table binding: " +
+                                             other.binding);
+            }
         }
         sources.push_back(source.takeValue());
+        return Status::ok();
+    };
+    for (const TableRef &ref : select.from) {
+        if (Status s = add_source(ref); !s.isOk())
+            return s;
     }
     for (const JoinClause &join : select.joins) {
-        auto source = prepareSource(join.table, outer);
-        if (!source.isOk())
-            return source.status();
-        if (!binding_names.insert(source.value().binding).second) {
-            return Status::semanticError("duplicate table binding: " +
-                                         source.value().binding);
-        }
-        sources.push_back(source.takeValue());
+        if (Status s = add_source(join.table); !s.isOk())
+            return s;
     }
     for (size_t j = 0; j < select.joins.size(); ++j) {
         size_t right_index = select.from.size() + j;
@@ -928,13 +932,17 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // ------------------------------------------------------------------
     // Join pipeline.
     // ------------------------------------------------------------------
+    // Each step reads `current` and appends its combined rows to the
+    // cells of the next relation; the sources, whose rows the first
+    // relation views, outlive the pipeline.
     Scope scope;
-    std::vector<Row> current;
+    Relation current;
     if (sources.empty()) {
-        current.push_back(Row{});
+        // A FROM-less SELECT reads one row of no columns.
+        current.rows.emplace_back();
     } else {
         scope.addBinding(sources[0].binding, sources[0].columns);
-        current = std::move(sources[0].rows);
+        current = std::move(sources[0].rel);
     }
 
     size_t next_source = 1;
@@ -978,18 +986,13 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             join_on = natural_on.get();
         }
 
-        auto eval_on = [&](const Row &combined) -> StatusOr<bool> {
-            if (join_on == nullptr)
-                return true;
-            return predicateKeeps(*join_on, joined_scope, combined, outer,
-                                  /*where_clause=*/false);
-        };
-
-        std::vector<Row> joined;
-        auto emit = [&](Row row) -> Status {
+        Relation joined;
+        // Appends the combined row of @p left and @p right; an empty view
+        // is the NULL-extended side of an outer join.
+        auto emit = [&](RowView left, RowView right) -> Status {
             if (Status s = budget_->chargeIntermediateRows(1); !s.isOk())
                 return s;
-            joined.push_back(std::move(row));
+            joined.append(left, left_width, right, right_width);
             return Status::ok();
         };
 
@@ -1054,21 +1057,21 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                         return "i" +
                                std::to_string(*valueToNumeric(value));
                     };
+                    const std::vector<RowView> &right_rows =
+                        right.rel.rows;
                     std::map<std::string, std::vector<size_t>> buckets;
                     if (Status s = budget_->chargeSteps(
-                            right.rows.size() + current.size());
+                            right_rows.size() + current.rows.size());
                         !s.isOk()) {
                         return s;
                     }
-                    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-                        const Value &key = right.rows[ri][right_col];
+                    for (size_t ri = 0; ri < right_rows.size(); ++ri) {
+                        const Value &key = right_rows[ri][right_col];
                         if (key.isNull() && !null_match)
                             continue;
                         buckets[hash_key(key)].push_back(ri);
                     }
-                    // The left rows are consumed by this join: the last
-                    // combined row built from one takes it by move.
-                    for (Row &left_row : current) {
+                    for (RowView left_row : current.rows) {
                         const Value &key = left_row[left_col];
                         const std::vector<size_t> *matches = nullptr;
                         if (!key.isNull() || null_match) {
@@ -1077,22 +1080,14 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                                 matches = &it->second;
                         }
                         if (matches != nullptr) {
-                            for (size_t m = 0; m < matches->size(); ++m) {
-                                const Row &right_row =
-                                    right.rows[(*matches)[m]];
-                                Row combined =
-                                    m + 1 < matches->size()
-                                        ? combineRows(left_row, right_row)
-                                        : combineRows(std::move(left_row),
-                                                      right_row);
-                                if (Status s = emit(std::move(combined));
+                            for (size_t ri : *matches) {
+                                if (Status s = emit(left_row, right_rows[ri]);
                                     !s.isOk()) {
                                     return s;
                                 }
                             }
                         } else if (join.type == JoinType::Left) {
-                            left_row.resize(left_width + right_width);
-                            if (Status s = emit(std::move(left_row));
+                            if (Status s = emit(left_row, RowView());
                                 !s.isOk()) {
                                 return s;
                             }
@@ -1106,54 +1101,63 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             SQLPP_COVER("exec.join.nested_loop");
             note(format("NLJ(%s,%s)", joinTypeName(join.type),
                         right.binding.c_str()));
-            std::vector<bool> right_matched(right.rows.size(), false);
-            // One candidate row per left row: its right half is
-            // overwritten in place for each right row, and only rows
-            // that pass ON are copied out.
+            const std::vector<RowView> &right_rows = right.rel.rows;
+            std::vector<bool> right_matched(right_rows.size(), false);
+            // ON is evaluated on one candidate row per left row: its
+            // right half is overwritten in place for each right row.
             Row candidate;
-            for (Row &left_row : current) {
+            auto eval_on = [&](RowView right_row) -> StatusOr<bool> {
+                if (join_on == nullptr)
+                    return true;
+                std::copy(right_row.begin(), right_row.end(),
+                          candidate.begin() + static_cast<long>(left_width));
+                return predicateKeeps(*join_on, joined_scope, candidate,
+                                      outer, /*where_clause=*/false);
+            };
+            for (RowView left_row : current.rows) {
                 bool matched = false;
-                candidate.assign(left_row.begin(), left_row.end());
-                candidate.resize(left_width + right_width);
-                for (size_t ri = 0; ri < right.rows.size(); ++ri) {
+                if (join_on != nullptr) {
+                    candidate.assign(left_row.begin(), left_row.end());
+                    candidate.resize(left_width + right_width);
+                }
+                for (size_t ri = 0; ri < right_rows.size(); ++ri) {
                     if (Status s = budget_->chargeSteps(1); !s.isOk())
                         return s;
-                    std::copy(right.rows[ri].begin(), right.rows[ri].end(),
-                              candidate.begin() +
-                                  static_cast<long>(left_width));
-                    auto keeps = eval_on(candidate);
+                    auto keeps = eval_on(right_rows[ri]);
                     if (!keeps.isOk())
                         return keeps.status();
                     if (keeps.value()) {
                         matched = true;
                         right_matched[ri] = true;
-                        if (Status s = emit(candidate); !s.isOk())
+                        if (Status s = emit(left_row, right_rows[ri]);
+                            !s.isOk()) {
                             return s;
+                        }
                     }
                 }
                 if (!matched &&
                     (join.type == JoinType::Left ||
                      join.type == JoinType::Full)) {
                     SQLPP_COVER("exec.join.null_extend_left");
-                    left_row.resize(left_width + right_width);
-                    if (Status s = emit(std::move(left_row)); !s.isOk())
+                    if (Status s = emit(left_row, RowView()); !s.isOk())
                         return s;
                 }
             }
             if (join.type == JoinType::Right ||
                 join.type == JoinType::Full) {
-                for (size_t ri = 0; ri < right.rows.size(); ++ri) {
+                for (size_t ri = 0; ri < right_rows.size(); ++ri) {
                     if (right_matched[ri])
                         continue;
                     SQLPP_COVER("exec.join.null_extend_right");
-                    Row combined = combineRows(Row(left_width),
-                                               right.rows[ri]);
-                    if (Status s = emit(std::move(combined)); !s.isOk())
+                    if (Status s = emit(RowView(), right_rows[ri]);
+                        !s.isOk()) {
                         return s;
+                    }
                 }
             }
         }
 
+        joined.seal(left_width + right_width);
         scope = std::move(joined_scope);
         current = std::move(joined);
     }
@@ -1163,16 +1167,32 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         Source &right = sources[next_source];
         SQLPP_COVER("exec.join.cross_comma");
         note("CROSS(" + right.binding + ")");
-        std::vector<Row> joined;
-        for (const Row &left_row : current) {
-            for (const Row &right_row : right.rows) {
+        size_t left_width = scope.width();
+        size_t right_width = right.columns.size();
+        // The product's size is known: reserve it, up to what the
+        // intermediate-row budget can still admit.
+        size_t count = current.rows.size() * right.rel.rows.size();
+        const StepBudget &limits = budget_->limits();
+        if (limits.maxIntermediateRows != 0) {
+            uint64_t used = budget_->intermediateRows();
+            uint64_t admit = used < limits.maxIntermediateRows
+                                ? limits.maxIntermediateRows - used
+                                : 0;
+            count = static_cast<size_t>(std::min<uint64_t>(count, admit));
+        }
+        Relation joined;
+        joined.cells.reserve(count * (left_width + right_width));
+        joined.rows.reserve(count);
+        for (RowView left_row : current.rows) {
+            for (RowView right_row : right.rel.rows) {
                 if (Status s = budget_->chargeIntermediateRows(1);
                     !s.isOk()) {
                     return s;
                 }
-                joined.push_back(combineRows(left_row, right_row));
+                joined.append(left_row, left_width, right_row, right_width);
             }
         }
+        joined.seal(left_width + right_width);
         scope.addBinding(right.binding, right.columns);
         current = std::move(joined);
     }
@@ -1183,7 +1203,8 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     if (!where_conjuncts.empty()) {
         SQLPP_COVER("exec.filter.where");
         note(format("FILT(%zu)", where_conjuncts.size()));
-        if (Status s = filterRows(current, where_conjuncts, scope, outer);
+        if (Status s = filterRows(current.rows, where_conjuncts, scope,
+                                  outer);
             !s.isOk()) {
             return s;
         }
@@ -1206,35 +1227,6 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             has_aggregate = true;
     }
     bool aggregate_path = has_aggregate || !select.groupBy.empty();
-
-    // The projection + optional sort-key evaluation shares this helper.
-    auto project = [&](const EvalContext &ctx,
-                       ResultSet &out) -> Status {
-        Row out_row;
-        for (const SelectItem &item : select.items) {
-            if (item.star) {
-                if (scope.bindings.empty()) {
-                    return Status::semanticError(
-                        "SELECT * requires a FROM clause");
-                }
-                if (ctx.row != nullptr) {
-                    for (const Value &value : *ctx.row)
-                        out_row.push_back(value);
-                } else {
-                    out_row.resize(out_row.size() + scope.width());
-                }
-                continue;
-            }
-            auto value = evalExpr(*item.expr, ctx);
-            if (!value.isOk())
-                return value.status();
-            out_row.push_back(value.takeValue());
-        }
-        if (Status s = budget_->chargeRows(1); !s.isOk())
-            return s;
-        out.addRow(std::move(out_row));
-        return Status::ok();
-    };
 
     // Output column names.
     std::vector<std::string> out_columns;
@@ -1259,9 +1251,40 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         }
     }
 
-    ResultSet result(out_columns);
-    // Sort keys per produced row, evaluated in the same context.
-    std::vector<std::vector<Value>> sort_keys;
+    // The projection + optional sort-key evaluation shares this helper.
+    auto project = [&](const EvalContext &ctx,
+                       ResultSet &out) -> Status {
+        Row out_row;
+        out_row.reserve(out.columnCount());
+        for (const SelectItem &item : select.items) {
+            if (item.star) {
+                if (scope.bindings.empty()) {
+                    return Status::semanticError(
+                        "SELECT * requires a FROM clause");
+                }
+                if (!ctx.row.empty()) {
+                    out_row.insert(out_row.end(), ctx.row.begin(),
+                                   ctx.row.end());
+                } else {
+                    out_row.resize(out_row.size() + scope.width());
+                }
+                continue;
+            }
+            auto value = evalExpr(*item.expr, ctx);
+            if (!value.isOk())
+                return value.status();
+            out_row.push_back(value.takeValue());
+        }
+        if (Status s = budget_->chargeRows(1); !s.isOk())
+            return s;
+        out.addRow(std::move(out_row));
+        return Status::ok();
+    };
+
+    ResultSet result(std::move(out_columns));
+    // Sort keys of the produced rows, evaluated in the same context:
+    // select.orderBy.size() Values per row, row after row.
+    std::vector<Value> sort_keys;
 
     auto base_ctx = [&]() {
         EvalContext ctx;
@@ -1275,16 +1298,12 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     };
 
     auto eval_sort_keys = [&](const EvalContext &ctx) -> Status {
-        if (select.orderBy.empty())
-            return Status::ok();
-        std::vector<Value> keys;
         for (const OrderTerm &term : select.orderBy) {
             auto value = evalExpr(*term.expr, ctx);
             if (!value.isOk())
                 return value.status();
-            keys.push_back(value.takeValue());
+            sort_keys.push_back(value.takeValue());
         }
-        sort_keys.push_back(std::move(keys));
         return Status::ok();
     };
 
@@ -1298,7 +1317,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             }
         }
         // Build groups, in order of first appearance.
-        std::vector<std::vector<Row>> groups;
+        std::vector<std::vector<RowView>> groups;
         auto row_less = [](const Row &a, const Row &b) {
             return compareRows(a, b) < 0;
         };
@@ -1306,12 +1325,14 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         bool null_separate =
             faults_.isEnabled(FaultId::GroupByNullSeparate);
         if (select.groupBy.empty()) {
-            groups.push_back(std::move(current));
+            groups.push_back(std::move(current.rows));
         } else {
-            for (Row &row : current) {
+            // The key buffer is reused until a new group takes it over.
+            Row key;
+            for (RowView row : current.rows) {
                 EvalContext ctx = base_ctx();
-                ctx.row = &row;
-                Row key;
+                ctx.row = row;
+                key.clear();
                 key.reserve(select.groupBy.size());
                 bool separate = false;
                 for (const ExprPtr &key_expr : select.groupBy) {
@@ -1327,17 +1348,17 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 // The fault gives every NULL-bearing row its own group.
                 size_t group = groups.size();
                 if (!separate)
-                    group = group_index.emplace(std::move(key), group)
+                    group = group_index.try_emplace(std::move(key), group)
                                 .first->second;
                 if (group == groups.size())
                     groups.emplace_back();
-                groups[group].push_back(std::move(row));
+                groups[group].push_back(row);
             }
         }
-        for (std::vector<Row> &rows : groups) {
+        for (const std::vector<RowView> &rows : groups) {
             EvalContext ctx = base_ctx();
             ctx.groupRows = &rows;
-            ctx.row = rows.empty() ? nullptr : &rows[0];
+            ctx.row = rows.empty() ? RowView() : rows[0];
             if (select.having != nullptr) {
                 auto value = evalExpr(*select.having, ctx);
                 if (!value.isOk())
@@ -1358,9 +1379,9 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             return Status::semanticError(
                 "HAVING requires GROUP BY or aggregates");
         }
-        for (const Row &row : current) {
+        for (RowView row : current.rows) {
             EvalContext ctx = base_ctx();
-            ctx.row = &row;
+            ctx.row = row;
             if (Status s = project(ctx, result); !s.isOk())
                 return s;
             if (Status s = eval_sort_keys(ctx); !s.isOk())
@@ -1413,9 +1434,10 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             return s;
         std::stable_sort(
             order.begin(), order.end(), [&](size_t a, size_t b) {
-                for (size_t k = 0; k < select.orderBy.size(); ++k) {
-                    int cmp = compareForSort(sort_keys[a][k],
-                                             sort_keys[b][k]);
+                size_t terms = select.orderBy.size();
+                for (size_t k = 0; k < terms; ++k) {
+                    int cmp = compareForSort(sort_keys[a * terms + k],
+                                             sort_keys[b * terms + k]);
                     if (cmp != 0) {
                         return select.orderBy[k].ascending ? cmp < 0
                                                            : cmp > 0;
@@ -1438,10 +1460,17 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                                order.size());
     }
 
+    // When every projected row is kept in projection order, the
+    // projection is the result.
+    bool identity = end - begin == result.rowCount();
+    for (size_t i = 0; identity && i < order.size(); ++i)
+        identity = order[i] == i;
+    if (identity)
+        return result;
     // Each projected row appears in `order` at most once, so the final
     // rows can be moved out of the projection.
     std::vector<Row> projected = result.takeRows();
-    ResultSet final_result(std::move(out_columns));
+    ResultSet final_result(std::move(result.columns()));
     for (size_t i = begin; i < end; ++i)
         final_result.addRow(std::move(projected[order[i]]));
     return final_result;

@@ -29,10 +29,13 @@
  *  - Column references and function calls are bound by the evaluator
  *    the first time they are evaluated under a Scope (see Scope in
  *    engine/eval.h); later rows read the bound slot or implementation.
- *  - Rows the executor owns move rather than copy: filters compact in
- *    place, a base-table scan copies only the rows its pushed filter
- *    keeps, derived tables and views hand over their result rows, and
- *    cached subquery results are shared, not copied, per use.
+ *  - Intermediate rows are views, not one allocation each (Relation):
+ *    a base-table source is a selection of views into the stored rows,
+ *    a derived table or view keeps its result rows and views them, each
+ *    join step appends its combined rows into one flat Value buffer,
+ *    and WHERE and GROUP BY partition the views. Only projection builds
+ *    rows, one reserved Row per result row; cached subquery results are
+ *    shared, not copied, per use.
  *
  * None of this changes what is charged to the BudgetMeter, in what
  * order, or the plan description.
@@ -134,12 +137,43 @@ class Executor : public SubqueryRunner
     /** Folded WHERE/ON trees of @p select (optimized mode), made once. */
     const StatementState::Folded &folded(const SelectStmt &select);
 
+    /**
+     * An intermediate relation: a list of row views. A join step's rows
+     * live side by side in cells, all of one width; a source's rows live
+     * in a stored table or in its Source::owned. Moving a Relation keeps
+     * its views valid; copying one would not, so it cannot be copied.
+     */
+    struct Relation
+    {
+        Relation() = default;
+        Relation(Relation &&) = default;
+        Relation &operator=(Relation &&) = default;
+        Relation(const Relation &) = delete;
+        Relation &operator=(const Relation &) = delete;
+
+        /**
+         * Append the combined row @p left then @p right to cells; an
+         * empty view stands for its width in NULLs (the missing side of
+         * an outer join).
+         */
+        void append(RowView left, size_t left_width, RowView right,
+                    size_t right_width);
+        /** View the appended rows, @p width cells each, once done. */
+        void seal(size_t width);
+
+        std::vector<RowView> rows;
+        std::vector<Value> cells;
+    };
+
     /** A materialized FROM source with its binding metadata. */
     struct Source
     {
         std::string binding;
         std::vector<std::string> columns;
-        std::vector<Row> rows;
+        /** The rows the source reads. */
+        Relation rel;
+        /** Result rows of a derived table or view, viewed by rel. */
+        std::vector<Row> owned;
         /** Non-null for base tables (enables index probes). */
         const StoredTable *table = nullptr;
         /** True when this binding may be NULL-extended by an outer join. */
@@ -163,17 +197,17 @@ class Executor : public SubqueryRunner
 
     /** True when @p row passes every conjunct (WHERE semantics). */
     StatusOr<bool> conjunctsKeep(const std::vector<const Expr *> &conjuncts,
-                                 const Scope &scope, const Row &row,
+                                 const Scope &scope, RowView row,
                                  const EvalContext *outer);
 
     /** Keep, in place and in order, the rows that pass every conjunct. */
-    Status filterRows(std::vector<Row> &rows,
+    Status filterRows(std::vector<RowView> &rows,
                       const std::vector<const Expr *> &conjuncts,
                       const Scope &scope, const EvalContext *outer);
 
     /** Evaluate a predicate as a WHERE-style filter condition. */
     StatusOr<bool> predicateKeeps(const Expr &predicate, const Scope &scope,
-                                  const Row &row, const EvalContext *outer,
+                                  RowView row, const EvalContext *outer,
                                   bool where_clause);
 
     void note(const std::string &atom);
