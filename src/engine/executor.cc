@@ -244,13 +244,12 @@ Executor::Relation::append(RowView left, size_t left_width, RowView right,
 {
     appendCells(cells, left, left_width);
     appendCells(cells, right, right_width);
-    // A placeholder until seal(): the cells may still move.
-    rows.emplace_back();
 }
 
 void
 Executor::Relation::seal(size_t width)
 {
+    rows.resize(cells.size() / width);
     for (size_t i = 0; i < rows.size(); ++i)
         rows[i] = RowView(cells.data() + i * width, width);
 }
@@ -1182,7 +1181,6 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         }
         Relation joined;
         joined.cells.reserve(count * (left_width + right_width));
-        joined.rows.reserve(count);
         for (RowView left_row : current.rows) {
             for (RowView right_row : right.rel.rows) {
                 if (Status s = budget_->chargeIntermediateRows(1);

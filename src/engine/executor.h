@@ -154,11 +154,14 @@ class Executor : public SubqueryRunner
         /**
          * Append the combined row @p left then @p right to cells; an
          * empty view stands for its width in NULLs (the missing side of
-         * an outer join).
+         * an outer join). The row is viewed once seal() is called.
          */
         void append(RowView left, size_t left_width, RowView right,
                     size_t right_width);
-        /** View the appended rows, @p width cells each, once done. */
+        /**
+         * View every appended row, @p width cells each, once the cells
+         * stop growing. @p width is never 0: every source has a column.
+         */
         void seal(size_t width);
 
         std::vector<RowView> rows;
