@@ -478,8 +478,7 @@ Executor::applySourceFilters(Source &source,
     // Try to turn one conjunct into an index probe (base tables only).
     size_t probe_conjunct = static_cast<size_t>(-1);
     const StoredIndex *probe_index = nullptr;
-    // The table rows the source reads: all of them, or the probe's.
-    bool full_scan = false;
+    // The table rows a probe reads; a full scan reads all of them.
     std::vector<size_t> ordinals;
     enum class ProbeOp { Eq, Gt, Ge, Lt, Le, IsNull } probe_op = ProbeOp::Eq;
     Value probe_key;
@@ -646,7 +645,6 @@ Executor::applySourceFilters(Source &source,
             !s.isOk()) {
             return s;
         }
-        full_scan = true;
     }
 
     if (!conjuncts.empty()) {
@@ -658,7 +656,7 @@ Executor::applySourceFilters(Source &source,
         // Base-table rows are read in place: the source views the rows
         // the scan or the probe selects, and the filter drops views.
         std::vector<RowView> &rows = source.rel.rows;
-        if (full_scan) {
+        if (probe_index == nullptr) {
             rows.assign(table->rows.begin(), table->rows.end());
         } else {
             rows.reserve(ordinals.size());
