@@ -4,9 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/campaign.h"
 #include "util/coverage.h"
 
 namespace sqlpp {
@@ -175,6 +177,42 @@ TEST(CoverageCaptureTest, CapturesStackAndRestore)
     }
     reg.hitSlot(slot); // inner destroyed: outer is active again
     EXPECT_EQ(outer.takeNewProbes(), 1u);
+}
+
+/** Distinct probes one unguided table3-configured campaign hits. */
+size_t
+probesHitByCampaign(const std::string &dialect, GeneratorMode mode)
+{
+    CoverageRegistry &reg = CoverageRegistry::instance();
+    reg.reset();
+    CampaignConfig config;
+    config.dialect = dialect;
+    config.seed = 77;
+    config.mode = mode;
+    config.checks = 200;
+    config.oracles = {"TLP", "NOREC"};
+    CampaignRunner runner(config);
+    (void)runner.run();
+    return reg.covered();
+}
+
+TEST(CoverageTest, UnguidedCampaignCoverageCountsArePinned)
+{
+    // bench/table3_coverage's grid at 200 checks. The counts pin what
+    // the probes record, whatever mechanism records them.
+    const char *dialects[] = {"sqlite-like", "postgres-like",
+                              "duckdb-like"};
+    const GeneratorMode modes[] = {GeneratorMode::Adaptive,
+                                   GeneratorMode::AdaptiveNoFeedback,
+                                   GeneratorMode::Baseline};
+    std::vector<size_t> counts;
+    for (GeneratorMode mode : modes) {
+        for (const char *dialect : dialects)
+            counts.push_back(probesHitByCampaign(dialect, mode));
+    }
+    const std::vector<size_t> pinned = {46, 45, 46, 46, 45, 46,
+                                        48, 46, 48};
+    EXPECT_EQ(counts, pinned);
 }
 
 } // namespace
