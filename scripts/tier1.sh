@@ -42,9 +42,10 @@
 #                     under ThreadSanitizer: the multi-session
 #                     transaction tests, the worker pool, and the
 #                     shard-bound metric/trace/progress lanes with
-#                     their live readers, and the reference counts of
-#                     Value's shared text blocks are the code most
-#                     worth race-checking.
+#                     their live readers, the reference counts of
+#                     Value's shared text blocks, and coverage-probe
+#                     registration racing per-thread captures are the
+#                     code most worth race-checking.
 #
 # Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-txn] [-j N]
 set -eu
@@ -108,10 +109,11 @@ if [ "$RUN_TXN" -eq 1 ]; then
     cmake --build "$TSAN_BUILD" -j "$JOBS"
     # The multi-session transaction machinery (snapshot views, commit
     # replay, isolation-fault overlays), the ISO oracle, the threaded
-    # scheduler, the shard-bound telemetry lanes, and Value's shared
-    # text blocks, all under ThreadSanitizer.
+    # scheduler, the shard-bound telemetry lanes, Value's shared text
+    # blocks, and coverage-probe registration and captures, all under
+    # ThreadSanitizer.
     ctest --test-dir "$TSAN_BUILD" \
-        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest|MetricsTest|TraceTest|ProgressTest|ShardScopeTest|ValueTest" \
+        -R "TxnTest|TxnFaultTest|TxnGenTest|IsolationOracleTest|SchedulerTest|MetricsTest|TraceTest|ProgressTest|ShardScopeTest|ValueTest|CoverageTest|CoverageCaptureTest" \
         --output-on-failure -j "$JOBS" --timeout 300
 fi
 

@@ -10,8 +10,9 @@
  * choice point in the generator — which expression node, which
  * operator, how many joins — becomes an *arm*; pulling an arm means
  * generating that construct, and an arm is rewarded when the resulting
- * statement surfaces a previously unseen plan fingerprint or a new
- * CoverageRegistry probe (campaign.cc wires the reward signal).
+ * statement surfaces a previously unseen plan fingerprint or a coverage
+ * probe new to the campaign's CoverageCapture (campaign.cc wires the
+ * reward signal).
  *
  * Determinism is the hard requirement: replay, reducers, resume and the
  * share-nothing scheduler merge all assume that re-running a shard

@@ -2,11 +2,9 @@
 
 #include <set>
 
-#include "engine/functions.h"
 #include "engine/typecheck.h"
 #include "parser/parser.h"
 #include "util/coverage.h"
-#include "util/strutil.h"
 
 namespace sqlpp {
 
@@ -661,72 +659,6 @@ Database::runDrop(Catalog &catalog, const DropStmt &stmt)
     if (!status.isOk())
         return status;
     return emptyResult();
-}
-
-void
-declareEngineCoverageProbes()
-{
-    CoverageRegistry &registry = CoverageRegistry::instance();
-    // Statement dispatch.
-    for (const char *probe :
-         {"db.create_table", "db.create_index", "db.create_view",
-          "db.insert", "db.insert.or_ignore_skip", "db.analyze",
-          "db.select", "db.drop"}) {
-        registry.declare(probe);
-    }
-    // Transaction control and isolation-fault paths.
-    for (const char *probe :
-         {"db.txn.begin", "db.txn.commit", "db.txn.rollback",
-          "db.txn.savepoint", "db.txn.rollback_to", "db.txn.release",
-          "db.txn.commit_conflict", "db.txn.fault.snapshot_leak",
-          "db.txn.fault.dirty_read", "db.txn.fault.lost_update"}) {
-        registry.declare(probe);
-    }
-    // Executor paths.
-    for (const char *probe :
-         {"exec.source.table", "exec.source.view", "exec.source.derived",
-          "exec.access.index_scan", "exec.access.full_scan",
-          "exec.access.pushed_filter", "exec.join.hash",
-          "exec.join.nested_loop", "exec.join.null_extend_left",
-          "exec.join.null_extend_right", "exec.join.cross_comma",
-          "exec.filter.where", "exec.aggregate", "exec.project",
-          "exec.distinct", "exec.sort",
-          "exec.fault.group_null_separate",
-          "exec.fault.distinct_null_collapse"}) {
-        registry.declare(probe);
-    }
-    // Planner paths.
-    for (const char *probe :
-         {"planner.fold.const", "planner.fold.nullif_fault",
-          "planner.pushdown", "planner.fault.pushdown_outer",
-          "planner.fault.on_to_where"}) {
-        registry.declare(probe);
-    }
-    // Operator evaluation paths.
-    for (const char *probe :
-         {"eval.op.add", "eval.op.sub", "eval.op.mul", "eval.op.div",
-          "eval.op.mod", "eval.op.bitand", "eval.op.bitor",
-          "eval.op.bitxor", "eval.op.shl", "eval.op.shr", "eval.op.eq",
-          "eval.op.noteq", "eval.op.nullsafe_eq", "eval.op.is_distinct",
-          "eval.op.relational", "eval.op.and", "eval.op.or",
-          "eval.op.not", "eval.op.neg", "eval.op.unary_plus",
-          "eval.op.bitnot", "eval.op.is_null", "eval.op.is_not_null",
-          "eval.op.is_true", "eval.op.is_false", "eval.op.concat",
-          "eval.op.like", "eval.op.glob", "eval.op.between",
-          "eval.op.in_list", "eval.op.case", "eval.op.cast",
-          "eval.op.exists", "eval.op.in_subquery",
-          "eval.op.scalar_subquery"}) {
-        registry.declare(probe);
-    }
-    // Aggregates.
-    for (const char *probe :
-         {"eval.agg.count", "eval.agg.sum", "eval.agg.avg",
-          "eval.agg.min", "eval.agg.max"}) {
-        registry.declare(probe);
-    }
-    // One probe per scalar function implementation.
-    for (const std::string &name : FunctionRegistry::instance().names())
-        registry.declare("eval.fn." + toLower(name));
 }
 
 } // namespace sqlpp

@@ -195,12 +195,6 @@ class Database
     uint64_t commit_version_ = 0;
 };
 
-/**
- * Declare every engine coverage probe up front so that coverage ratios
- * (Table 3's proxy metric) have a stable denominator. Idempotent.
- */
-void declareEngineCoverageProbes();
-
 } // namespace sqlpp
 
 #endif // SQLPP_ENGINE_DATABASE_H

@@ -819,7 +819,7 @@ evalFunction(const FunctionExpr &fn, const EvalContext &ctx)
             return value;
         args.push_back(value.takeValue());
     }
-    CoverageRegistry::instance().hitSlot(impl->probeSlot);
+    CoverageCapture::hit(impl->probeSlot);
     return impl->eval(args, ctx);
 }
 

@@ -1,64 +1,59 @@
 /**
  * @file
- * Coverage-probe registry: a line/branch-coverage proxy for the engine.
+ * Coverage probes: a line/branch-coverage proxy for the engine.
  *
  * The paper measures gcov line and branch coverage of the DBMS under
  * test (Table 3). Our DBMS substrate is in-process, so instead of gcov
  * we place named probes at the entry of every engine component path
  * (each physical operator, each rewrite rule, each scalar-function
  * implementation, each coercion path). The reported metric is the
- * fraction of registered probes hit since the last reset; it orders
- * configurations the same way line coverage does — richer generated SQL
- * touches more engine paths.
+ * fraction of registered probes a run hits; it orders configurations
+ * the same way line coverage does — richer generated SQL touches more
+ * engine paths.
  *
- * Probes sit on per-row evaluation hot paths, so hits must be cheap:
- * call sites resolve their name to a slot once (function-local static)
- * and afterwards a hit is a single relaxed atomic increment.
+ * One mechanism records hits: a probe hit lands in the calling
+ * thread's CoverageCapture, if one is installed, and nowhere else.
+ * Guided generation reads a capture for its novelty reward, and
+ * bench/table3_coverage wraps each campaign in one. Probes sit on
+ * per-row evaluation hot paths, so a hit is one thread-local load and
+ * a branch when no capture is installed.
  *
- * The registry is shared by every campaign worker thread (the engine
- * probes always hit the process-wide instance), so slot counters live
- * in a fixed-capacity atomic array that never reallocates: hits need
- * no lock, and only name registration takes the registry mutex.
+ * The probe sites define the probe universe. Each SQLPP_COVER site
+ * registers its name during static initialisation, whether or not it
+ * ever runs, and the function table registers one eval.fn.<name>
+ * probe per scalar function when it is built, before any function can
+ * be evaluated. CoverageRegistry only maps names to slots; declared()
+ * is the denominator of the coverage ratio.
  */
 #ifndef SQLPP_UTIL_COVERAGE_H
 #define SQLPP_UTIL_COVERAGE_H
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace sqlpp {
 
-/**
- * Process-wide registry of named coverage probes.
- *
- * Probes self-register on first use. Registration of the full probe
- * universe happens up front via declareEngineCoverageProbes() so that
- * the denominator is stable even for probes never hit.
- */
+/** Process-wide map from probe names to slots. */
 class CoverageRegistry
 {
   public:
     /**
-     * Upper bound on probes per registry. Counters live in a
-     * fixed-capacity array so hitSlot() never races a reallocation;
-     * the engine universe is a few hundred probes, far below this.
+     * Upper bound on probes per registry, so a capture's slot flags
+     * are sized once; the engine universe is a few hundred probes, far
+     * below this.
      */
     static constexpr size_t kMaxProbes = 4096;
     /**
      * The slot slot() answers once kMaxProbes names are declared:
-     * never a declared slot, so hits through it are dropped and the
-     * name stays undeclared.
+     * never a declared slot, so hits through it reach no capture and
+     * the name stays undeclared.
      */
     static constexpr size_t kOverflowSlot = kMaxProbes;
 
-    CoverageRegistry();
-
-    /** The process-wide instance used by the engine's probes. */
+    /** The process-wide instance the engine's probes register in. */
     static CoverageRegistry &instance();
 
     /**
@@ -68,68 +63,28 @@ class CoverageRegistry
      */
     size_t slot(const std::string &name);
 
-    /** Declare a probe without hitting it (fixes the denominator). */
-    void declare(const std::string &name) { (void)slot(name); }
-
-    /**
-     * Record one hit via a pre-resolved slot (hot path). Lock-free;
-     * safe to call concurrently from campaign worker threads. Hits are
-     * additionally mirrored into the calling thread's CoverageCapture,
-     * if one is installed (guided generation's novelty signal).
-     */
-    void hitSlot(size_t slot_index);
-
-    /** Record one hit by name (cold path; resolves the slot). */
-    void hit(const std::string &name) { hitSlot(slot(name)); }
-
     /** Number of declared probes, at most kMaxProbes. */
-    size_t declared() const
-    {
-        return declared_.load(std::memory_order_acquire);
-    }
-
-    /** Number of probes with at least one hit. */
-    size_t covered() const;
-
-    /** covered() / declared(), or 0 when nothing is declared. */
-    double ratio() const;
-
-    /** Total hits of the named probe since the last reset. */
-    uint64_t hits(const std::string &name) const;
-
-    /** Reset all hit counts; declared probes stay declared. */
-    void reset();
-
-    /** Names of declared probes that have never been hit. */
-    std::vector<std::string> uncovered() const;
+    size_t declared() const;
 
   private:
-    /** Guards slots_ and names_; counters themselves are atomic. */
     mutable std::mutex mutex_;
     std::map<std::string, size_t> slots_;
-    std::vector<std::string> names_;
-    /** Published count of declared probes (reads need no lock). */
-    std::atomic<size_t> declared_{0};
-    /** Fixed-capacity hit counters: indexes never move or reallocate. */
-    std::unique_ptr<std::atomic<uint64_t>[]> counts_;
 };
 
 /**
- * Thread-local view of coverage-probe novelty.
+ * Thread-local record of the probes hit while it is installed.
  *
- * The registry's counters are process-wide, so "did this statement hit
- * a new probe?" computed from them would depend on what concurrent
- * shards happen to be doing — a nondeterminism the guided generator
- * cannot tolerate (merged campaigns must be bit-identical for any
- * worker count). A CoverageCapture instead records, per *thread*, the
- * set of probe slots hit while it is installed; a share-nothing shard
- * runs entirely on one worker thread, so its capture sees exactly its
- * own hits in a reproducible order regardless of worker count.
+ * Captures are per *thread*: a share-nothing shard runs entirely on
+ * one worker thread, so its capture sees exactly its own hits in a
+ * reproducible order regardless of worker count. Guided generation
+ * needs that — "did this statement hit a new probe?" must not depend
+ * on what concurrent shards happen to be doing, or merged campaigns
+ * would differ between worker counts.
  *
  * RAII: constructing installs the capture on the current thread
- * (stacking over any previous one), destructing restores the previous
- * capture. Campaign code drains novelty between statements via
- * takeNewProbes().
+ * (stacking over any previous one, which sees no hits until it is
+ * restored), destructing restores the previous capture. Campaign code
+ * drains novelty between statements via takeNewProbes().
  */
 class CoverageCapture
 {
@@ -138,6 +93,16 @@ class CoverageCapture
     ~CoverageCapture();
     CoverageCapture(const CoverageCapture &) = delete;
     CoverageCapture &operator=(const CoverageCapture &) = delete;
+
+    /**
+     * Record one hit of a probe slot in the calling thread's capture;
+     * a no-op when none is installed (hot path).
+     */
+    static void hit(size_t slot_index)
+    {
+        if (active_ != nullptr)
+            active_->noteHit(slot_index);
+    }
 
     /**
      * Probes hit since the last take that were new to this capture's
@@ -149,10 +114,13 @@ class CoverageCapture
     /** Distinct probes hit over this capture's lifetime. */
     size_t probesSeen() const { return seen_count_; }
 
-    /** Called from CoverageRegistry::hitSlot on the owning thread. */
+  private:
     void noteHit(size_t slot_index);
 
-  private:
+    /** The calling thread's installed capture, or nullptr. */
+    static inline constinit thread_local CoverageCapture *active_ =
+        nullptr;
+
     /** One flag per slot; sized kMaxProbes so noteHit never resizes. */
     std::vector<char> seen_;
     size_t fresh_ = 0;
@@ -161,16 +129,37 @@ class CoverageCapture
 };
 
 /**
- * Hot-path probe: resolves the slot once per call site, then each hit
- * is a single increment.
+ * A probe name as a template argument, so that Probe is keyed by the
+ * string literal a SQLPP_COVER site names.
  */
+template <size_t N>
+struct ProbeName
+{
+    consteval ProbeName(const char (&name)[N])
+    {
+        for (size_t i = 0; i < N; ++i)
+            text[i] = name[i];
+    }
+
+    char text[N];
+};
+
+/**
+ * The slot of one probe name, resolved during static initialisation:
+ * every SQLPP_COVER site instantiates it, so each site registers its
+ * name before main even if it never runs, and a hit reads the slot
+ * with no initialisation guard.
+ */
+template <ProbeName Name>
+struct Probe
+{
+    static inline const size_t slot =
+        CoverageRegistry::instance().slot(Name.text);
+};
+
+/** Hot-path probe: records a hit of the named probe (a literal). */
 #define SQLPP_COVER(name)                                              \
-    do {                                                               \
-        static const size_t sqlpp_cover_slot =                         \
-            ::sqlpp::CoverageRegistry::instance().slot(name);          \
-        ::sqlpp::CoverageRegistry::instance().hitSlot(                 \
-            sqlpp_cover_slot);                                         \
-    } while (0)
+    ::sqlpp::CoverageCapture::hit(::sqlpp::Probe<name>::slot)
 
 } // namespace sqlpp
 

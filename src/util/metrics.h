@@ -14,10 +14,10 @@
  *    RAII spans (SQLPP_SPAN); a plain Histogram observes logical,
  *    deterministic values (bytes, node counts, percentages).
  *
- * Hot-path discipline mirrors util/coverage.h: call sites resolve a
- * metric name to an id once (function-local static), after which every
- * event is a single relaxed atomic increment into fixed-capacity
- * storage that never reallocates. Registration alone takes the mutex.
+ * Hot-path discipline: call sites resolve a metric name to an id once
+ * (function-local static), after which every event is a single relaxed
+ * atomic increment into fixed-capacity storage that never reallocates.
+ * Registration alone takes the mutex.
  *
  * Shard label dimension: every value cell is replicated per *lane*
  * (util/shard_scope.h). Lane 0 collects unlabeled process totals; the
