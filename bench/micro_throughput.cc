@@ -374,7 +374,6 @@ main(int argc, char **argv)
     }
     int passthrough_argc = static_cast<int>(passthrough.size());
 
-    declarePlatformMetrics();
     MetricsRegistry::instance().reset();
 
     benchmark::Initialize(&passthrough_argc, passthrough.data());

@@ -85,7 +85,6 @@ main(int argc, char **argv)
         }
     }
 
-    declarePlatformMetrics();
     MetricsRegistry::instance().reset();
 
     bench::banner(

@@ -258,9 +258,6 @@ main(int argc, char **argv)
     std::printf("%-16s %10s %9s %12s %8s %7s\n", "dialect", "detected",
                 "priorit.", "unique-bugs", "validity", "plans");
 
-    // Pre-register the full metric universe so the exported document
-    // has the same shape no matter which code paths this run hit.
-    declarePlatformMetrics();
     MetricsRegistry::instance().reset();
     TraceRecorder::instance().reset();
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Metrics smoke test: run a tiny campaign with --metrics-out, validate
-# the exported document against the sqlpp.metrics.v1 schema, and assert
-# the byte-identity guarantee (same seed, one worker → same bytes).
+# the exported document against the sqlpp.metrics.v1 schema, assert
+# the byte-identity guarantee (same seed, one worker → same bytes), and
+# that a tlp-only run exports the same metric names as a five-oracle
+# run.
 #
 # Usage: scripts/metrics_smoke.sh [path/to/bug_hunt]
 set -u
@@ -102,4 +104,27 @@ cmp -s "$WORKDIR/a.json" "$WORKDIR/b.json" || {
     exit 1
 }
 
-echo "OK: sqlpp.metrics.v1 document valid and byte-identical across runs"
+# Stable shape: every instrumented site registers its metric before
+# main, so the exported names do not depend on which oracles ran.
+metric_names() {
+    grep -o '"name": "[^"]*"' "$1"
+}
+for oracles in tlp,norec,pqs,eet,iso tlp; do
+    "$BUG_HUNT" "$CHECKS" --workers 1 --oracles "$oracles" \
+        --metrics-out "$WORKDIR/$oracles.json" \
+        > "$WORKDIR/run_$oracles.log" 2>&1 || {
+        echo "FAIL: bug_hunt --oracles $oracles exited non-zero" >&2
+        cat "$WORKDIR/run_$oracles.log" >&2
+        exit 1
+    }
+done
+if ! cmp -s <(metric_names "$WORKDIR/tlp,norec,pqs,eet,iso.json") \
+        <(metric_names "$WORKDIR/tlp.json"); then
+    echo "FAIL: metric names depend on the oracles that ran" >&2
+    diff <(metric_names "$WORKDIR/tlp,norec,pqs,eet,iso.json") \
+        <(metric_names "$WORKDIR/tlp.json") | head -20 >&2
+    exit 1
+fi
+
+echo "OK: sqlpp.metrics.v1 document valid, byte-identical across runs" \
+    "and the same names for any oracle set"

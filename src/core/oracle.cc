@@ -654,9 +654,11 @@ using OracleRun = OracleResult (*)(Connection &, const SelectStmt &,
 /**
  * One oracle's instrumentation, keyed by its lowercase name: a
  * wall-clock span, an OracleCheck trace event and an outcome counter
- * per check, with the metric ids resolved once. TLP and NoREC always
- * apply, so they never register an `.inapplicable` counter (the
- * metrics export lists every registered metric).
+ * per check. The objects below live at namespace scope, so like the
+ * SQLPP_* sites they register their metrics before main, whether or
+ * not the oracle runs. TLP and NoREC always apply, so they never
+ * register an `.inapplicable` counter (the metrics export lists every
+ * registered metric).
  */
 class OracleMetrics
 {
@@ -698,46 +700,47 @@ class OracleMetrics
     size_t outcomes_[4];
 };
 
+const OracleMetrics kTlpMetrics("tlp", /*may_be_inapplicable=*/false);
+const OracleMetrics kNorecMetrics("norec", /*may_be_inapplicable=*/false);
+const OracleMetrics kPqsMetrics("pqs", /*may_be_inapplicable=*/true);
+const OracleMetrics kEetMetrics("eet", /*may_be_inapplicable=*/true);
+const OracleMetrics kIsoMetrics("iso", /*may_be_inapplicable=*/true);
+
 } // namespace
 
 OracleResult
 TlpOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("tlp", /*may_be_inapplicable=*/false);
-    return metrics.check(runTlp, connection, base, predicate);
+    return kTlpMetrics.check(runTlp, connection, base, predicate);
 }
 
 OracleResult
 NorecOracle::check(Connection &connection, const SelectStmt &base,
                    const Expr &predicate)
 {
-    static const OracleMetrics metrics("norec", /*may_be_inapplicable=*/false);
-    return metrics.check(runNorec, connection, base, predicate);
+    return kNorecMetrics.check(runNorec, connection, base, predicate);
 }
 
 OracleResult
 PqsOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("pqs", /*may_be_inapplicable=*/true);
-    return metrics.check(runPqs, connection, base, predicate);
+    return kPqsMetrics.check(runPqs, connection, base, predicate);
 }
 
 OracleResult
 EetOracle::check(Connection &connection, const SelectStmt &base,
                  const Expr &predicate)
 {
-    static const OracleMetrics metrics("eet", /*may_be_inapplicable=*/true);
-    return metrics.check(runEet, connection, base, predicate);
+    return kEetMetrics.check(runEet, connection, base, predicate);
 }
 
 OracleResult
 IsolationOracle::check(Connection &connection, const SelectStmt &base,
                        const Expr &predicate)
 {
-    static const OracleMetrics metrics("iso", /*may_be_inapplicable=*/true);
-    return metrics.check(runIso, connection, base, predicate);
+    return kIsoMetrics.check(runIso, connection, base, predicate);
 }
 
 std::unique_ptr<Oracle>

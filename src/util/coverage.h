@@ -130,7 +130,8 @@ class CoverageCapture
 
 /**
  * A probe name as a template argument, so that Probe is keyed by the
- * string literal a SQLPP_COVER site names.
+ * string literal a SQLPP_COVER site names. Metric (util/metrics.h)
+ * keys its metric names the same way.
  */
 template <size_t N>
 struct ProbeName

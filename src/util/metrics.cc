@@ -86,8 +86,12 @@ MetricsRegistry::metricId(const std::string &name, MetricKind kind)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = ids_.find(name);
-    if (it != ids_.end())
-        return it->second;
+    if (it != ids_.end()) {
+        // A name keeps its first kind: another kind's writes through
+        // this id could run past its cells into the metrics after it.
+        return metrics_[it->second].kind == kind ? it->second
+                                                 : kOverflowId;
+    }
     size_t cells = cellCount(kind);
     if (metrics_.size() >= kMaxMetrics ||
         next_cell_ + cells > kMaxCells) {
@@ -159,12 +163,6 @@ MetricsRegistry::observe(size_t id, uint64_t value)
         value, std::memory_order_relaxed);
 }
 
-void
-MetricsRegistry::addByName(const std::string &name, uint64_t delta)
-{
-    add(metricId(name, MetricKind::Counter), delta);
-}
-
 size_t
 MetricsRegistry::registered() const
 {
@@ -205,14 +203,6 @@ MetricsRegistry::read(const Metric &metric) const
     return snap;
 }
 
-MetricsRegistry::MetricSnapshot
-MetricsRegistry::readByName(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = ids_.find(name);
-    return it == ids_.end() ? MetricSnapshot{} : read(metrics_[it->second]);
-}
-
 std::vector<MetricsRegistry::MetricSnapshot>
 MetricsRegistry::snapshot() const
 {
@@ -233,28 +223,9 @@ MetricsRegistry::snapshot() const
 uint64_t
 MetricsRegistry::counterTotal(const std::string &name) const
 {
-    return readByName(name).total;
-}
-
-uint64_t
-MetricsRegistry::histogramCount(const std::string &name) const
-{
-    return readByName(name).count;
-}
-
-uint64_t
-MetricsRegistry::histogramSum(const std::string &name) const
-{
-    return readByName(name).sum;
-}
-
-std::vector<uint64_t>
-MetricsRegistry::histogramBucketTotals(const std::string &name) const
-{
-    MetricSnapshot snap = readByName(name);
-    if (snap.kind != MetricKind::Histogram && snap.kind != MetricKind::Timer)
-        return {};
-    return {std::begin(snap.buckets), std::end(snap.buckets)};
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = ids_.find(name);
+    return it == ids_.end() ? 0 : read(metrics_[it->second]).total;
 }
 
 void
@@ -436,30 +407,6 @@ histogramQuantileFromBuckets(const uint64_t *buckets,
     return 0.0;
 }
 
-bool
-metricQuantiles(const std::string &name, HistogramQuantiles &out)
-{
-    std::vector<uint64_t> buckets =
-        MetricsRegistry::instance().histogramBucketTotals(name);
-    if (buckets.empty())
-        return false;
-    uint64_t total = 0;
-    for (uint64_t hits : buckets)
-        total += hits;
-    if (total == 0)
-        return false;
-    out.p50 =
-        histogramQuantileFromBuckets(buckets.data(), buckets.size(),
-                                     0.50);
-    out.p95 =
-        histogramQuantileFromBuckets(buckets.data(), buckets.size(),
-                                     0.95);
-    out.p99 =
-        histogramQuantileFromBuckets(buckets.data(), buckets.size(),
-                                     0.99);
-    return true;
-}
-
 namespace {
 
 /** Map a dotted metric name to Prometheus form ("sqlpp_a_b_c"). */
@@ -481,7 +428,7 @@ prometheusName(const std::string &name)
 std::string
 exportMetricsPrometheus()
 {
-    // Every declared metric is emitted, zero or not: a scraper wants a
+    // Every registered metric is emitted, zero or not: a scraper wants a
     // stable series set, not one that flickers as counters first fire.
     std::string out;
     for (const MetricSnapshot &snap :
@@ -526,110 +473,6 @@ exportMetricsPrometheus()
         }
     }
     return out;
-}
-
-void
-declarePlatformMetrics()
-{
-    MetricsRegistry &registry = MetricsRegistry::instance();
-    struct Declaration
-    {
-        const char *name;
-        MetricKind kind;
-    };
-    // The canonical metric universe; EXPERIMENTS.md documents each
-    // entry. Keep both lists in sync.
-    static const Declaration kDeclarations[] = {
-        // Generator.
-        {"generator.setup.create_table", MetricKind::Counter},
-        {"generator.setup.create_index", MetricKind::Counter},
-        {"generator.setup.create_view", MetricKind::Counter},
-        {"generator.setup.insert", MetricKind::Counter},
-        {"generator.setup.analyze", MetricKind::Counter},
-        {"generator.select", MetricKind::Counter},
-        {"generator.shape.ok", MetricKind::Counter},
-        {"generator.shape.rejected.no_tables", MetricKind::Counter},
-        {"generator.shape.rejected.empty_from", MetricKind::Counter},
-        {"generator.gate.denied", MetricKind::Counter},
-        // Guided generation (the bandit over generator choice points).
-        {"generator.guided.selections", MetricKind::Counter},
-        {"generator.guided.rewarded", MetricKind::Counter},
-        {"generator.guided.novelty", MetricKind::Counter},
-        {"generator.guided.truncated", MetricKind::Counter},
-        {"generator.guided.all_suppressed", MetricKind::Counter},
-        {"generator.guided.mode", MetricKind::Gauge},
-        // Connection / statement execution.
-        {"connection.statements", MetricKind::Counter},
-        {"connection.execute.ok", MetricKind::Counter},
-        {"connection.error.syntax", MetricKind::Counter},
-        {"connection.error.semantic", MetricKind::Counter},
-        {"connection.error.runtime", MetricKind::Counter},
-        {"connection.error.unsupported", MetricKind::Counter},
-        {"connection.error.internal", MetricKind::Counter},
-        {"connection.error.budget", MetricKind::Counter},
-        {"connection.refresh.retries", MetricKind::Counter},
-        {"connection.execute.wall_us", MetricKind::Timer},
-        // Oracles.
-        {"oracle.tlp.pass", MetricKind::Counter},
-        {"oracle.tlp.bug", MetricKind::Counter},
-        {"oracle.tlp.skip", MetricKind::Counter},
-        {"oracle.tlp.wall_us", MetricKind::Timer},
-        {"oracle.norec.pass", MetricKind::Counter},
-        {"oracle.norec.bug", MetricKind::Counter},
-        {"oracle.norec.skip", MetricKind::Counter},
-        {"oracle.norec.wall_us", MetricKind::Timer},
-        {"oracle.pqs.pass", MetricKind::Counter},
-        {"oracle.pqs.bug", MetricKind::Counter},
-        {"oracle.pqs.skip", MetricKind::Counter},
-        {"oracle.pqs.inapplicable", MetricKind::Counter},
-        {"oracle.pqs.wall_us", MetricKind::Timer},
-        {"oracle.eet.pass", MetricKind::Counter},
-        {"oracle.eet.bug", MetricKind::Counter},
-        {"oracle.eet.skip", MetricKind::Counter},
-        {"oracle.eet.inapplicable", MetricKind::Counter},
-        {"oracle.eet.wall_us", MetricKind::Timer},
-        {"oracle.iso.pass", MetricKind::Counter},
-        {"oracle.iso.bug", MetricKind::Counter},
-        {"oracle.iso.skip", MetricKind::Counter},
-        {"oracle.iso.inapplicable", MetricKind::Counter},
-        {"oracle.iso.wall_us", MetricKind::Timer},
-        // Reducer.
-        {"reducer.cases", MetricKind::Counter},
-        {"reducer.replays", MetricKind::Counter},
-        {"reducer.setup.removed", MetricKind::Histogram},
-        {"reducer.shrink.percent", MetricKind::Histogram},
-        {"reducer.reduce.wall_us", MetricKind::Timer},
-        // Engine budget.
-        {"budget.exhausted.steps", MetricKind::Counter},
-        {"budget.exhausted.rows", MetricKind::Counter},
-        {"budget.exhausted.intermediate", MetricKind::Counter},
-        // Campaign phases.
-        {"campaign.runs", MetricKind::Counter},
-        {"campaign.checks", MetricKind::Counter},
-        {"campaign.checks.inapplicable", MetricKind::Counter},
-        {"campaign.rebuilds", MetricKind::Counter},
-        {"campaign.bugs.detected", MetricKind::Counter},
-        {"campaign.bugs.prioritized", MetricKind::Counter},
-        {"campaign.watchdog.abandoned", MetricKind::Counter},
-        // Trace events lost to ring overwrite, set at export time.
-        {"campaign.trace.dropped", MetricKind::Gauge},
-        {"campaign.setup.wall_us", MetricKind::Timer},
-        {"campaign.check.wall_us", MetricKind::Timer},
-        {"campaign.run.wall_us", MetricKind::Timer},
-        // Checkpointing.
-        {"checkpoint.saves", MetricKind::Counter},
-        {"checkpoint.save.bytes", MetricKind::Histogram},
-        {"checkpoint.save.wall_us", MetricKind::Timer},
-        // Scheduler.
-        {"scheduler.workers", MetricKind::Gauge},
-        {"scheduler.shards.total", MetricKind::Gauge},
-        {"scheduler.shards.run", MetricKind::Counter},
-        {"scheduler.shards.resumed", MetricKind::Counter},
-        {"scheduler.shard.queue_us", MetricKind::Timer},
-        {"scheduler.shard.exec_us", MetricKind::Timer},
-    };
-    for (const Declaration &declaration : kDeclarations)
-        (void)registry.metricId(declaration.name, declaration.kind);
 }
 
 } // namespace sqlpp

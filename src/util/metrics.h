@@ -14,10 +14,20 @@
  *    RAII spans (SQLPP_SPAN); a plain Histogram observes logical,
  *    deterministic values (bytes, node counts, percentages).
  *
- * Hot-path discipline: call sites resolve a metric name to an id once
- * (function-local static), after which every event is a single relaxed
- * atomic increment into fixed-capacity storage that never reallocates.
- * Registration alone takes the mutex.
+ * The call sites define the metric universe. Each SQLPP_* site reads
+ * its id from Metric<name, kind>::id, which registers the name during
+ * static initialisation whether or not the site ever runs, so every
+ * export of a binary has the same shape whichever code paths ran. The
+ * oracles register theirs from namespace-scope objects the same way.
+ * tests/golden/metric_universe.txt pins the universe of a binary that
+ * links the scheduler. A name has one kind: asked for under another,
+ * metricId answers kOverflowId and those writes are dropped.
+ * Instrumented code must not run during static initialisation: an id
+ * read before its initialiser runs is 0, the first metric's.
+ *
+ * Hot-path discipline: after static initialisation every event is an
+ * id load and a single relaxed atomic increment into fixed-capacity
+ * storage that never reallocates. Registration alone takes the mutex.
  *
  * Shard label dimension: every value cell is replicated per *lane*
  * (util/shard_scope.h). Lane 0 collects unlabeled process totals; the
@@ -32,9 +42,9 @@
  * lanes with their labels, the histogram buckets, count and sum), and
  * MetricsRegistry::snapshot() returns that for every metric, sorted by
  * name, under one hold of the registry mutex. The JSON, summary-table
- * and Prometheus exporters render only from that list, and the
- * counterTotal / histogram* accessors are a name lookup plus the same
- * reader, so every view of the registry agrees.
+ * and Prometheus exporters render only from that list, and
+ * counterTotal is a name lookup plus the same reader, so every view of
+ * the registry agrees.
  *
  * Determinism contract of the JSON export (exportMetricsJson):
  * counters, gauges, and logical histograms are functions of the
@@ -57,6 +67,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/coverage.h"
 #include "util/shard_scope.h"
 
 namespace sqlpp {
@@ -91,8 +102,9 @@ class MetricsRegistry
     /** Value cells per lane (counters 1, gauges 1, histograms B+1). */
     static constexpr size_t kMaxCells = 8192;
     /**
-     * The id metricId() answers when the registry is full: never a
-     * registered id, so add/set/observe drop writes through it.
+     * The id metricId() answers when the registry is full or the name
+     * is registered under another kind: never a registered id, so
+     * add/set/observe drop writes through it.
      */
     static constexpr size_t kOverflowId = kMaxMetrics;
 
@@ -103,12 +115,14 @@ class MetricsRegistry
 
     /**
      * Resolve a name to a metric id, registering it if unknown. Ids
-     * are stable for the process lifetime. Registering the same name
-     * under a different kind keeps the first kind (and logs nothing:
-     * the declared universe in declarePlatformMetrics() is the source
-     * of truth). A name that no longer fits (kMaxMetrics metrics or
-     * kMaxCells cells) gets kOverflowId. Thread-safe; takes the
-     * registry mutex.
+     * are stable for the process lifetime. A known name asked for
+     * under a different kind gets kOverflowId: the first kind stays,
+     * and the other kind's writes, which would span a different
+     * number of cells, are dropped instead of landing in the metrics
+     * that follow. A name that no longer fits (kMaxMetrics metrics or
+     * kMaxCells cells) also gets kOverflowId. Instrumentation resolves
+     * through Metric<name, kind>::id; call this directly only for
+     * names built at run time. Thread-safe; takes the registry mutex.
      */
     size_t metricId(const std::string &name, MetricKind kind);
 
@@ -120,9 +134,6 @@ class MetricsRegistry
 
     /** Observe a histogram/timer value (hot path; lock-free). */
     void observe(size_t id, uint64_t value);
-
-    /** Cold-path counter add resolving the name every call. */
-    void addByName(const std::string &name, uint64_t delta = 1);
 
     /** Number of registered metrics. */
     size_t registered() const;
@@ -157,20 +168,6 @@ class MetricsRegistry
      * unknown names and histograms.
      */
     uint64_t counterTotal(const std::string &name) const;
-
-    /** Total observations of a histogram/timer across lanes. */
-    uint64_t histogramCount(const std::string &name) const;
-
-    /** Sum of observed values of a histogram/timer across lanes. */
-    uint64_t histogramSum(const std::string &name) const;
-
-    /**
-     * Per-bucket observation counts of a histogram/timer summed across
-     * lanes (kHistogramBuckets entries); empty for unknown names and
-     * scalar metrics.
-     */
-    std::vector<uint64_t>
-    histogramBucketTotals(const std::string &name) const;
 
     /**
      * Zero every value in every lane; registrations, lane labels, and
@@ -208,9 +205,6 @@ class MetricsRegistry
      * snapshot. Callers hold mutex_ (lane labels are written under it).
      */
     MetricSnapshot read(const Metric &metric) const;
-
-    /** read() of a named metric; an empty snapshot for unknown names. */
-    MetricSnapshot readByName(const std::string &name) const;
 
     /** Create a lane's storage if absent and set its label. */
     void bindLane(size_t lane_index, const std::string &label);
@@ -292,57 +286,39 @@ std::string exportMetricsPrometheus();
 double histogramQuantileFromBuckets(const uint64_t *buckets,
                                     size_t bucket_count, double q);
 
-/** p50/p95/p99 estimates for one histogram/timer metric. */
-struct HistogramQuantiles
+/**
+ * The id of one metric name and kind, resolved during static
+ * initialisation: every SQLPP_* site instantiates it, so each site
+ * registers its metric before main even if it never runs, and an event
+ * reads the id with no initialisation guard.
+ */
+template <ProbeName Name, MetricKind Kind>
+struct Metric
 {
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
+    static inline const size_t id =
+        MetricsRegistry::instance().metricId(Name.text, Kind);
 };
-
-/**
- * Compute p50/p95/p99 for a registered histogram/timer from its
- * bucket counts summed across lanes. False when the metric is
- * unknown, scalar, or has no observations.
- */
-bool metricQuantiles(const std::string &name, HistogramQuantiles &out);
-
-/**
- * Pre-register the platform's metric universe so exported documents
- * have a stable shape regardless of which code paths ran. Idempotent.
- * EXPERIMENTS.md documents every name listed here.
- */
-void declarePlatformMetrics();
 
 // ---------------------------------------------------------------------
 // Instrumentation macros. Names passed to them must be string literals
-// (they are resolved once per call site).
+// (each names a Metric template argument).
 // ---------------------------------------------------------------------
 
 #define SQLPP_METRICS_CAT2(a, b) a##b
 #define SQLPP_METRICS_CAT(a, b) SQLPP_METRICS_CAT2(a, b)
 
-/** Hot-path counter increment; resolves the slot once per call site. */
+/** Hot-path counter increment. */
 #define SQLPP_COUNT(name) SQLPP_COUNT_N(name, 1)
 
 #define SQLPP_COUNT_N(name, n)                                          \
-    do {                                                                \
-        static const size_t sqlpp_metric_slot =                         \
-            ::sqlpp::MetricsRegistry::instance().metricId(              \
-                name, ::sqlpp::MetricKind::Counter);                    \
-        ::sqlpp::MetricsRegistry::instance().add(sqlpp_metric_slot,     \
-                                                 (n));                  \
-    } while (0)
+    ::sqlpp::MetricsRegistry::instance().add(                           \
+        ::sqlpp::Metric<name, ::sqlpp::MetricKind::Counter>::id, (n))
 
 /** Hot-path histogram observation of a logical value. */
 #define SQLPP_OBSERVE(name, value)                                      \
-    do {                                                                \
-        static const size_t sqlpp_metric_slot =                         \
-            ::sqlpp::MetricsRegistry::instance().metricId(              \
-                name, ::sqlpp::MetricKind::Histogram);                  \
-        ::sqlpp::MetricsRegistry::instance().observe(sqlpp_metric_slot, \
-                                                     (value));          \
-    } while (0)
+    ::sqlpp::MetricsRegistry::instance().observe(                       \
+        ::sqlpp::Metric<name, ::sqlpp::MetricKind::Histogram>::id,      \
+        (value))
 
 /**
  * Observe a wall-clock duration in microseconds. Distinct from
@@ -350,35 +326,21 @@ void declarePlatformMetrics();
  * (nondeterministic) values stay out of the default JSON export.
  */
 #define SQLPP_OBSERVE_TIME(name, micros)                                \
-    do {                                                                \
-        static const size_t sqlpp_metric_slot =                         \
-            ::sqlpp::MetricsRegistry::instance().metricId(              \
-                name, ::sqlpp::MetricKind::Timer);                      \
-        ::sqlpp::MetricsRegistry::instance().observe(sqlpp_metric_slot, \
-                                                     (micros));         \
-    } while (0)
+    ::sqlpp::MetricsRegistry::instance().observe(                       \
+        ::sqlpp::Metric<name, ::sqlpp::MetricKind::Timer>::id, (micros))
 
 /** Hot-path gauge store. */
 #define SQLPP_GAUGE_SET(name, value)                                    \
-    do {                                                                \
-        static const size_t sqlpp_metric_slot =                         \
-            ::sqlpp::MetricsRegistry::instance().metricId(              \
-                name, ::sqlpp::MetricKind::Gauge);                      \
-        ::sqlpp::MetricsRegistry::instance().set(sqlpp_metric_slot,     \
-                                                 (value));              \
-    } while (0)
+    ::sqlpp::MetricsRegistry::instance().set(                           \
+        ::sqlpp::Metric<name, ::sqlpp::MetricKind::Gauge>::id, (value))
 
 /**
  * RAII timing span: records wall-clock microseconds into the named
  * Timer metric when the enclosing scope exits.
  */
 #define SQLPP_SPAN(name)                                                \
-    static const size_t SQLPP_METRICS_CAT(sqlpp_span_slot_,             \
-                                          __LINE__) =                   \
-        ::sqlpp::MetricsRegistry::instance().metricId(                  \
-            name, ::sqlpp::MetricKind::Timer);                          \
     ::sqlpp::MetricsSpan SQLPP_METRICS_CAT(sqlpp_span_, __LINE__)(      \
-        SQLPP_METRICS_CAT(sqlpp_span_slot_, __LINE__))
+        ::sqlpp::Metric<name, ::sqlpp::MetricKind::Timer>::id)
 
 } // namespace sqlpp
 

@@ -9,7 +9,17 @@
  *     across worker counts: instrumentation must not perturb the
  *     scheduler's deterministic merge, and lanes are keyed by shard,
  *     never by worker.
+ *  3. The metric universe is fixed before any campaign runs: this
+ *     binary links the scheduler, so every instrumented site is
+ *     present and has registered its metric during static
+ *     initialisation. tests/golden/metric_universe.txt pins the
+ *     names and kinds; after a deliberate change, regenerate it:
+ *
+ *       SQLPP_UPDATE_GOLDEN=1 ./core_metrics_test
  */
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,10 +47,53 @@ smallCampaign(size_t workers)
     return config;
 }
 
+std::string
+goldenPath()
+{
+    return std::string(SQLPP_GOLDEN_DIR) + "/metric_universe.txt";
+}
+
+/**
+ * Defined first, so a plain run of the binary checks it before any
+ * campaign (no campaign registers a name anyway).
+ */
+TEST(CoreMetricsTest, EveryMetricSiteIsRegisteredBeforeAnyRun)
+{
+    std::string rendered;
+    for (const MetricsRegistry::MetricSnapshot &snap :
+         MetricsRegistry::instance().snapshot())
+        rendered += snap.name + " " + metricKindName(snap.kind) + "\n";
+
+    if (std::getenv("SQLPP_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(goldenPath(), std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << goldenPath();
+        out << rendered;
+        GTEST_SKIP() << "golden file regenerated: " << goldenPath();
+    }
+
+    std::ifstream in(goldenPath(), std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file " << goldenPath()
+                    << "; regenerate with SQLPP_UPDATE_GOLDEN=1";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+
+    EXPECT_EQ(rendered, golden.str())
+        << "the metric universe diverged from tests/golden/"
+           "metric_universe.txt; if the change is intentional, rerun "
+           "with SQLPP_UPDATE_GOLDEN=1";
+
+    // Registered-but-untouched metrics emit a stable zero series.
+    std::string text = exportMetricsPrometheus();
+    EXPECT_NE(text.find("sqlpp_connection_statements 0\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("sqlpp_campaign_trace_dropped 0\n"),
+              std::string::npos)
+        << text;
+}
+
 TEST(CoreMetricsTest, DefaultJsonIsByteIdenticalAcrossRuns)
 {
-    declarePlatformMetrics();
-
     MetricsRegistry::instance().reset();
     ScheduleReport first_report = CampaignScheduler(smallCampaign(1)).run();
     std::string first = exportMetricsJson();
@@ -56,8 +109,6 @@ TEST(CoreMetricsTest, DefaultJsonIsByteIdenticalAcrossRuns)
 
 TEST(CoreMetricsTest, TotalsAreWorkerCountIndependent)
 {
-    declarePlatformMetrics();
-
     MetricsRegistry::instance().reset();
     ScheduleReport serial = CampaignScheduler(smallCampaign(1)).run();
     std::string serial_json = exportMetricsJson();
@@ -112,7 +163,6 @@ TEST(CoreMetricsTest, TotalsAreWorkerCountIndependent)
 
 TEST(CoreMetricsTest, ShardLanesCarryDialectLabels)
 {
-    declarePlatformMetrics();
     MetricsRegistry::instance().reset();
 
     SchedulerConfig config;

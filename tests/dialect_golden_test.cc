@@ -77,9 +77,10 @@ TEST(DialectGoldenTest, EveryProfileRendersItsName)
         EXPECT_NE(text.find("== " + profile.name + " =="),
                   std::string::npos);
         // Every campaign profile ships ground-truth faults.
-        if (profile.name != "postgres-like")
+        if (profile.name != "postgres-like") {
             EXPECT_EQ(text.find("faults: \n"), std::string::npos)
                 << profile.name << " has an empty fault set";
+        }
     }
 }
 

@@ -27,6 +27,27 @@ class MetricsTest : public ::testing::Test
     void SetUp() override { MetricsRegistry::instance().reset(); }
 };
 
+/** A registered metric's snapshot; fails the test if it is absent. */
+MetricsRegistry::MetricSnapshot
+snapshotOf(const MetricsRegistry &registry, const std::string &name)
+{
+    for (MetricsRegistry::MetricSnapshot &snap : registry.snapshot())
+        if (snap.name == name)
+            return snap;
+    ADD_FAILURE() << name << " is not registered";
+    return {};
+}
+
+/** Whether any metric of that name is registered. */
+bool
+isRegistered(const MetricsRegistry &registry, const std::string &name)
+{
+    for (const MetricsRegistry::MetricSnapshot &snap : registry.snapshot())
+        if (snap.name == name)
+            return true;
+    return false;
+}
+
 TEST_F(MetricsTest, CounterAccumulates)
 {
     auto &registry = MetricsRegistry::instance();
@@ -64,8 +85,10 @@ TEST_F(MetricsTest, HistogramCountAndSum)
     registry.observe(id, 0);
     registry.observe(id, 1);
     registry.observe(id, 100);
-    EXPECT_EQ(registry.histogramCount("test.histogram.basic"), 3u);
-    EXPECT_EQ(registry.histogramSum("test.histogram.basic"), 101u);
+    MetricsRegistry::MetricSnapshot snap =
+        snapshotOf(registry, "test.histogram.basic");
+    EXPECT_EQ(snap.count, 3u);
+    EXPECT_EQ(snap.sum, 101u);
 }
 
 TEST_F(MetricsTest, BucketIndexIsBitWidth)
@@ -95,9 +118,10 @@ TEST_F(MetricsTest, BucketBoundsArePowersOfTwo)
     for (uint64_t value : {0ull, 1ull, 5ull, 1000ull, 123456789ull}) {
         size_t bucket = MetricsRegistry::bucketIndex(value);
         EXPECT_LE(value, MetricsRegistry::bucketUpperBound(bucket));
-        if (bucket > 0)
+        if (bucket > 0) {
             EXPECT_GT(value,
                       MetricsRegistry::bucketUpperBound(bucket - 1));
+        }
     }
 }
 
@@ -180,8 +204,8 @@ TEST_F(MetricsTest, HistogramBucketsExportSparse)
 TEST_F(MetricsTest, ExportIsSortedByName)
 {
     auto &registry = MetricsRegistry::instance();
-    registry.addByName("test.sort.zzz", 1);
-    registry.addByName("test.sort.aaa", 1);
+    registry.add(registry.metricId("test.sort.zzz", MetricKind::Counter));
+    registry.add(registry.metricId("test.sort.aaa", MetricKind::Counter));
     std::string json = exportMetricsJson();
     size_t aaa = json.find("test.sort.aaa");
     size_t zzz = json.find("test.sort.zzz");
@@ -190,21 +214,11 @@ TEST_F(MetricsTest, ExportIsSortedByName)
     EXPECT_LT(aaa, zzz);
 }
 
-TEST_F(MetricsTest, DeclarePlatformMetricsIsIdempotent)
-{
-    declarePlatformMetrics();
-    size_t after_first = MetricsRegistry::instance().registered();
-    declarePlatformMetrics();
-    EXPECT_EQ(MetricsRegistry::instance().registered(), after_first);
-    std::string json = exportMetricsJson();
-    EXPECT_NE(json.find("connection.statements"), std::string::npos);
-    EXPECT_NE(json.find("oracle.tlp.pass"), std::string::npos);
-}
-
 TEST_F(MetricsTest, SummaryTableMentionsValues)
 {
     auto &registry = MetricsRegistry::instance();
-    registry.addByName("test.summary.counter", 42);
+    registry.add(
+        registry.metricId("test.summary.counter", MetricKind::Counter), 42);
     std::string table = metricsSummaryTable();
     EXPECT_NE(table.find("test.summary.counter"), std::string::npos);
     EXPECT_NE(table.find("42"), std::string::npos);
@@ -251,13 +265,13 @@ TEST_F(MetricsTest, ConcurrentHammerHasExactTotals)
 
     EXPECT_EQ(registry.counterTotal("test.concurrent.counter"),
               kThreads * kIterations);
-    EXPECT_EQ(registry.histogramCount("test.concurrent.histogram"),
-              kThreads * kIterations);
+    MetricsRegistry::MetricSnapshot histogram =
+        snapshotOf(registry, "test.concurrent.histogram");
+    EXPECT_EQ(histogram.count, kThreads * kIterations);
     uint64_t per_thread_sum = 0;
     for (size_t i = 0; i < kIterations; ++i)
         per_thread_sum += i % 17;
-    EXPECT_EQ(registry.histogramSum("test.concurrent.histogram"),
-              kThreads * per_thread_sum);
+    EXPECT_EQ(histogram.sum, kThreads * per_thread_sum);
 }
 
 /**
@@ -313,15 +327,25 @@ TEST_F(MetricsTest, MetricQuantilesReadTheLiveRegistry)
     // Bucket 1 is the degenerate range [1, 1]: every quantile is 1.
     for (int i = 0; i < 100; ++i)
         registry.observe(id, 1);
-    HistogramQuantiles quantiles;
-    ASSERT_TRUE(metricQuantiles("test.quantile.live", quantiles));
-    EXPECT_DOUBLE_EQ(quantiles.p50, 1.0);
-    EXPECT_DOUBLE_EQ(quantiles.p95, 1.0);
-    EXPECT_DOUBLE_EQ(quantiles.p99, 1.0);
+    MetricsRegistry::MetricSnapshot snap =
+        snapshotOf(registry, "test.quantile.live");
+    for (double q : {0.50, 0.95, 0.99})
+        EXPECT_DOUBLE_EQ(
+            histogramQuantileFromBuckets(
+                snap.buckets, MetricsRegistry::kHistogramBuckets, q),
+            1.0)
+            << q;
 
-    EXPECT_FALSE(metricQuantiles("test.quantile.absent", quantiles));
-    registry.addByName("test.quantile.scalar", 3);
-    EXPECT_FALSE(metricQuantiles("test.quantile.scalar", quantiles));
+    // A scalar metric has no buckets, so every quantile reads 0.
+    size_t scalar =
+        registry.metricId("test.quantile.scalar", MetricKind::Counter);
+    registry.add(scalar, 3);
+    MetricsRegistry::MetricSnapshot counter =
+        snapshotOf(registry, "test.quantile.scalar");
+    EXPECT_DOUBLE_EQ(
+        histogramQuantileFromBuckets(
+            counter.buckets, MetricsRegistry::kHistogramBuckets, 0.50),
+        0.0);
 }
 
 TEST_F(MetricsTest, BucketTotalsSumAcrossLanes)
@@ -335,13 +359,12 @@ TEST_F(MetricsTest, BucketTotalsSumAcrossLanes)
         registry.observe(id, 4);
         registry.observe(id, 0);
     }
-    std::vector<uint64_t> buckets =
-        registry.histogramBucketTotals("test.buckets.lanes");
-    ASSERT_EQ(buckets.size(), MetricsRegistry::kHistogramBuckets);
-    EXPECT_EQ(buckets[0], 1u); // the zero
-    EXPECT_EQ(buckets[MetricsRegistry::bucketIndex(4)], 2u);
-    EXPECT_TRUE(
-        registry.histogramBucketTotals("test.buckets.absent").empty());
+    MetricsRegistry::MetricSnapshot snap =
+        snapshotOf(registry, "test.buckets.lanes");
+    EXPECT_EQ(snap.buckets[0], 1u); // the zero
+    EXPECT_EQ(snap.buckets[MetricsRegistry::bucketIndex(4)], 2u);
+    EXPECT_EQ(snap.count, 3u);
+    EXPECT_FALSE(isRegistered(registry, "test.buckets.absent"));
 }
 
 TEST_F(MetricsTest, SummaryTableCarriesQuantileColumns)
@@ -365,7 +388,8 @@ TEST_F(MetricsTest, SummaryTableCarriesQuantileColumns)
 TEST_F(MetricsTest, PrometheusExportsScalars)
 {
     auto &registry = MetricsRegistry::instance();
-    registry.addByName("test.prom.counter", 5);
+    registry.add(registry.metricId("test.prom.counter", MetricKind::Counter),
+                 5);
     size_t gauge = registry.metricId("test.prom.gauge",
                                      MetricKind::Gauge);
     registry.set(gauge, 9);
@@ -411,24 +435,23 @@ TEST_F(MetricsTest, PrometheusHistogramIsCumulative)
 TEST_F(MetricsTest, PrometheusSanitizesNamesAndKeepsZeroSeries)
 {
     auto &registry = MetricsRegistry::instance();
-    registry.addByName("test.prom-weird.name", 1);
-    declarePlatformMetrics();
+    registry.add(
+        registry.metricId("test.prom-weird.name", MetricKind::Counter));
+    (void)registry.metricId("test.prom.untouched", MetricKind::Gauge);
     std::string text = exportMetricsPrometheus();
     EXPECT_NE(text.find("sqlpp_test_prom_weird_name 1"),
               std::string::npos);
-    // Declared-but-untouched metrics still emit a stable zero series.
-    EXPECT_NE(text.find("sqlpp_connection_statements 0"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("sqlpp_campaign_trace_dropped 0"),
+    // Registered-but-untouched metrics still emit a stable zero series.
+    EXPECT_NE(text.find("# TYPE sqlpp_test_prom_untouched gauge\n"
+                        "sqlpp_test_prom_untouched 0\n"),
               std::string::npos)
         << text;
 }
 
 /**
- * Each accessor reads its own kind: a counter has no observations and
- * a histogram no counter total, rather than the cells that follow the
- * metric's own.
+ * Each reading is of the metric's own kind: a counter has no
+ * observations and a histogram no counter total, rather than the cells
+ * that follow the metric's own.
  */
 TEST_F(MetricsTest, AccessorsOfTheOtherKindReadZero)
 {
@@ -441,11 +464,38 @@ TEST_F(MetricsTest, AccessorsOfTheOtherKindReadZero)
     registry.observe(histogram, 0);
     registry.observe(histogram, 9);
     EXPECT_EQ(registry.counterTotal("test.kind.counter"), 5u);
-    EXPECT_EQ(registry.histogramCount("test.kind.counter"), 0u);
-    EXPECT_EQ(registry.histogramSum("test.kind.counter"), 0u);
+    MetricsRegistry::MetricSnapshot as_counter =
+        snapshotOf(registry, "test.kind.counter");
+    EXPECT_EQ(as_counter.count, 0u);
+    EXPECT_EQ(as_counter.sum, 0u);
     EXPECT_EQ(registry.counterTotal("test.kind.histogram"), 0u);
-    EXPECT_EQ(registry.histogramCount("test.kind.histogram"), 2u);
-    EXPECT_EQ(registry.histogramSum("test.kind.histogram"), 9u);
+    MetricsRegistry::MetricSnapshot as_histogram =
+        snapshotOf(registry, "test.kind.histogram");
+    EXPECT_EQ(as_histogram.total, 0u);
+    EXPECT_EQ(as_histogram.count, 2u);
+    EXPECT_EQ(as_histogram.sum, 9u);
+}
+
+/**
+ * A name asked for under a second kind gets the overflow id: a
+ * histogram's writes through the counter's id would run past the
+ * counter's one cell into the metric registered after it.
+ */
+TEST_F(MetricsTest, SameNameUnderAnotherKindDropsWrites)
+{
+    MetricsRegistry registry;
+    size_t counter = registry.metricId("a", MetricKind::Counter);
+    (void)registry.metricId("b", MetricKind::Counter);
+    size_t histogram = registry.metricId("a", MetricKind::Histogram);
+    EXPECT_EQ(histogram, MetricsRegistry::kOverflowId);
+    EXPECT_EQ(registry.metricId("a", MetricKind::Counter), counter);
+    registry.observe(histogram, 1);
+    registry.observe(histogram, 1000);
+    EXPECT_EQ(registry.counterTotal("a"), 0u);
+    EXPECT_EQ(registry.counterTotal("b"), 0u);
+    MetricsRegistry::MetricSnapshot first = snapshotOf(registry, "a");
+    EXPECT_EQ(first.kind, MetricKind::Counter);
+    EXPECT_EQ(first.count, 0u);
 }
 
 TEST_F(MetricsTest, FullRegistryDropsWritesPastTheMetricCap)
@@ -469,7 +519,7 @@ TEST_F(MetricsTest, FullRegistryDropsWritesPastTheMetricCap)
                                         std::to_string(i)),
                   0u)
             << i;
-    EXPECT_EQ(registry.histogramCount("test.full.histogram"), 0u);
+    EXPECT_FALSE(isRegistered(registry, "test.full.histogram"));
 }
 
 TEST_F(MetricsTest, FullRegistryDropsWritesPastTheCellCap)
@@ -497,8 +547,9 @@ TEST_F(MetricsTest, FullRegistryDropsWritesPastTheCellCap)
     EXPECT_EQ(registry.counterTotal("test.cells.counter"), 0u);
     for (size_t i = 0; i < histograms; ++i) {
         std::string name = "test.cells.histogram." + std::to_string(i);
-        EXPECT_EQ(registry.histogramCount(name), 0u) << name;
-        EXPECT_EQ(registry.histogramSum(name), 0u) << name;
+        MetricsRegistry::MetricSnapshot snap = snapshotOf(registry, name);
+        EXPECT_EQ(snap.count, 0u) << name;
+        EXPECT_EQ(snap.sum, 0u) << name;
     }
 }
 
@@ -517,8 +568,9 @@ TEST_F(MetricsTest, ConcurrentSpansCountExactly)
     }
     for (std::thread &thread : threads)
         thread.join();
-    EXPECT_EQ(MetricsRegistry::instance().histogramCount(
-                  "test.concurrent.span_us"),
+    EXPECT_EQ(snapshotOf(MetricsRegistry::instance(),
+                         "test.concurrent.span_us")
+                  .count,
               kThreads * kIterations);
 }
 
