@@ -2,7 +2,16 @@
 # Tier-1 verification pipeline, fastest signal first:
 #
 #   1. unit lane    — configure + build, then `ctest -L unit`: the
-#                     sub-second suites, for a quick inner loop.
+#                     sub-second suites, for a quick inner loop. The
+#                     build fails if the compiler prints any warning
+#                     for a file under src/: the libraries are built
+#                     first and any "warning:" in their output fails
+#                     the lane (that also catches warnings GCC reports
+#                     at a system header a src/ function inlined, like
+#                     -Wrestrict's), then the rest, where a warning
+#                     located in a src/ header fails it. A compiler
+#                     prints a file's warnings only when it compiles
+#                     it, so a fresh build tree checks every file.
 #   2. full suite   — every registered test (unit + integration +
 #                     smoke), the bar every PR must clear. The smoke
 #                     tests drive the built binaries end to end, each
@@ -48,7 +57,7 @@
 #                     code most worth race-checking.
 #
 # Usage: scripts/tier1.sh [--unit-only] [--no-asan] [--no-txn] [-j N]
-set -eu
+set -eu -o pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build"
@@ -74,7 +83,19 @@ done
 
 echo "== tier1: configure + build =="
 cmake -B "$BUILD" -S "$ROOT" >/dev/null
-cmake --build "$BUILD" -j "$JOBS"
+BUILD_LOG="$BUILD/tier1-build.log"
+cmake --build "$BUILD" -j "$JOBS" --target sqlpp_util sqlpp_sqlir \
+    sqlpp_parser sqlpp_engine sqlpp_dialect sqlpp_core 2>&1 |
+    tee "$BUILD_LOG"
+if grep -q "warning:" "$BUILD_LOG"; then
+    echo "tier1: compiler warnings in src/ (see $BUILD_LOG)" >&2
+    exit 1
+fi
+cmake --build "$BUILD" -j "$JOBS" 2>&1 | tee "$BUILD_LOG"
+if grep -Eq "/src/[^:]+:[0-9]+(:[0-9]+)?: warning:" "$BUILD_LOG"; then
+    echo "tier1: compiler warnings in src/ (see $BUILD_LOG)" >&2
+    exit 1
+fi
 
 echo "== tier1: unit lane (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$JOBS" \

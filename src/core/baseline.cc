@@ -1,6 +1,7 @@
 #include "core/baseline.h"
 
 #include <cctype>
+#include <cstring>
 
 #include "engine/eval.h"
 #include "engine/functions.h"
@@ -16,19 +17,14 @@ parseCompositeArg(const std::string &name, std::string &fn_name,
                   size_t &arg_index, DataType &type)
 {
     std::string suffix;
-    if (name.size() > 3 && name.substr(name.size() - 3) == "INT") {
-        type = DataType::Int;
-        suffix = name.substr(0, name.size() - 3);
-    } else if (name.size() > 6 &&
-               name.substr(name.size() - 6) == "STRING") {
-        type = DataType::Text;
-        suffix = name.substr(0, name.size() - 6);
-    } else if (name.size() > 4 &&
-               name.substr(name.size() - 4) == "BOOL") {
-        type = DataType::Bool;
-        suffix = name.substr(0, name.size() - 4);
-    } else {
-        return false;
+    for (const DataTypeInfo &row : dataTypeTable()) {
+        size_t tag = std::strlen(row.argTag);
+        if (name.size() > tag &&
+            name.compare(name.size() - tag, tag, row.argTag) == 0) {
+            type = row.value;
+            suffix = name.substr(0, name.size() - tag);
+            break;
+        }
     }
     if (suffix.empty() ||
         !std::isdigit(static_cast<unsigned char>(suffix.back()))) {
@@ -60,23 +56,17 @@ ProfileGate::allowName(const std::string &name) const
 {
     // Statements.
     if (startsWith(name, "STMT_")) {
-        for (StmtKind kind :
-             {StmtKind::CreateTable, StmtKind::CreateIndex,
-              StmtKind::CreateView, StmtKind::Insert, StmtKind::Analyze,
-              StmtKind::Select, StmtKind::DropTable, StmtKind::DropView,
-              StmtKind::DropIndex}) {
-            if (features::stmt(kind) == name)
-                return profile_.supportsStatement(kind);
+        for (const EnumInfo<StmtKind> &row : stmtKindTable()) {
+            if (!isTxnStmtKind(row.value) && name == row.feature)
+                return profile_.supportsStatement(row.value);
         }
         return false;
     }
     // Joins.
     if (startsWith(name, "JOIN_")) {
-        for (JoinType type :
-             {JoinType::Inner, JoinType::Left, JoinType::Right,
-              JoinType::Full, JoinType::Cross, JoinType::Natural}) {
-            if (features::join(type) == name)
-                return profile_.supportsJoin(type);
+        for (const EnumInfo<JoinType> &row : joinTypeTable()) {
+            if (name == row.feature)
+                return profile_.supportsJoin(row.value);
         }
         return false;
     }
@@ -105,27 +95,13 @@ ProfileGate::allowName(const std::string &name) const
         return !profile_.behavior.staticTyping;
     // Operators.
     if (startsWith(name, "OP_")) {
-        for (BinaryOp op :
-             {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div,
-              BinaryOp::Mod, BinaryOp::Eq, BinaryOp::NotEq,
-              BinaryOp::NotEqBang, BinaryOp::Less, BinaryOp::LessEq,
-              BinaryOp::Greater, BinaryOp::GreaterEq,
-              BinaryOp::NullSafeEq, BinaryOp::And, BinaryOp::Or,
-              BinaryOp::BitAnd, BinaryOp::BitOr, BinaryOp::BitXor,
-              BinaryOp::ShiftLeft, BinaryOp::ShiftRight,
-              BinaryOp::Concat, BinaryOp::Like, BinaryOp::NotLike,
-              BinaryOp::Glob, BinaryOp::IsDistinctFrom,
-              BinaryOp::IsNotDistinctFrom}) {
-            if (features::binaryOp(op) == name)
-                return profile_.supportsBinaryOp(op);
+        for (const BinaryOpInfo &row : binaryOpTable()) {
+            if (features::binaryOp(row.value) == name)
+                return profile_.supportsBinaryOp(row.value);
         }
-        for (UnaryOp op :
-             {UnaryOp::Neg, UnaryOp::Plus, UnaryOp::BitNot, UnaryOp::Not,
-              UnaryOp::IsNull, UnaryOp::IsNotNull, UnaryOp::IsTrue,
-              UnaryOp::IsFalse, UnaryOp::IsNotTrue,
-              UnaryOp::IsNotFalse}) {
-            if (features::unaryOp(op) == name)
-                return profile_.supportsUnaryOp(op);
+        for (const EnumInfo<UnaryOp> &row : unaryOpTable()) {
+            if (name == row.feature)
+                return profile_.supportsUnaryOp(row.value);
         }
         if (name == "OP_EXISTS" || name == "OP_NOT_EXISTS" ||
             name == "OP_IN_SUBQUERY" || name == "OP_NOT_IN_SUBQUERY") {
@@ -138,12 +114,10 @@ ProfileGate::allowName(const std::string &name) const
     if (startsWith(name, "FN_"))
         return profile_.supportsFunction(name.substr(3));
     // Data types.
-    if (name == features::dataType(DataType::Int))
-        return profile_.supportsType(DataType::Int);
-    if (name == features::dataType(DataType::Text))
-        return profile_.supportsType(DataType::Text);
-    if (name == features::dataType(DataType::Bool))
-        return profile_.supportsType(DataType::Bool);
+    for (const DataTypeInfo &row : dataTypeTable()) {
+        if (name == row.feature)
+            return profile_.supportsType(row.value);
+    }
     // Composite typed-argument features: the baseline knows the exact
     // signatures, so a mismatching argument type is only allowed on
     // dynamically-typed dialects.

@@ -194,10 +194,6 @@ CampaignRunner::run()
             SQLPP_COUNT("campaign.watchdog.abandoned");
             SQLPP_TRACE_EVENT(ShardAbandoned, profile.name, check,
                               config_.checks);
-            // Abandonment is exactly the moment buffered log lines are
-            // about to be lost (the scheduler may tear the worker down
-            // or the process may be checkpoint-killed); push them out.
-            flushLogs();
             break;
         }
         if (config_.rebuildEvery > 0 && check > 0 &&

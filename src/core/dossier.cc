@@ -36,7 +36,9 @@ jsonStringArray(const std::vector<std::string> &items)
     for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0)
             out += ", ";
-        out += "\"" + jsonEscape(items[i]) + "\"";
+        out += '"';
+        out += jsonEscape(items[i]);
+        out += '"';
     }
     out += "]";
     return out;

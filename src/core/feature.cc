@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "engine/functions.h"
-#include "util/strutil.h"
 
 namespace sqlpp {
 
@@ -60,11 +59,14 @@ FeatureRegistry::ofKind(FeatureKind kind) const
 std::string
 FeatureRegistry::describe(const FeatureSet &set) const
 {
-    std::vector<std::string> parts;
-    parts.reserve(set.size());
-    for (FeatureId id : set)
-        parts.push_back(name(id));
-    return "{" + join(parts, ", ") + "}";
+    std::string out = "{";
+    for (FeatureId id : set) {
+        if (out.size() > 1)
+            out += ", ";
+        out += name(id);
+    }
+    out += '}';
+    return out;
 }
 
 namespace features {
@@ -72,38 +74,13 @@ namespace features {
 std::string
 stmt(StmtKind kind)
 {
-    switch (kind) {
-      case StmtKind::CreateTable: return "STMT_CREATE_TABLE";
-      case StmtKind::CreateIndex: return "STMT_CREATE_INDEX";
-      case StmtKind::CreateView: return "STMT_CREATE_VIEW";
-      case StmtKind::Insert: return "STMT_INSERT";
-      case StmtKind::Analyze: return "STMT_ANALYZE";
-      case StmtKind::Select: return "STMT_SELECT";
-      case StmtKind::DropTable: return "STMT_DROP_TABLE";
-      case StmtKind::DropView: return "STMT_DROP_VIEW";
-      case StmtKind::DropIndex: return "STMT_DROP_INDEX";
-      case StmtKind::Begin: return "STMT_BEGIN";
-      case StmtKind::Commit: return "STMT_COMMIT";
-      case StmtKind::Rollback: return "STMT_ROLLBACK";
-      case StmtKind::Savepoint: return "STMT_SAVEPOINT";
-      case StmtKind::RollbackTo: return "STMT_ROLLBACK_TO";
-      case StmtKind::Release: return "STMT_RELEASE";
-    }
-    return "STMT_UNKNOWN";
+    return stmtKindInfo(kind).feature;
 }
 
 std::string
 join(JoinType type)
 {
-    switch (type) {
-      case JoinType::Inner: return "JOIN_INNER";
-      case JoinType::Left: return "JOIN_LEFT";
-      case JoinType::Right: return "JOIN_RIGHT";
-      case JoinType::Full: return "JOIN_FULL";
-      case JoinType::Cross: return "JOIN_CROSS";
-      case JoinType::Natural: return "JOIN_NATURAL";
-    }
-    return "JOIN_UNKNOWN";
+    return joinTypeInfo(type).feature;
 }
 
 std::string
@@ -115,19 +92,7 @@ binaryOp(BinaryOp op)
 std::string
 unaryOp(UnaryOp op)
 {
-    switch (op) {
-      case UnaryOp::Neg: return "OP_UNARY_MINUS";
-      case UnaryOp::Plus: return "OP_UNARY_PLUS";
-      case UnaryOp::BitNot: return "OP_~";
-      case UnaryOp::Not: return "OP_NOT";
-      case UnaryOp::IsNull: return "OP_IS_NULL";
-      case UnaryOp::IsNotNull: return "OP_IS_NOT_NULL";
-      case UnaryOp::IsTrue: return "OP_IS_TRUE";
-      case UnaryOp::IsFalse: return "OP_IS_FALSE";
-      case UnaryOp::IsNotTrue: return "OP_IS_NOT_TRUE";
-      case UnaryOp::IsNotFalse: return "OP_IS_NOT_FALSE";
-    }
-    return "OP_UNKNOWN";
+    return unaryOpInfo(op).feature;
 }
 
 std::string
@@ -140,13 +105,8 @@ std::string
 functionArg(const std::string &upper_name, size_t arg_index, DataType type)
 {
     // Paper Fig. 5 naming: SIN1INT = first argument of SIN is integer.
-    const char *type_tag = "?";
-    switch (type) {
-      case DataType::Int: type_tag = "INT"; break;
-      case DataType::Text: type_tag = "STRING"; break;
-      case DataType::Bool: type_tag = "BOOL"; break;
-    }
-    return upper_name + std::to_string(arg_index + 1) + type_tag;
+    return upper_name + std::to_string(arg_index + 1) +
+           dataTypeInfo(type).argTag;
 }
 
 std::string
@@ -158,30 +118,21 @@ oracle(const std::string &oracle_name)
 std::string
 dataType(DataType type)
 {
-    switch (type) {
-      case DataType::Int: return "TYPE_INTEGER";
-      case DataType::Text: return "TYPE_STRING";
-      case DataType::Bool: return "TYPE_BOOLEAN";
-    }
-    return "TYPE_UNKNOWN";
+    return dataTypeInfo(type).feature;
 }
 
 void
 registerAll(FeatureRegistry &registry)
 {
-    // Statements (6 generated kinds + drops used by the platform).
-    for (StmtKind kind :
-         {StmtKind::CreateTable, StmtKind::CreateIndex,
-          StmtKind::CreateView, StmtKind::Insert, StmtKind::Analyze,
-          StmtKind::Select}) {
-        registry.intern(stmt(kind), FeatureKind::Statement);
+    // Statements: the six generated kinds, CreateTable..Select. Drops
+    // and transaction control are platform plumbing, not features.
+    for (const EnumInfo<StmtKind> &row : stmtKindTable().first(
+             static_cast<size_t>(StmtKind::Select) + 1)) {
+        registry.intern(row.feature, FeatureKind::Statement);
     }
     // Clauses & keywords.
-    for (JoinType type :
-         {JoinType::Inner, JoinType::Left, JoinType::Right,
-          JoinType::Full, JoinType::Cross, JoinType::Natural}) {
-        registry.intern(join(type), FeatureKind::Clause);
-    }
+    for (const EnumInfo<JoinType> &row : joinTypeTable())
+        registry.intern(row.feature, FeatureKind::Clause);
     for (const char *name :
          {kDistinct, kGroupBy, kHaving, kOrderBy, kLimit, kOffset,
           kSubqueryExpr, kSubqueryFrom, kPartialIndex, kUniqueIndex,
@@ -190,24 +141,10 @@ registerAll(FeatureRegistry &registry)
         registry.intern(name, FeatureKind::Clause);
     }
     // Operators.
-    for (BinaryOp op :
-         {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div,
-          BinaryOp::Mod, BinaryOp::Eq, BinaryOp::NotEq,
-          BinaryOp::NotEqBang, BinaryOp::Less, BinaryOp::LessEq,
-          BinaryOp::Greater, BinaryOp::GreaterEq, BinaryOp::NullSafeEq,
-          BinaryOp::And, BinaryOp::Or, BinaryOp::BitAnd, BinaryOp::BitOr,
-          BinaryOp::BitXor, BinaryOp::ShiftLeft, BinaryOp::ShiftRight,
-          BinaryOp::Concat, BinaryOp::Like, BinaryOp::NotLike,
-          BinaryOp::Glob, BinaryOp::IsDistinctFrom,
-          BinaryOp::IsNotDistinctFrom}) {
-        registry.intern(binaryOp(op), FeatureKind::Operator);
-    }
-    for (UnaryOp op :
-         {UnaryOp::Neg, UnaryOp::Plus, UnaryOp::BitNot, UnaryOp::Not,
-          UnaryOp::IsNull, UnaryOp::IsNotNull, UnaryOp::IsTrue,
-          UnaryOp::IsFalse, UnaryOp::IsNotTrue, UnaryOp::IsNotFalse}) {
-        registry.intern(unaryOp(op), FeatureKind::Operator);
-    }
+    for (const BinaryOpInfo &row : binaryOpTable())
+        registry.intern(binaryOp(row.value), FeatureKind::Operator);
+    for (const EnumInfo<UnaryOp> &row : unaryOpTable())
+        registry.intern(row.feature, FeatureKind::Operator);
     // Expression constructs counted as operators in Table 1.
     for (const char *name :
          {"OP_CASE_SIMPLE", "OP_CASE_SEARCHED", "OP_BETWEEN",
@@ -220,8 +157,8 @@ registerAll(FeatureRegistry &registry)
     for (const std::string &fn : FunctionRegistry::instance().names())
         registry.intern(function(fn), FeatureKind::Function);
     // Data types.
-    for (DataType type : {DataType::Int, DataType::Text, DataType::Bool})
-        registry.intern(dataType(type), FeatureKind::DataType);
+    for (const DataTypeInfo &row : dataTypeTable())
+        registry.intern(row.feature, FeatureKind::DataType);
     // Abstract properties.
     registry.intern(kUntypedExpr, FeatureKind::Property);
 }

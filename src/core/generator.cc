@@ -11,6 +11,25 @@
 
 namespace sqlpp {
 
+namespace {
+
+/** Database-state limits (paper: up to 2 tables and 1 view). */
+constexpr size_t kMaxTables = 2;
+constexpr size_t kMaxViews = 1;
+constexpr size_t kMaxColumnsPerTable = 4;
+constexpr size_t kMaxRowsPerInsert = 3;
+/**
+ * Stop inserting into tables the model believes have this many rows;
+ * bounds join sizes and correlated-subquery cost, like the small
+ * databases SQLancer deliberately works with.
+ */
+constexpr size_t kMaxRowsPerTable = 10;
+constexpr size_t kMaxJoins = 2;
+/** Probability of attempting a loose (possibly ill-typed) node. */
+constexpr double kLooseTypeProbability = 0.25;
+
+} // namespace
+
 size_t
 AdaptiveGenerator::chooseGuided(const std::vector<std::string> &names)
 {
@@ -76,10 +95,9 @@ DataType
 AdaptiveGenerator::randomSupportedType()
 {
     std::vector<DataType> candidates;
-    for (DataType type :
-         {DataType::Int, DataType::Text, DataType::Bool}) {
-        if (allowName(features::dataType(type)))
-            candidates.push_back(type);
+    for (const DataTypeInfo &row : dataTypeTable()) {
+        if (allowName(row.feature))
+            candidates.push_back(row.value);
     }
     if (candidates.empty())
         return DataType::Int;
@@ -547,13 +565,12 @@ AdaptiveGenerator::genExpr(DataType target, int depth,
             genExpr(DataType::Bool, depth - 1, scope, features, loose));
       }
       case Node::IsForm: {
-        static const UnaryOp ops[] = {
-            UnaryOp::IsNull, UnaryOp::IsNotNull, UnaryOp::IsTrue,
-            UnaryOp::IsFalse, UnaryOp::IsNotTrue, UnaryOp::IsNotFalse};
+        // The postfix IS family closes the unary table.
         std::vector<UnaryOp> allowed;
-        for (UnaryOp op : ops) {
-            if (allowName(features::unaryOp(op)))
-                allowed.push_back(op);
+        for (const EnumInfo<UnaryOp> &row : unaryOpTable().subspan(
+                 static_cast<size_t>(UnaryOp::IsNull))) {
+            if (allowName(row.feature))
+                allowed.push_back(row.value);
         }
         if (allowed.empty())
             return genLeaf(target, scope, features, loose);
@@ -794,10 +811,10 @@ AdaptiveGenerator::genCreateTable()
               out.features)) {
         stmt.ifNotExists = true;
     }
-    size_t column_count = 1 + rng_.below(config_.maxColumnsPerTable);
+    size_t column_count = 1 + rng_.below(kMaxColumnsPerTable);
     for (size_t i = 0; i < column_count; ++i) {
         ColumnDef col;
-        col.name = "c" + std::to_string(i);
+        col.name = concat("c", std::to_string(i));
         col.type = randomType(out.features);
         if (i == 0 &&
             maybe(features::kPrimaryKey, FeatureKind::Clause, 0.25,
@@ -954,7 +971,7 @@ AdaptiveGenerator::genInsert()
     std::vector<const ModelTable *> open_tables;
     for (const ModelTable &candidate : model_.tables()) {
         if (!candidate.isView &&
-            candidate.assumedRows < config_.maxRowsPerTable) {
+            candidate.assumedRows < kMaxRowsPerTable) {
             open_tables.push_back(&candidate);
         }
     }
@@ -971,10 +988,9 @@ AdaptiveGenerator::genInsert()
         stmt.orIgnore = true;
     }
     size_t row_count = 1;
-    if (config_.maxRowsPerInsert > 1 &&
-        maybe(features::kMultiRowInsert, FeatureKind::Clause, 0.35,
+    if (maybe(features::kMultiRowInsert, FeatureKind::Clause, 0.35,
               out.features)) {
-        row_count = 2 + rng_.below(config_.maxRowsPerInsert - 1);
+        row_count = 2 + rng_.below(kMaxRowsPerInsert - 1);
     }
     size_t width = table != nullptr ? table->columns.size() : 1;
     for (size_t r = 0; r < row_count; ++r) {
@@ -1042,12 +1058,12 @@ AdaptiveGenerator::generateSetupStatement()
     ++generated_;
     // Choose by what the schema model lacks; statement features that
     // have been learned unsupported drop out of the lottery.
-    bool need_table = model_.tableCount(false) < config_.maxTables;
+    bool need_table = model_.tableCount(false) < kMaxTables;
     bool can_index =
         model_.tableCount(false) > 0 &&
         allowName(features::stmt(StmtKind::CreateIndex));
     bool can_view = model_.tableCount(false) > 0 &&
-                    model_.tableCount(true) < config_.maxViews &&
+                    model_.tableCount(true) < kMaxViews &&
                     allowName(features::stmt(StmtKind::CreateView));
     bool can_analyze =
         model_.tableCount(false) > 0 &&
@@ -1056,7 +1072,7 @@ AdaptiveGenerator::generateSetupStatement()
     bool has_open_table = false;
     for (const ModelTable &table : model_.tables()) {
         if (!table.isView &&
-            table.assumedRows < config_.maxRowsPerTable) {
+            table.assumedRows < kMaxRowsPerTable) {
             has_open_table = true;
         }
     }
@@ -1156,13 +1172,13 @@ AdaptiveGenerator::genFromClause(FeatureSet &features,
 
     size_t join_count;
     if (guide_ == nullptr) {
-        join_count = rng_.below(config_.maxJoins + 1);
+        join_count = rng_.below(kMaxJoins + 1);
     } else {
         // Join fan-out dominates plan-shape diversity; give every
         // cardinality its own arm so the bandit can seek the widths
         // that still yield unseen plans.
         std::vector<size_t> counts;
-        for (size_t n = 0; n <= config_.maxJoins; ++n)
+        for (size_t n = 0; n <= kMaxJoins; ++n)
             counts.push_back(n);
         join_count = counts[pickArm(counts, [](size_t n) {
             return "RULE_JOIN_COUNT_" + std::to_string(n);
@@ -1172,13 +1188,10 @@ AdaptiveGenerator::genFromClause(FeatureSet &features,
         auto next = model_.randomTable(rng_, /*include_views=*/true);
         if (!next.has_value())
             break;
-        static const JoinType join_types[] = {
-            JoinType::Inner, JoinType::Left, JoinType::Right,
-            JoinType::Full, JoinType::Cross, JoinType::Natural};
         std::vector<JoinType> allowed;
-        for (JoinType type : join_types) {
-            if (allowName(features::join(type)))
-                allowed.push_back(type);
+        for (const EnumInfo<JoinType> &row : joinTypeTable()) {
+            if (allowName(row.feature))
+                allowed.push_back(row.value);
         }
         if (allowed.empty())
             break;
@@ -1257,7 +1270,7 @@ AdaptiveGenerator::generateSelect()
     // comparisons) keep appearing even late in a run.
     int depth = static_cast<int>(rng_.range(1, currentDepth()));
     bool loose = allowName(features::kUntypedExpr) &&
-                 rng_.chance(config_.looseTypeProbability);
+                 rng_.chance(kLooseTypeProbability);
 
     bool aggregate = rng_.chance(0.2) && !scope.empty();
     if (aggregate &&
@@ -1382,7 +1395,7 @@ AdaptiveGenerator::generateQueryShape()
 
     int depth = static_cast<int>(rng_.range(1, currentDepth()));
     bool loose = allowName(features::kUntypedExpr) &&
-                 rng_.chance(config_.looseTypeProbability);
+                 rng_.chance(kLooseTypeProbability);
     use(features::kWhere, FeatureKind::Clause, shape.features);
     shape.predicate =
         genExpr(DataType::Bool, depth, scope, shape.features, loose);

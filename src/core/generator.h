@@ -63,22 +63,8 @@ struct GeneratorConfig
     /** Progressive depth schedule: +1 depth every depthStep statements. */
     bool progressiveDepth = true;
     uint64_t depthStep = 200;
-    /** Database-state limits (paper: up to 2 tables and 1 view). */
-    size_t maxTables = 2;
-    size_t maxViews = 1;
-    size_t maxColumnsPerTable = 4;
-    size_t maxRowsPerInsert = 3;
-    /**
-     * Stop inserting into tables the model believes have this many
-     * rows; bounds join sizes and correlated-subquery cost, like the
-     * small databases SQLancer deliberately works with.
-     */
-    size_t maxRowsPerTable = 10;
-    size_t maxJoins = 2;
     /** Subquery generation (Fig. 8's SQLancer++_S disables this). */
     bool enableSubqueries = true;
-    /** Probability of attempting a loose (possibly ill-typed) node. */
-    double looseTypeProbability = 0.25;
 };
 
 /** One generated statement plus its recorded features and model effect. */

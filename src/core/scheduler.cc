@@ -36,9 +36,12 @@ describeShard(const CampaignConfig &config)
     const GeneratorConfig &g = config.generator;
     const FeedbackConfig &f = config.feedback;
     const GuidanceConfig &u = config.guidance;
+    // "2|1|4|3|10|2|" and "0.25" are the generator's fixed database
+    // limits and loose-type probability, once configurable; they stay
+    // in the text so existing plan fingerprints and checkpoints match.
     return format(
         "%s|%llu|%d|%d|%s|%zu|%zu|%zu|%d|%d|%llu|%llu|%llu|%g|%d|"
-        "%llu|%d|%d|%llu|%zu|%zu|%zu|%zu|%zu|%zu|%d|%g|"
+        "%llu|%d|%d|%llu|2|1|4|3|10|2|%d|0.25|"
         "%d|%g|%g|%llu|%llu|%d|%g|%llu",
         config.dialect.c_str(),
         static_cast<unsigned long long>(config.seed),
@@ -55,10 +58,8 @@ describeShard(const CampaignConfig &config)
         static_cast<int>(config.curveInterval),
         static_cast<unsigned long long>(g.seed), g.maxDepth,
         g.progressiveDepth ? 1 : 0,
-        static_cast<unsigned long long>(g.depthStep), g.maxTables,
-        g.maxViews, g.maxColumnsPerTable, g.maxRowsPerInsert,
-        g.maxRowsPerTable, g.maxJoins, g.enableSubqueries ? 1 : 0,
-        g.looseTypeProbability, f.enabled ? 1 : 0, f.threshold,
+        static_cast<unsigned long long>(g.depthStep),
+        g.enableSubqueries ? 1 : 0, f.enabled ? 1 : 0, f.threshold,
         f.credibleMass,
         static_cast<unsigned long long>(f.updateInterval),
         static_cast<unsigned long long>(f.ddlFailureLimit),

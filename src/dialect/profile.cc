@@ -15,47 +15,6 @@ unsupported(const std::string &what)
     return Status::syntaxError("syntax error near " + what);
 }
 
-const char *
-stmtKindName(StmtKind kind)
-{
-    switch (kind) {
-      case StmtKind::CreateTable: return "CREATE TABLE";
-      case StmtKind::CreateIndex: return "CREATE INDEX";
-      case StmtKind::CreateView: return "CREATE VIEW";
-      case StmtKind::Insert: return "INSERT";
-      case StmtKind::Analyze: return "ANALYZE";
-      case StmtKind::Select: return "SELECT";
-      case StmtKind::DropTable: return "DROP TABLE";
-      case StmtKind::DropView: return "DROP VIEW";
-      case StmtKind::DropIndex: return "DROP INDEX";
-      case StmtKind::Begin: return "BEGIN";
-      case StmtKind::Commit: return "COMMIT";
-      case StmtKind::Rollback: return "ROLLBACK";
-      case StmtKind::Savepoint: return "SAVEPOINT";
-      case StmtKind::RollbackTo: return "ROLLBACK TO";
-      case StmtKind::Release: return "RELEASE";
-    }
-    return "?";
-}
-
-const char *
-unaryOpName(UnaryOp op)
-{
-    switch (op) {
-      case UnaryOp::Neg: return "-";
-      case UnaryOp::Plus: return "+";
-      case UnaryOp::BitNot: return "~";
-      case UnaryOp::Not: return "NOT";
-      case UnaryOp::IsNull: return "IS NULL";
-      case UnaryOp::IsNotNull: return "IS NOT NULL";
-      case UnaryOp::IsTrue: return "IS TRUE";
-      case UnaryOp::IsFalse: return "IS FALSE";
-      case UnaryOp::IsNotTrue: return "IS NOT TRUE";
-      case UnaryOp::IsNotFalse: return "IS NOT FALSE";
-    }
-    return "?";
-}
-
 } // namespace
 
 std::string
@@ -76,7 +35,7 @@ describeProfile(const DialectProfile &profile)
 
     std::vector<std::string> names;
     for (StmtKind kind : profile.statements)
-        names.push_back(stmtKindName(kind));
+        names.push_back(stmtKindInfo(kind).sql);
     out += "statements: " + join(names, ", ") + "\n";
 
     names.clear();
@@ -91,7 +50,7 @@ describeProfile(const DialectProfile &profile)
 
     names.clear();
     for (UnaryOp op : profile.unaryOps)
-        names.push_back(unaryOpName(op));
+        names.push_back(unaryOpInfo(op).sql);
     out += "unary_ops: " + join(names, ", ") + "\n";
 
     names.clear();
@@ -303,7 +262,7 @@ DialectProfile::validate(const Stmt &stmt) const
     // emit it), so gate it before the statement-kind check.
     if (isTxnStmtKind(stmt.kind())) {
         if (!clauses.transactions)
-            return unsupported(stmtKindName(stmt.kind()));
+            return unsupported(stmtKindInfo(stmt.kind()).sql);
         return Status::ok();
     }
     if (!supportsStatement(stmt.kind())) {

@@ -24,13 +24,6 @@ namespace sqlpp {
 
 namespace {
 
-template <typename T>
-void
-addAll(std::set<T> &target, std::initializer_list<T> items)
-{
-    target.insert(items.begin(), items.end());
-}
-
 void
 addFunctions(DialectProfile &profile,
              std::initializer_list<const char *> names)
@@ -73,28 +66,16 @@ fullBase(const std::string &name)
 {
     DialectProfile profile;
     profile.name = name;
-    addAll(profile.statements,
-           {StmtKind::CreateTable, StmtKind::CreateIndex,
-            StmtKind::CreateView, StmtKind::Insert, StmtKind::Analyze,
-            StmtKind::Select, StmtKind::DropTable, StmtKind::DropView,
-            StmtKind::DropIndex});
-    addAll(profile.joins,
-           {JoinType::Inner, JoinType::Left, JoinType::Right,
-            JoinType::Full, JoinType::Cross, JoinType::Natural});
-    addAll(profile.binaryOps,
-           {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div,
-            BinaryOp::Mod, BinaryOp::Eq, BinaryOp::NotEq,
-            BinaryOp::NotEqBang, BinaryOp::Less, BinaryOp::LessEq,
-            BinaryOp::Greater, BinaryOp::GreaterEq, BinaryOp::NullSafeEq,
-            BinaryOp::And, BinaryOp::Or, BinaryOp::BitAnd,
-            BinaryOp::BitOr, BinaryOp::BitXor, BinaryOp::ShiftLeft,
-            BinaryOp::ShiftRight, BinaryOp::Concat, BinaryOp::Like,
-            BinaryOp::NotLike, BinaryOp::Glob, BinaryOp::IsDistinctFrom,
-            BinaryOp::IsNotDistinctFrom});
-    addAll(profile.unaryOps,
-           {UnaryOp::Neg, UnaryOp::Plus, UnaryOp::BitNot, UnaryOp::Not,
-            UnaryOp::IsNull, UnaryOp::IsNotNull, UnaryOp::IsTrue,
-            UnaryOp::IsFalse, UnaryOp::IsNotTrue, UnaryOp::IsNotFalse});
+    for (const EnumInfo<StmtKind> &row : stmtKindTable()) {
+        if (!isTxnStmtKind(row.value))
+            profile.statements.insert(row.value);
+    }
+    for (const EnumInfo<JoinType> &row : joinTypeTable())
+        profile.joins.insert(row.value);
+    for (const BinaryOpInfo &row : binaryOpTable())
+        profile.binaryOps.insert(row.value);
+    for (const EnumInfo<UnaryOp> &row : unaryOpTable())
+        profile.unaryOps.insert(row.value);
     addFunctions(profile, kMathBasic);
     addFunctions(profile, kTrig);
     addFunctions(profile, kLogExp);
@@ -102,8 +83,8 @@ fullBase(const std::string &name)
     addFunctions(profile, kStringExt);
     addFunctions(profile, kConditional);
     addFunctions(profile, kAggregates);
-    addAll(profile.dataTypes,
-           {DataType::Int, DataType::Text, DataType::Bool});
+    for (const DataTypeInfo &row : dataTypeTable())
+        profile.dataTypes.insert(row.value);
     return profile;
 }
 

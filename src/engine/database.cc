@@ -55,7 +55,6 @@ Database::executeStmt(const Stmt &stmt, ExecMode mode)
 StatusOr<ResultSet>
 Database::executeStmt(const Stmt &stmt, ExecMode mode, SessionId session)
 {
-    ++statements_;
     if (isTxnStmtKind(stmt.kind()))
         return runTxnStmt(static_cast<const TxnStmt &>(stmt), session);
 

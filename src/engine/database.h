@@ -98,9 +98,6 @@ class Database
         return txns_.count(session) > 0;
     }
 
-    /** Number of sessions with an open transaction. */
-    size_t openTransactions() const { return txns_.size(); }
-
     /** Plan description of the last executed SELECT ("" if none). */
     const std::string &lastPlanDescription() const { return last_plan_; }
 
@@ -110,9 +107,6 @@ class Database
     /** The latest *committed* catalog (open transactions excluded). */
     const Catalog &catalog() const { return catalog_; }
     const EngineConfig &config() const { return config_; }
-
-    /** Total statements executed (both pipelines, all sessions). */
-    uint64_t statementsExecuted() const { return statements_; }
 
   private:
     /**
@@ -187,7 +181,6 @@ class Database
     Catalog catalog_;
     std::string last_plan_;
     uint64_t last_fingerprint_ = 0;
-    uint64_t statements_ = 0;
     /** Open transactions by session id. */
     std::map<SessionId, SessionTxn> txns_;
     SessionId next_session_ = 1;

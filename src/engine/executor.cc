@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
+#include <tuple>
 
 #include "engine/functions.h"
 #include "sqlir/printer.h"
@@ -1044,19 +1046,20 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     bool null_match =
                         faults_.isEnabled(FaultId::HashJoinNullMatch);
                     // Class-normalized key so 1 and TRUE hash together,
-                    // as SQL equality dictates.
-                    auto hash_key =
-                        [](const Value &value) -> std::string {
+                    // as SQL equality dictates. A text key views the
+                    // row's own string; no key is built per row.
+                    using JoinKey =
+                        std::tuple<int, int64_t, std::string_view>;
+                    auto hash_key = [](const Value &value) -> JoinKey {
                         if (value.isNull())
-                            return "<null>";
+                            return {0, 0, {}};
                         if (value.kind() == Value::Kind::Text)
-                            return "t" + value.asText();
-                        return "i" +
-                               std::to_string(*valueToNumeric(value));
+                            return {1, 0, value.asText()};
+                        return {2, *valueToNumeric(value), {}};
                     };
                     const std::vector<RowView> &right_rows =
                         right.rel.rows;
-                    std::map<std::string, std::vector<size_t>> buckets;
+                    std::map<JoinKey, std::vector<size_t>> buckets;
                     if (Status s = budget_->chargeSteps(
                             right_rows.size() + current.rows.size());
                         !s.isOk()) {

@@ -753,7 +753,7 @@ Parser::parseBinary(int min_level)
         auto rhs = parseBinary(op->level + 1);
         if (!rhs.isOk())
             return rhs;
-        lhs = std::make_unique<BinaryExpr>(op->op, std::move(lhs),
+        lhs = std::make_unique<BinaryExpr>(op->value, std::move(lhs),
                                            rhs.takeValue());
     }
     peak_ = std::max(outer_peak, peak_);

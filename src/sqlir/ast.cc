@@ -34,16 +34,62 @@ constexpr BinaryOpInfo kBinaryOps[] = {
      binding::Comparison},
 };
 
-constexpr bool
-inEnumOrder()
-{
-    for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
-        if (static_cast<size_t>(kBinaryOps[i].op) != i)
-            return false;
-    }
-    return true;
-}
-static_assert(inEnumOrder(), "kBinaryOps must list BinaryOp in enum order");
+static_assert(inEnumOrder(kBinaryOps) &&
+                  std::size(kBinaryOps) ==
+                      static_cast<size_t>(BinaryOp::IsNotDistinctFrom) + 1,
+              "kBinaryOps must list BinaryOp in enum order");
+
+constexpr EnumInfo<UnaryOp> kUnaryOps[] = {
+    {UnaryOp::Neg, "-", "OP_UNARY_MINUS"},
+    {UnaryOp::Plus, "+", "OP_UNARY_PLUS"},
+    {UnaryOp::BitNot, "~", "OP_~"},
+    {UnaryOp::Not, "NOT", "OP_NOT"},
+    {UnaryOp::IsNull, "IS NULL", "OP_IS_NULL"},
+    {UnaryOp::IsNotNull, "IS NOT NULL", "OP_IS_NOT_NULL"},
+    {UnaryOp::IsTrue, "IS TRUE", "OP_IS_TRUE"},
+    {UnaryOp::IsFalse, "IS FALSE", "OP_IS_FALSE"},
+    {UnaryOp::IsNotTrue, "IS NOT TRUE", "OP_IS_NOT_TRUE"},
+    {UnaryOp::IsNotFalse, "IS NOT FALSE", "OP_IS_NOT_FALSE"},
+};
+static_assert(inEnumOrder(kUnaryOps) &&
+                  std::size(kUnaryOps) ==
+                      static_cast<size_t>(UnaryOp::IsNotFalse) + 1,
+              "kUnaryOps must list UnaryOp in enum order");
+
+constexpr EnumInfo<StmtKind> kStmtKinds[] = {
+    {StmtKind::CreateTable, "CREATE TABLE", "STMT_CREATE_TABLE"},
+    {StmtKind::CreateIndex, "CREATE INDEX", "STMT_CREATE_INDEX"},
+    {StmtKind::CreateView, "CREATE VIEW", "STMT_CREATE_VIEW"},
+    {StmtKind::Insert, "INSERT", "STMT_INSERT"},
+    {StmtKind::Analyze, "ANALYZE", "STMT_ANALYZE"},
+    {StmtKind::Select, "SELECT", "STMT_SELECT"},
+    {StmtKind::DropTable, "DROP TABLE", "STMT_DROP_TABLE"},
+    {StmtKind::DropView, "DROP VIEW", "STMT_DROP_VIEW"},
+    {StmtKind::DropIndex, "DROP INDEX", "STMT_DROP_INDEX"},
+    {StmtKind::Begin, "BEGIN", "STMT_BEGIN"},
+    {StmtKind::Commit, "COMMIT", "STMT_COMMIT"},
+    {StmtKind::Rollback, "ROLLBACK", "STMT_ROLLBACK"},
+    {StmtKind::Savepoint, "SAVEPOINT", "STMT_SAVEPOINT"},
+    {StmtKind::RollbackTo, "ROLLBACK TO", "STMT_ROLLBACK_TO"},
+    {StmtKind::Release, "RELEASE", "STMT_RELEASE"},
+};
+static_assert(inEnumOrder(kStmtKinds) &&
+                  std::size(kStmtKinds) ==
+                      static_cast<size_t>(StmtKind::Release) + 1,
+              "kStmtKinds must list StmtKind in enum order");
+
+constexpr EnumInfo<JoinType> kJoinTypes[] = {
+    {JoinType::Inner, "INNER JOIN", "JOIN_INNER"},
+    {JoinType::Left, "LEFT JOIN", "JOIN_LEFT"},
+    {JoinType::Right, "RIGHT JOIN", "JOIN_RIGHT"},
+    {JoinType::Full, "FULL JOIN", "JOIN_FULL"},
+    {JoinType::Cross, "CROSS JOIN", "JOIN_CROSS"},
+    {JoinType::Natural, "NATURAL JOIN", "JOIN_NATURAL"},
+};
+static_assert(inEnumOrder(kJoinTypes) &&
+                  std::size(kJoinTypes) ==
+                      static_cast<size_t>(JoinType::Natural) + 1,
+              "kJoinTypes must list JoinType in enum order");
 
 } // namespace
 
@@ -57,6 +103,42 @@ const char *
 binaryOpSymbol(BinaryOp op)
 {
     return kBinaryOps[static_cast<size_t>(op)].symbol;
+}
+
+std::span<const EnumInfo<UnaryOp>>
+unaryOpTable()
+{
+    return kUnaryOps;
+}
+
+const EnumInfo<UnaryOp> &
+unaryOpInfo(UnaryOp op)
+{
+    return kUnaryOps[static_cast<size_t>(op)];
+}
+
+std::span<const EnumInfo<StmtKind>>
+stmtKindTable()
+{
+    return kStmtKinds;
+}
+
+const EnumInfo<StmtKind> &
+stmtKindInfo(StmtKind kind)
+{
+    return kStmtKinds[static_cast<size_t>(kind)];
+}
+
+std::span<const EnumInfo<JoinType>>
+joinTypeTable()
+{
+    return kJoinTypes;
+}
+
+const EnumInfo<JoinType> &
+joinTypeInfo(JoinType type)
+{
+    return kJoinTypes[static_cast<size_t>(type)];
 }
 
 bool
@@ -88,15 +170,7 @@ isLogicalOp(BinaryOp op)
 const char *
 joinTypeName(JoinType type)
 {
-    switch (type) {
-      case JoinType::Inner: return "INNER JOIN";
-      case JoinType::Left: return "LEFT JOIN";
-      case JoinType::Right: return "RIGHT JOIN";
-      case JoinType::Full: return "FULL JOIN";
-      case JoinType::Cross: return "CROSS JOIN";
-      case JoinType::Natural: return "NATURAL JOIN";
-    }
-    return "?";
+    return joinTypeInfo(type).sql;
 }
 
 ExprPtr

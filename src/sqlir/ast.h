@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "sqlir/enum_table.h"
 #include "sqlir/value.h"
 
 namespace sqlpp {
@@ -49,7 +50,7 @@ enum class BinaryOp
     IsDistinctFrom, IsNotDistinctFrom,
 };
 
-/** Unary operators. */
+/** Unary operators: the prefix ones, then the postfix IS family. */
 enum class UnaryOp
 {
     Neg,
@@ -63,6 +64,10 @@ enum class UnaryOp
     IsNotTrue,
     IsNotFalse,
 };
+
+/** The unary table: every UnaryOp, in enum order. */
+std::span<const EnumInfo<UnaryOp>> unaryOpTable();
+const EnumInfo<UnaryOp> &unaryOpInfo(UnaryOp op);
 
 /** Binding levels of the expression grammar, loosest first. */
 namespace binding {
@@ -85,7 +90,7 @@ enum Level : int
 /** One row of the operator table. */
 struct BinaryOpInfo
 {
-    BinaryOp op;
+    BinaryOp value;
     /** SQL spelling (e.g. "<=>", "IS NOT DISTINCT FROM"). */
     const char *symbol;
     /** binding::Level; higher binds tighter. */
@@ -399,6 +404,10 @@ enum class StmtKind
     Release,
 };
 
+/** The statement table: every StmtKind, in enum order. */
+std::span<const EnumInfo<StmtKind>> stmtKindTable();
+const EnumInfo<StmtKind> &stmtKindInfo(StmtKind kind);
+
 /** True for the transaction-control statement kinds. */
 inline bool
 isTxnStmtKind(StmtKind kind)
@@ -581,6 +590,10 @@ enum class JoinType
     Cross,
     Natural,
 };
+
+/** The join table: every JoinType, in enum order. */
+std::span<const EnumInfo<JoinType>> joinTypeTable();
+const EnumInfo<JoinType> &joinTypeInfo(JoinType type);
 
 /** SQL keyword sequence of a join type. */
 const char *joinTypeName(JoinType type);

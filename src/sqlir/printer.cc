@@ -14,21 +14,14 @@ std::string
 printUnary(const UnaryExpr &expr)
 {
     const std::string operand = printExprInner(*expr.operand);
-    switch (expr.op) {
-      // A space after the sign prevents "--" (line comment) and "++"
-      // artifacts when the operand itself starts with a sign.
-      case UnaryOp::Neg: return "(- " + operand + ")";
-      case UnaryOp::Plus: return "(+ " + operand + ")";
-      case UnaryOp::BitNot: return "(~" + operand + ")";
-      case UnaryOp::Not: return "(NOT " + operand + ")";
-      case UnaryOp::IsNull: return "(" + operand + " IS NULL)";
-      case UnaryOp::IsNotNull: return "(" + operand + " IS NOT NULL)";
-      case UnaryOp::IsTrue: return "(" + operand + " IS TRUE)";
-      case UnaryOp::IsFalse: return "(" + operand + " IS FALSE)";
-      case UnaryOp::IsNotTrue: return "(" + operand + " IS NOT TRUE)";
-      case UnaryOp::IsNotFalse: return "(" + operand + " IS NOT FALSE)";
-    }
-    return "?";
+    const char *sql = unaryOpInfo(expr.op).sql;
+    // The IS family is postfix; the rest are prefix.
+    if (expr.op >= UnaryOp::IsNull)
+        return concat("(", operand, " ", sql, ")");
+    // A space after a sign or NOT prevents "--" (line comment) and "++"
+    // artifacts when the operand itself starts with a sign.
+    return concat("(", sql, expr.op == UnaryOp::BitNot ? "" : " ",
+                  operand, ")");
 }
 
 std::string
@@ -69,15 +62,16 @@ printExprInner(const Expr &expr)
         return printUnary(static_cast<const UnaryExpr &>(expr));
       case ExprKind::Binary: {
         const auto &bin = static_cast<const BinaryExpr &>(expr);
-        return "(" + printExprInner(*bin.lhs) + " " +
-               binaryOpSymbol(bin.op) + " " + printExprInner(*bin.rhs) + ")";
+        return concat("(", printExprInner(*bin.lhs), " ",
+                      binaryOpSymbol(bin.op), " ",
+                      printExprInner(*bin.rhs), ")");
       }
       case ExprKind::Between: {
         const auto &between = static_cast<const BetweenExpr &>(expr);
-        return "(" + printExprInner(*between.operand) +
-               (between.negated ? " NOT BETWEEN " : " BETWEEN ") +
-               printExprInner(*between.low) + " AND " +
-               printExprInner(*between.high) + ")";
+        return concat("(", printExprInner(*between.operand),
+                      between.negated ? " NOT BETWEEN " : " BETWEEN ",
+                      printExprInner(*between.low), " AND ",
+                      printExprInner(*between.high), ")");
       }
       case ExprKind::InList: {
         const auto &in = static_cast<const InListExpr &>(expr);
@@ -85,9 +79,9 @@ printExprInner(const Expr &expr)
         items.reserve(in.items.size());
         for (const ExprPtr &item : in.items)
             items.push_back(printExprInner(*item));
-        return "(" + printExprInner(*in.operand) +
-               (in.negated ? " NOT IN (" : " IN (") + join(items, ", ") +
-               "))";
+        return concat("(", printExprInner(*in.operand),
+                      in.negated ? " NOT IN (" : " IN (", join(items, ", "),
+                      "))");
       }
       case ExprKind::Case:
         return printCase(static_cast<const CaseExpr &>(expr));
@@ -114,13 +108,13 @@ printExprInner(const Expr &expr)
       }
       case ExprKind::InSubquery: {
         const auto &in = static_cast<const InSubqueryExpr &>(expr);
-        return "(" + printExprInner(*in.operand) +
-               (in.negated ? " NOT IN (" : " IN (") +
-               printSelect(*in.subquery) + "))";
+        return concat("(", printExprInner(*in.operand),
+                      in.negated ? " NOT IN (" : " IN (",
+                      printSelect(*in.subquery), "))");
       }
       case ExprKind::ScalarSubquery: {
         const auto &sub = static_cast<const ScalarSubqueryExpr &>(expr);
-        return "(" + printSelect(*sub.subquery) + ")";
+        return concat("(", printSelect(*sub.subquery), ")");
       }
     }
     return "?";
@@ -130,7 +124,7 @@ std::string
 printTableRef(const TableRef &ref)
 {
     if (ref.subquery) {
-        std::string out = "(" + printSelect(*ref.subquery) + ")";
+        std::string out = concat("(", printSelect(*ref.subquery), ")");
         if (!ref.alias.empty())
             out += " AS " + ref.alias;
         return out;
@@ -178,7 +172,7 @@ printCreateIndex(const CreateIndexStmt &stmt)
     out += stmt.name;
     out += " ON ";
     out += stmt.table;
-    out += "(" + join(stmt.columns, ", ") + ")";
+    out += concat("(", join(stmt.columns, ", "), ")");
     if (stmt.where) {
         out += " WHERE ";
         out += printExprInner(*stmt.where);
@@ -204,7 +198,7 @@ printInsert(const InsertStmt &stmt)
         cells.reserve(row.size());
         for (const ExprPtr &expr : row)
             cells.push_back(printExprInner(*expr));
-        tuples.push_back("(" + join(cells, ", ") + ")");
+        tuples.push_back(concat("(", join(cells, ", "), ")"));
     }
     out += join(tuples, ", ");
     return out;
@@ -300,7 +294,7 @@ printStmt(const Stmt &stmt)
         const auto &view = static_cast<const CreateViewStmt &>(stmt);
         std::string out = "CREATE VIEW " + view.name;
         if (!view.columnNames.empty())
-            out += "(" + join(view.columnNames, ", ") + ")";
+            out += concat("(", join(view.columnNames, ", "), ")");
         out += " AS " + printSelect(*view.select);
         return out;
       }

@@ -1,20 +1,43 @@
 #include "sqlir/value.h"
 
 #include <algorithm>
+#include <iterator>
 
+#include "sqlir/enum_table.h"
 #include "util/strutil.h"
 
 namespace sqlpp {
 
+namespace {
+
+constexpr DataTypeInfo kDataTypes[] = {
+    {DataType::Int, "INTEGER", "TYPE_INTEGER", "INT"},
+    {DataType::Text, "TEXT", "TYPE_STRING", "STRING"},
+    {DataType::Bool, "BOOLEAN", "TYPE_BOOLEAN", "BOOL"},
+};
+static_assert(inEnumOrder(kDataTypes) &&
+                  std::size(kDataTypes) ==
+                      static_cast<size_t>(DataType::Bool) + 1,
+              "kDataTypes must list DataType in enum order");
+
+} // namespace
+
+std::span<const DataTypeInfo>
+dataTypeTable()
+{
+    return kDataTypes;
+}
+
+const DataTypeInfo &
+dataTypeInfo(DataType type)
+{
+    return kDataTypes[static_cast<size_t>(type)];
+}
+
 const char *
 dataTypeName(DataType type)
 {
-    switch (type) {
-      case DataType::Int: return "INTEGER";
-      case DataType::Text: return "TEXT";
-      case DataType::Bool: return "BOOLEAN";
-    }
-    return "?";
+    return dataTypeInfo(type).sql;
 }
 
 bool

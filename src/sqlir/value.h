@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,6 +27,22 @@ enum class DataType
     Text,
     Bool,
 };
+
+/** One row of the data-type table. */
+struct DataTypeInfo
+{
+    DataType value;
+    /** SQL name (INTEGER, TEXT, BOOLEAN). */
+    const char *sql;
+    /** Feature name (e.g. "TYPE_INTEGER"). */
+    const char *feature;
+    /** Tag of composite typed-argument features (SIN1INT's "INT"). */
+    const char *argTag;
+};
+
+/** The data-type table: every DataType, in enum order. */
+std::span<const DataTypeInfo> dataTypeTable();
+const DataTypeInfo &dataTypeInfo(DataType type);
 
 /** SQL name of a data type (INTEGER, TEXT, BOOLEAN). */
 const char *dataTypeName(DataType type);

@@ -10,9 +10,6 @@ namespace sqlpp {
 namespace {
 LogLevel g_level = LogLevel::Warn;
 
-/** Buffered Debug/Info lines flush once the buffer reaches this. */
-constexpr size_t kFlushThreshold = 8 * 1024;
-
 std::mutex &
 logMutex()
 {
@@ -21,44 +18,11 @@ logMutex()
 }
 
 /** Guarded by logMutex(). */
-std::string &
-lineBuffer()
-{
-    static std::string buffer;
-    return buffer;
-}
-
 std::function<void(const std::string &)> &
 logSink()
 {
     static std::function<void(const std::string &)> sink;
     return sink;
-}
-
-/** Caller holds logMutex(). */
-void
-emit(const std::string &text)
-{
-    if (text.empty())
-        return;
-    if (auto &sink = logSink(); sink) {
-        sink(text);
-        return;
-    }
-    std::fwrite(text.data(), 1, text.size(), stderr);
-    std::fflush(stderr);
-}
-
-/** Caller holds logMutex(). */
-void
-flushLocked()
-{
-    std::string &buffer = lineBuffer();
-    if (buffer.empty())
-        return;
-    std::string drained;
-    drained.swap(buffer);
-    emit(drained);
 }
 
 const char *
@@ -79,12 +43,6 @@ void
 setLogLevel(LogLevel level)
 {
     g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
 }
 
 std::optional<LogLevel>
@@ -109,8 +67,8 @@ logMessage(LogLevel level, const std::string &message)
 {
     if (level < g_level || g_level == LogLevel::Silent)
         return;
-    /* Build the whole line first and append/emit it in one piece under
-     * a mutex, so concurrent campaign workers never interleave or tear
+    /* Build the whole line first and write it in one piece under the
+     * mutex, so concurrent campaign workers never interleave or tear
      * log lines. */
     std::string line = "[";
     line += levelName(level);
@@ -118,39 +76,18 @@ logMessage(LogLevel level, const std::string &message)
     line += message;
     line += "\n";
     std::lock_guard<std::mutex> lock(logMutex());
-    if (level >= LogLevel::Warn) {
-        /* Warnings and errors must not sit in a buffer: drain anything
-         * queued ahead of them (order preserved), then write through. */
-        flushLocked();
-        emit(line);
+    if (auto &sink = logSink(); sink) {
+        sink(line);
         return;
     }
-    std::string &buffer = lineBuffer();
-    buffer += line;
-    if (buffer.size() >= kFlushThreshold)
-        flushLocked();
-}
-
-void
-flushLogs()
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    flushLocked();
-}
-
-size_t
-pendingLogBytes()
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    return lineBuffer().size();
+    std::fwrite(line.data(), 1, line.size(), stderr);
+    std::fflush(stderr);
 }
 
 void
 setLogSink(std::function<void(const std::string &)> sink)
 {
     std::lock_guard<std::mutex> lock(logMutex());
-    /* Don't let lines queued for the old sink leak into the new one. */
-    flushLocked();
     logSink() = std::move(sink);
 }
 

@@ -1,13 +1,10 @@
 /**
  * @file
- * Minimal leveled logger for campaign progress and debugging.
+ * Minimal leveled logger for campaign warnings and errors.
  *
- * Debug/Info lines are *buffered* (bounded, flushed in one write once
- * the buffer fills) so a chatty campaign does not pay a stderr flush
- * per progress line; Warn/Error flush the buffer and themselves
- * immediately. The cost of buffering is that lines written right
- * before an abnormal exit can be lost — call flushLogs() at
- * abandonment/teardown points (the campaign watchdog does).
+ * Each emitted line goes to the sink (stderr by default) in one write
+ * under a mutex, so concurrent campaign workers never interleave or
+ * tear lines.
  */
 #ifndef SQLPP_UTIL_LOG_H
 #define SQLPP_UTIL_LOG_H
@@ -31,9 +28,6 @@ enum class LogLevel
 /** Set the process-wide minimum level that is emitted. */
 void setLogLevel(LogLevel level);
 
-/** Current process-wide minimum level. */
-LogLevel logLevel();
-
 /**
  * Parse a CLI level name: quiet|silent, error, warn, info, debug
  * (case-insensitive). nullopt for anything else.
@@ -44,23 +38,11 @@ std::optional<LogLevel> logLevelFromName(const std::string &name);
 void logMessage(LogLevel level, const std::string &message);
 
 /**
- * Write any buffered Debug/Info lines to the sink now. Call at points
- * where buffered lines would otherwise be lost (shard abandonment,
- * process teardown). Safe to call concurrently with logMessage.
- */
-void flushLogs();
-
-/** Bytes currently sitting in the line buffer (tests/monitoring). */
-size_t pendingLogBytes();
-
-/**
  * Redirect emitted lines into a callback instead of stderr (tests).
  * Pass nullptr to restore stderr. Takes effect for subsequent writes.
  */
 void setLogSink(std::function<void(const std::string &)> sink);
 
-inline void logDebug(const std::string &m) { logMessage(LogLevel::Debug, m); }
-inline void logInfo(const std::string &m) { logMessage(LogLevel::Info, m); }
 inline void logWarn(const std::string &m) { logMessage(LogLevel::Warn, m); }
 inline void logError(const std::string &m) { logMessage(LogLevel::Error, m); }
 

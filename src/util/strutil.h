@@ -24,6 +24,21 @@ bool equalsIgnoreCase(std::string_view a, std::string_view b);
 std::string join(const std::vector<std::string> &items,
                  std::string_view separator);
 
+/**
+ * Concatenate pieces (strings, literals, chars) into one string. Use
+ * it where a chain would start with a literal followed by a
+ * temporary: GCC 12 misreports operator+(const char *, std::string &&)
+ * under -Wrestrict when it inlines it.
+ */
+template <typename... Parts>
+std::string
+concat(const Parts &...parts)
+{
+    std::string out;
+    (out += ... += parts);
+    return out;
+}
+
 /** Split on a single character; keeps empty fields. */
 std::vector<std::string> split(std::string_view s, char separator);
 
