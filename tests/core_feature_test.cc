@@ -10,7 +10,15 @@
  * regenerate the file:
  *
  *   SQLPP_UPDATE_GOLDEN=1 ./core_feature_test
+ *
+ * The same switch regenerates tests/golden/enum_names.txt, which pins
+ * every named enum's values and printed names, each fault's
+ * description and family, and what each name parser makes of every
+ * printed name, alias and junk string. Fault names key dossiers and
+ * the fault matrix; the other names appear in traces, metrics, /status
+ * and command-line options.
  */
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -21,8 +29,17 @@
 
 #include "core/baseline.h"
 #include "core/feature.h"
+#include "core/guidance.h"
+#include "core/progress.h"
 #include "dialect/profile.h"
+#include "engine/executor.h"
+#include "engine/faults.h"
 #include "engine/functions.h"
+#include "util/log.h"
+#include "util/metrics.h"
+#include "util/status.h"
+#include "util/strutil.h"
+#include "util/trace.h"
 
 namespace sqlpp {
 namespace {
@@ -156,12 +173,10 @@ renderFeatureUniverse()
     return out;
 }
 
-TEST(FeatureUniverseTest, MatchesGoldenFile)
+void
+expectMatchesGolden(const std::string &file, const std::string &rendered)
 {
-    const std::string path =
-        std::string(SQLPP_GOLDEN_DIR) + "/feature_universe.txt";
-    std::string rendered = renderFeatureUniverse();
-
+    const std::string path = std::string(SQLPP_GOLDEN_DIR) + "/" + file;
     if (std::getenv("SQLPP_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
@@ -175,9 +190,146 @@ TEST(FeatureUniverseTest, MatchesGoldenFile)
     std::ostringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(rendered, golden.str())
-        << "feature universe diverged from "
-           "tests/golden/feature_universe.txt; if the change is "
-           "intentional, rerun with SQLPP_UPDATE_GOLDEN=1";
+        << "output diverged from tests/golden/" << file
+        << "; if the change is intentional, rerun with "
+           "SQLPP_UPDATE_GOLDEN=1";
+}
+
+TEST(FeatureUniverseTest, MatchesGoldenFile)
+{
+    expectMatchesGolden("feature_universe.txt", renderFeatureUniverse());
+}
+
+/** The tag logMessage prints for a level ("WARN"). */
+std::string
+printedLogLevel(LogLevel level)
+{
+    std::string line;
+    setLogLevel(LogLevel::Debug);
+    setLogSink([&line](const std::string &text) { line = text; });
+    logMessage(level, "");
+    setLogSink(nullptr);
+    setLogLevel(LogLevel::Warn);
+    return line.substr(1, line.find(']') - 1);
+}
+
+const char *
+faultFamilyName(FaultId id)
+{
+    if (isPlannerFault(id))
+        return "planner";
+    if (isIsolationFault(id))
+        return "isolation";
+    if (isLatentFault(id))
+        return "latent";
+    return "evaluator";
+}
+
+/** One "value name" line per value of a dense enum, 0 through last. */
+template <typename E, typename Name>
+void
+renderValues(std::string &out, const char *title, E last, Name name)
+{
+    out += concat("# ", title, ": value name\n");
+    for (int v = 0; v <= static_cast<int>(last); ++v)
+        out += concat(std::to_string(v), " ",
+                      std::string(name(static_cast<E>(v))), "\n");
+}
+
+/**
+ * What `parse` makes of each name, its lower-case form and three junk
+ * strings: the printed name of the result, or "-" when it rejects it.
+ */
+template <typename Parse>
+void
+renderParses(std::string &out, const char *title,
+             const std::vector<std::string> &names, Parse parse)
+{
+    std::vector<std::string> inputs;
+    auto add = [&inputs](const std::string &input) {
+        if (std::find(inputs.begin(), inputs.end(), input) == inputs.end())
+            inputs.push_back(input);
+    };
+    for (const std::string &name : names) {
+        add(name);
+        add(toLower(name));
+    }
+    for (const char *junk : {"", "batch", "ucb2"})
+        add(junk);
+    out += concat("# ", title, ": input -> parsed\n");
+    for (const std::string &input : inputs)
+        out += concat("'", input, "' -> ", parse(input), "\n");
+}
+
+std::string
+renderEnumNames()
+{
+    std::string out = "# FaultId: value name family description\n";
+    for (FaultId id : allFaultIds())
+        out += concat(std::to_string(static_cast<uint32_t>(id)), " ",
+                      faultName(id), " ", faultFamilyName(id), " ",
+                      faultDescription(id), "\n");
+    renderValues(out, "TraceEventType", TraceEventType::ShardAbandoned,
+                 traceEventTypeName);
+    renderValues(out, "ShardState", ShardState::Abandoned,
+                 shardStateName);
+    renderValues(out, "MetricKind", MetricKind::Timer, metricKindName);
+    renderValues(out, "ErrorCode", ErrorCode::BudgetExhausted,
+                 errorCodeName);
+    renderValues(out, "LogLevel", LogLevel::Silent, printedLogLevel);
+    renderValues(out, "GuidanceMode", GuidanceMode::Thompson,
+                 guidanceModeName);
+    renderValues(out, "ExecMode", ExecMode::Reference, execModeName);
+    renderValues(out, "DataType", DataType::Bool, dataTypeName);
+
+    std::vector<std::string> names;
+    for (int v = 0; v <= static_cast<int>(LogLevel::Silent); ++v)
+        names.push_back(printedLogLevel(static_cast<LogLevel>(v)));
+    names.insert(names.end(), {"quiet", "warning"});
+    renderParses(out, "logLevelFromName", names,
+                 [](const std::string &input) -> std::string {
+                     auto level = logLevelFromName(input);
+                     return level ? printedLogLevel(*level) : "-";
+                 });
+
+    names = {};
+    for (int v = 0; v <= static_cast<int>(GuidanceMode::Thompson); ++v)
+        names.push_back(guidanceModeName(static_cast<GuidanceMode>(v)));
+    names.insert(names.end(), {"none", "ucb1", "ts"});
+    renderParses(out, "parseGuidanceMode", names,
+                 [](const std::string &input) -> std::string {
+                     GuidanceMode mode;
+                     return parseGuidanceMode(input, mode)
+                                ? guidanceModeName(mode)
+                                : "-";
+                 });
+
+    names = {execModeName(ExecMode::Optimized),
+             execModeName(ExecMode::Reference)};
+    renderParses(out, "parseExecMode", names,
+                 [](const std::string &input) -> std::string {
+                     ExecMode mode;
+                     return parseExecMode(input, mode) ? execModeName(mode)
+                                                       : "-";
+                 });
+
+    names = {};
+    for (int v = 0; v <= static_cast<int>(DataType::Bool); ++v)
+        names.push_back(dataTypeName(static_cast<DataType>(v)));
+    names.insert(names.end(),
+                 {"INT", "BIGINT", "VARCHAR", "STRING", "CHAR", "BOOL"});
+    renderParses(out, "parseDataType", names,
+                 [](const std::string &input) -> std::string {
+                     DataType type;
+                     return parseDataType(input, type) ? dataTypeName(type)
+                                                       : "-";
+                 });
+    return out;
+}
+
+TEST(EnumNamesTest, MatchesGoldenFile)
+{
+    expectMatchesGolden("enum_names.txt", renderEnumNames());
 }
 
 } // namespace
