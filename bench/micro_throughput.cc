@@ -23,6 +23,7 @@
 #include "parser/parser.h"
 #include "sqlir/printer.h"
 #include "util/metrics.h"
+#include "util/strutil.h"
 #include "util/trace.h"
 
 using namespace sqlpp;
@@ -96,8 +97,8 @@ BM_ScanFilterRow(benchmark::State &state)
     for (int i = 0; i < 4096; ++i) {
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(i) + ", " +
-                  std::to_string(i % 97) + ")";
+        insert += concat("(", std::to_string(i), ", ",
+                         std::to_string(i % 97), ")");
     }
     (void)db.execute(insert);
     auto parsed = parseStatement(
@@ -122,8 +123,8 @@ BM_ProjectRow(benchmark::State &state)
     for (int i = 0; i < 4096; ++i) {
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(i) + ", " +
-                  std::to_string(4096 - i) + ")";
+        insert += concat("(", std::to_string(i), ", ",
+                         std::to_string(4096 - i), ")");
     }
     (void)db.execute(insert);
     auto parsed = parseStatement(
@@ -147,8 +148,8 @@ fillPairs(Database &db, const char *table, int rows, int modulus)
     for (int i = 0; i < rows; ++i) {
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(i) + ", " +
-                  std::to_string(i % modulus) + ")";
+        insert += concat("(", std::to_string(i), ", ",
+                         std::to_string(i % modulus), ")");
     }
     (void)db.execute(insert);
 }

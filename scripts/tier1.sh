@@ -46,7 +46,10 @@
 #                     through the executor's flat row buffers, where an
 #                     out-of-width column read is a bounds trap only
 #                     under these checks.
-#   5. tsan lane    — rebuild with -DSQLPP_SANITIZE=thread and run the
+#   5. tsan lane    — rebuild with -DSQLPP_SANITIZE=thread, under the
+#                     same src/ warning gate as the unit lane (GCC's
+#                     -Wtsan flags orderings TSan cannot model, such
+#                     as standalone fences), and run the
 #                     interleaving, scheduler, and telemetry suites
 #                     under ThreadSanitizer: the multi-session
 #                     transaction tests, the worker pool, and the
@@ -81,21 +84,27 @@ while [ $# -gt 0 ]; do
     shift
 done
 
+# Build the configured tree in $1, failing on any compiler warning for
+# a src/ file (see the header). The log is $1/tier1-build.log.
+build_without_src_warnings() {
+    local log="$1/tier1-build.log"
+    cmake --build "$1" -j "$JOBS" --target sqlpp_util sqlpp_sqlir \
+        sqlpp_parser sqlpp_engine sqlpp_dialect sqlpp_core 2>&1 |
+        tee "$log"
+    if grep -q "warning:" "$log"; then
+        echo "tier1: compiler warnings in src/ (see $log)" >&2
+        exit 1
+    fi
+    cmake --build "$1" -j "$JOBS" 2>&1 | tee "$log"
+    if grep -Eq "/src/[^:]+:[0-9]+(:[0-9]+)?: warning:" "$log"; then
+        echo "tier1: compiler warnings in src/ (see $log)" >&2
+        exit 1
+    fi
+}
+
 echo "== tier1: configure + build =="
 cmake -B "$BUILD" -S "$ROOT" >/dev/null
-BUILD_LOG="$BUILD/tier1-build.log"
-cmake --build "$BUILD" -j "$JOBS" --target sqlpp_util sqlpp_sqlir \
-    sqlpp_parser sqlpp_engine sqlpp_dialect sqlpp_core 2>&1 |
-    tee "$BUILD_LOG"
-if grep -q "warning:" "$BUILD_LOG"; then
-    echo "tier1: compiler warnings in src/ (see $BUILD_LOG)" >&2
-    exit 1
-fi
-cmake --build "$BUILD" -j "$JOBS" 2>&1 | tee "$BUILD_LOG"
-if grep -Eq "/src/[^:]+:[0-9]+(:[0-9]+)?: warning:" "$BUILD_LOG"; then
-    echo "tier1: compiler warnings in src/ (see $BUILD_LOG)" >&2
-    exit 1
-fi
+build_without_src_warnings "$BUILD"
 
 echo "== tier1: unit lane (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$JOBS" \
@@ -127,7 +136,7 @@ if [ "$RUN_TXN" -eq 1 ]; then
     echo "== tier1: tsan interleaving lane =="
     cmake -B "$TSAN_BUILD" -S "$ROOT" -DSQLPP_SANITIZE=thread \
         >/dev/null
-    cmake --build "$TSAN_BUILD" -j "$JOBS"
+    build_without_src_warnings "$TSAN_BUILD"
     # The multi-session transaction machinery (snapshot views, commit
     # replay, isolation-fault overlays), the ISO oracle, the threaded
     # scheduler, the shard-bound telemetry lanes, Value's shared text

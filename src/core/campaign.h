@@ -132,15 +132,6 @@ struct CurveSample
                static_cast<double>(windowAttempted);
     }
 
-    double
-    cumulativeValidityRate() const
-    {
-        if (cumAttempted == 0)
-            return 0.0;
-        return static_cast<double>(cumValid) /
-               static_cast<double>(cumAttempted);
-    }
-
     bool operator==(const CurveSample &other) const = default;
 };
 
@@ -231,7 +222,6 @@ class CampaignRunner
     /** The feedback tracker (inspect learned state after run()). */
     const FeedbackTracker &feedback() const { return *tracker_; }
     FeatureRegistry &registry() { return registry_; }
-    const SchemaModel &schemaModel() const { return model_; }
     /** The guided selector, or nullptr when guidance is Off. */
     const GuidedSelector *guidance() const { return guide_.get(); }
 

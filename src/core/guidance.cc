@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/enum_table.h"
 #include "util/metrics.h"
 #include "util/strutil.h"
 
@@ -26,39 +27,29 @@ uniform01(uint64_t word)
     return static_cast<double>(word >> 11) * 0x1.0p-53;
 }
 
+constexpr EnumName<GuidanceMode> kGuidanceModes[] = {
+    {GuidanceMode::Off, "off", "none"},
+    {GuidanceMode::Ucb, "ucb", "ucb1"},
+    {GuidanceMode::Thompson, "thompson", "ts"},
+};
+static_assert(inEnumOrder(kGuidanceModes, GuidanceMode::Thompson),
+              "kGuidanceModes must list GuidanceMode in enum order");
+
 } // namespace
 
 const char *
 guidanceModeName(GuidanceMode mode)
 {
-    switch (mode) {
-      case GuidanceMode::Off:
-        return "off";
-      case GuidanceMode::Ucb:
-        return "ucb";
-      case GuidanceMode::Thompson:
-        return "thompson";
-    }
-    return "off";
+    return enumRow(kGuidanceModes, mode)->name;
 }
 
 bool
 parseGuidanceMode(const std::string &name, GuidanceMode &mode)
 {
-    std::string lowered = toLower(name);
-    if (lowered == "off" || lowered == "none") {
-        mode = GuidanceMode::Off;
-        return true;
-    }
-    if (lowered == "ucb" || lowered == "ucb1") {
-        mode = GuidanceMode::Ucb;
-        return true;
-    }
-    if (lowered == "thompson" || lowered == "ts") {
-        mode = GuidanceMode::Thompson;
-        return true;
-    }
-    return false;
+    const auto *row = parseEnumRow(kGuidanceModes, name);
+    if (row != nullptr)
+        mode = row->value;
+    return row != nullptr;
 }
 
 GuidedSelector::GuidedSelector(GuidanceConfig config,

@@ -45,9 +45,6 @@ class BugPrioritizer
      */
     size_t absorb(const BugPrioritizer &other);
 
-    /** Feature sets of the bugs reported so far. */
-    const std::vector<FeatureSet> &knownSets() const { return known_; }
-
     size_t size() const { return known_.size(); }
     void clear() { known_.clear(); }
 

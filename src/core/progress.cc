@@ -4,26 +4,24 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/enum_table.h"
 #include "util/seqlock.h"
 #include "util/strutil.h"
 #include "util/trace.h"
 
 namespace sqlpp {
 
-const char *
-shardStateName(ShardState state)
-{
-    switch (state) {
-      case ShardState::Pending: return "pending";
-      case ShardState::Running: return "running";
-      case ShardState::Done: return "done";
-      case ShardState::Restored: return "restored";
-      case ShardState::Abandoned: return "abandoned";
-    }
-    return "unknown";
-}
-
 namespace {
+
+constexpr EnumName<ShardState> kShardStates[] = {
+    {ShardState::Pending, "pending"},
+    {ShardState::Running, "running"},
+    {ShardState::Done, "done"},
+    {ShardState::Restored, "restored"},
+    {ShardState::Abandoned, "abandoned"},
+};
+static_assert(inEnumOrder(kShardStates, ShardState::Abandoned),
+              "kShardStates must list ShardState in enum order");
 
 /**
  * Pack a string into NUL-padded atomic words under the cell's
@@ -34,21 +32,10 @@ void
 storeString(ProgressBoard::Cell &cell, std::atomic<uint64_t> *words,
             size_t word_count, const std::string &value)
 {
+    uint64_t packed[ProgressBoard::kLeaderWords] = {};
     size_t capacity = word_count * sizeof(uint64_t) - 1;
-    size_t length = std::min(value.size(), capacity);
-    seqlockWrite(cell.version, [&] {
-        for (size_t w = 0; w < word_count; ++w) {
-            uint64_t packed = 0;
-            for (size_t b = 0; b < sizeof(uint64_t); ++b) {
-                size_t i = w * sizeof(uint64_t) + b;
-                if (i < length)
-                    packed |= static_cast<uint64_t>(
-                                  static_cast<unsigned char>(value[i]))
-                              << (8 * b);
-            }
-            words[w].store(packed, std::memory_order_relaxed);
-        }
-    });
+    std::memcpy(packed, value.data(), std::min(value.size(), capacity));
+    seqlockWrite(cell.version, words, packed, word_count);
 }
 
 /** Seqlock read of a packed string; "" after too many retries. */
@@ -56,20 +43,21 @@ std::string
 loadString(const ProgressBoard::Cell &cell,
            const std::atomic<uint64_t> *words, size_t word_count)
 {
-    char buffer[ProgressBoard::kLeaderWords * sizeof(uint64_t) + 1];
-    bool clean = seqlockRead(cell.version, [&] {
-        for (size_t w = 0; w < word_count; ++w) {
-            uint64_t packed = words[w].load(std::memory_order_relaxed);
-            for (size_t b = 0; b < sizeof(uint64_t); ++b)
-                buffer[w * sizeof(uint64_t) + b] =
-                    static_cast<char>((packed >> (8 * b)) & 0xff);
-        }
-    });
-    buffer[word_count * sizeof(uint64_t)] = '\0';
-    return clean ? std::string(buffer) : "";
+    uint64_t packed[ProgressBoard::kLeaderWords];
+    if (!seqlockRead(cell.version, words, packed, word_count))
+        return "";
+    const char *bytes = reinterpret_cast<const char *>(packed);
+    return std::string(bytes,
+                       strnlen(bytes, word_count * sizeof(uint64_t)));
 }
 
 } // namespace
+
+const char *
+shardStateName(ShardState state)
+{
+    return enumRow(kShardStates, state)->name;
+}
 
 ProgressBoard &
 ProgressBoard::instance()

@@ -176,12 +176,14 @@ CampaignScheduler::run()
     ProgressBoard &board = ProgressBoard::instance();
     board.beginCampaign(config_.workers, shard_configs.size(),
                         checks_target);
+    // One label per shard, shared by the board and the shard's
+    // metric and trace lanes.
+    std::vector<std::string> labels;
     for (size_t index = 0; index < shard_configs.size(); ++index) {
-        std::string label =
-            config_.mode == ScheduleMode::ShardDialects
-                ? shard_configs[index].dialect
-                : format("slice%zu", index);
-        board.initShard(index, label, shard_configs[index].seed,
+        labels.push_back(config_.mode == ScheduleMode::ShardDialects
+                             ? shard_configs[index].dialect
+                             : format("slice%zu", index));
+        board.initShard(index, labels[index], shard_configs[index].seed,
                         shard_configs[index].checks,
                         shard_configs[index].deadlineSeconds);
     }
@@ -199,13 +201,9 @@ CampaignScheduler::run()
             // progress notes — lands in the shard's own lanes, keyed
             // by shard index (never by worker), so per-lane values and
             // their sums are independent of the worker count.
-            std::string shard_label =
-                config_.mode == ScheduleMode::ShardDialects
-                    ? shard_configs[shard].dialect
-                    : format("slice%zu", shard);
-            ShardScope shard_scope(shard, shard_label);
+            ShardScope shard_scope(shard, labels[shard]);
             board.setShardState(shard, ShardState::Running);
-            SQLPP_TRACE_EVENT(ShardStarted, shard_label, shard,
+            SQLPP_TRACE_EVENT(ShardStarted, labels[shard], shard,
                               shard_configs[shard].seed);
             SQLPP_COUNT("scheduler.shards.run");
             SQLPP_OBSERVE_TIME(

@@ -175,8 +175,6 @@ class CampaignScheduler
 
     /** Merged feedback across shards (valid after run()). */
     const FeedbackTracker &mergedFeedback() const { return *tracker_; }
-    /** Registry the merged feedback/prioritizer ids live in. */
-    FeatureRegistry &mergedRegistry() { return registry_; }
     /** Merged prioritizer state (valid after run()). */
     const BugPrioritizer &mergedPrioritizer() const
     {

@@ -100,9 +100,6 @@ class Connection
     /** The shared engine, for opening further sessions against it. */
     std::shared_ptr<Database> sharedDatabase() const { return db_; }
 
-    /** This connection's engine session id. */
-    SessionId sessionId() const { return session_; }
-
     /** True while this connection has an explicit transaction open. */
     bool inTransaction() const { return db_->inTransaction(session_); }
 

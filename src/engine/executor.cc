@@ -9,6 +9,7 @@
 #include "engine/functions.h"
 #include "sqlir/printer.h"
 #include "util/coverage.h"
+#include "util/enum_table.h"
 #include "util/strutil.h"
 
 namespace sqlpp {
@@ -197,30 +198,28 @@ foldChildren(const Expr &expr, const EngineBehavior &behavior,
     }
 }
 
+constexpr EnumName<ExecMode> kExecModes[] = {
+    {ExecMode::Optimized, "optimized"},
+    {ExecMode::Reference, "reference"},
+};
+static_assert(inEnumOrder(kExecModes, ExecMode::Reference),
+              "kExecModes must list ExecMode in enum order");
+
 } // namespace
 
 const char *
 execModeName(ExecMode mode)
 {
-    switch (mode) {
-      case ExecMode::Optimized: return "optimized";
-      case ExecMode::Reference: return "reference";
-    }
-    return "optimized";
+    return enumRow(kExecModes, mode)->name;
 }
 
 bool
 parseExecMode(const std::string &name, ExecMode &out)
 {
-    if (name == "optimized") {
-        out = ExecMode::Optimized;
-        return true;
-    }
-    if (name == "reference") {
-        out = ExecMode::Reference;
-        return true;
-    }
-    return false;
+    const auto *row = parseEnumRow(kExecModes, name);
+    if (row != nullptr)
+        out = row->value;
+    return row != nullptr;
 }
 
 Executor::Executor(const Catalog &catalog, const EngineBehavior &behavior,

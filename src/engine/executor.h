@@ -70,7 +70,10 @@ enum class ExecMode
 /** Stable lowercase name ("optimized", "reference"). */
 const char *execModeName(ExecMode mode);
 
-/** Parse execModeName() output; false (and *out untouched) on junk. */
+/**
+ * Parse execModeName() output (case-insensitive); false (and *out
+ * untouched) on junk.
+ */
 bool parseExecMode(const std::string &name, ExecMode &out);
 
 /** Runs SELECT statements against a catalog. */

@@ -29,9 +29,10 @@
 #ifndef SQLPP_ENGINE_FAULTS_H
 #define SQLPP_ENGINE_FAULTS_H
 
+#include <bit>
 #include <cstdint>
-#include <set>
-#include <string>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace sqlpp {
@@ -143,8 +144,35 @@ enum class FaultId : uint32_t
     TxnLostUpdate = 63,
 };
 
-/** All fault ids, in declaration order. */
-const std::vector<FaultId> &allFaultIds();
+/** Where a fault lives and which oracles can see it. */
+enum class FaultFamily
+{
+    /** The optimizing planner: NoREC and TLP both see it. */
+    Planner,
+    /** The evaluator or executor, visible to some oracle alone. */
+    Evaluator,
+    /**
+     * Invisible to both shipped oracles on its own by design;
+     * REPLACE_NUMERIC_SUBJECT shows only beside NEG_CONTEXT_MIXED_EQ.
+     */
+    Latent,
+    /** Multi-session transactions: only ISO sees it. */
+    Isolation,
+};
+
+/** One row of the fault table. */
+struct FaultInfo
+{
+    FaultId value;
+    /** Short stable name (e.g. "ON_TO_WHERE_RIGHT_JOIN"). */
+    const char *name;
+    /** One-line human description. */
+    const char *description;
+    FaultFamily family;
+};
+
+/** The fault table: every FaultId, in ascending value order. */
+std::span<const FaultInfo> faultTable();
 
 /** Short stable name of a fault (e.g. "ON_TO_WHERE_RIGHT_JOIN"). */
 const char *faultName(FaultId id);
@@ -152,33 +180,36 @@ const char *faultName(FaultId id);
 /** One-line human description. */
 const char *faultDescription(FaultId id);
 
-/** True if the fault lives in the optimizing planner (not the evaluator). */
-bool isPlannerFault(FaultId id);
-
-/** True if the fault is invisible to both shipped oracles by design. */
-bool isLatentFault(FaultId id);
-
-/** True for the multi-session isolation fault family (60-block). */
-bool isIsolationFault(FaultId id);
-
-/** An enabled subset of faults, owned by a Database configuration. */
+/**
+ * An enabled subset of faults, owned by a Database configuration: one
+ * bit per FaultId value (the fault table keeps every value below 64).
+ */
 class FaultSet
 {
   public:
     FaultSet() = default;
     explicit FaultSet(std::initializer_list<FaultId> ids)
-        : enabled_(ids) {}
+    {
+        for (FaultId id : ids)
+            enable(id);
+    }
 
-    void enable(FaultId id) { enabled_.insert(id); }
-    void disable(FaultId id) { enabled_.erase(id); }
-    bool isEnabled(FaultId id) const { return enabled_.count(id) > 0; }
-    bool empty() const { return enabled_.empty(); }
-    size_t size() const { return enabled_.size(); }
+    void enable(FaultId id) { mask_ |= bit(id); }
+    void disable(FaultId id) { mask_ &= ~bit(id); }
+    bool isEnabled(FaultId id) const { return (mask_ & bit(id)) != 0; }
+    bool empty() const { return mask_ == 0; }
+    size_t size() const { return static_cast<size_t>(std::popcount(mask_)); }
 
-    const std::set<FaultId> &ids() const { return enabled_; }
+    /** The enabled ids in ascending order. */
+    std::vector<FaultId> ids() const;
 
   private:
-    std::set<FaultId> enabled_;
+    static uint64_t bit(FaultId id)
+    {
+        return uint64_t{1} << static_cast<uint32_t>(id);
+    }
+
+    uint64_t mask_ = 0;
 };
 
 } // namespace sqlpp

@@ -34,9 +34,7 @@ constexpr BinaryOpInfo kBinaryOps[] = {
      binding::Comparison},
 };
 
-static_assert(inEnumOrder(kBinaryOps) &&
-                  std::size(kBinaryOps) ==
-                      static_cast<size_t>(BinaryOp::IsNotDistinctFrom) + 1,
+static_assert(inEnumOrder(kBinaryOps, BinaryOp::IsNotDistinctFrom),
               "kBinaryOps must list BinaryOp in enum order");
 
 constexpr EnumInfo<UnaryOp> kUnaryOps[] = {
@@ -51,9 +49,7 @@ constexpr EnumInfo<UnaryOp> kUnaryOps[] = {
     {UnaryOp::IsNotTrue, "IS NOT TRUE", "OP_IS_NOT_TRUE"},
     {UnaryOp::IsNotFalse, "IS NOT FALSE", "OP_IS_NOT_FALSE"},
 };
-static_assert(inEnumOrder(kUnaryOps) &&
-                  std::size(kUnaryOps) ==
-                      static_cast<size_t>(UnaryOp::IsNotFalse) + 1,
+static_assert(inEnumOrder(kUnaryOps, UnaryOp::IsNotFalse),
               "kUnaryOps must list UnaryOp in enum order");
 
 constexpr EnumInfo<StmtKind> kStmtKinds[] = {
@@ -73,9 +69,7 @@ constexpr EnumInfo<StmtKind> kStmtKinds[] = {
     {StmtKind::RollbackTo, "ROLLBACK TO", "STMT_ROLLBACK_TO"},
     {StmtKind::Release, "RELEASE", "STMT_RELEASE"},
 };
-static_assert(inEnumOrder(kStmtKinds) &&
-                  std::size(kStmtKinds) ==
-                      static_cast<size_t>(StmtKind::Release) + 1,
+static_assert(inEnumOrder(kStmtKinds, StmtKind::Release),
               "kStmtKinds must list StmtKind in enum order");
 
 constexpr EnumInfo<JoinType> kJoinTypes[] = {
@@ -86,9 +80,7 @@ constexpr EnumInfo<JoinType> kJoinTypes[] = {
     {JoinType::Cross, "CROSS JOIN", "JOIN_CROSS"},
     {JoinType::Natural, "NATURAL JOIN", "JOIN_NATURAL"},
 };
-static_assert(inEnumOrder(kJoinTypes) &&
-                  std::size(kJoinTypes) ==
-                      static_cast<size_t>(JoinType::Natural) + 1,
+static_assert(inEnumOrder(kJoinTypes, JoinType::Natural),
               "kJoinTypes must list JoinType in enum order");
 
 } // namespace

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sqlir/enum_table.h"
+#include "util/enum_table.h"
 #include "sqlir/value.h"
 
 namespace sqlpp {

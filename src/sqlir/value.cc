@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
-#include "sqlir/enum_table.h"
+#include "util/enum_table.h"
 #include "util/strutil.h"
 
 namespace sqlpp {
@@ -11,13 +11,12 @@ namespace sqlpp {
 namespace {
 
 constexpr DataTypeInfo kDataTypes[] = {
-    {DataType::Int, "INTEGER", "TYPE_INTEGER", "INT"},
-    {DataType::Text, "TEXT", "TYPE_STRING", "STRING"},
-    {DataType::Bool, "BOOLEAN", "TYPE_BOOLEAN", "BOOL"},
+    {DataType::Int, "INTEGER", "TYPE_INTEGER", "INT", "INT BIGINT"},
+    {DataType::Text, "TEXT", "TYPE_STRING", "STRING",
+     "VARCHAR STRING CHAR"},
+    {DataType::Bool, "BOOLEAN", "TYPE_BOOLEAN", "BOOL", "BOOL"},
 };
-static_assert(inEnumOrder(kDataTypes) &&
-                  std::size(kDataTypes) ==
-                      static_cast<size_t>(DataType::Bool) + 1,
+static_assert(inEnumOrder(kDataTypes, DataType::Bool),
               "kDataTypes must list DataType in enum order");
 
 } // namespace
@@ -31,33 +30,22 @@ dataTypeTable()
 const DataTypeInfo &
 dataTypeInfo(DataType type)
 {
-    return kDataTypes[static_cast<size_t>(type)];
+    return *enumRow(kDataTypes, type);
 }
 
 const char *
 dataTypeName(DataType type)
 {
-    return dataTypeInfo(type).sql;
+    return dataTypeInfo(type).name;
 }
 
 bool
 parseDataType(const std::string &name, DataType &out)
 {
-    std::string upper = toUpper(name);
-    if (upper == "INTEGER" || upper == "INT" || upper == "BIGINT") {
-        out = DataType::Int;
-        return true;
-    }
-    if (upper == "TEXT" || upper == "VARCHAR" || upper == "STRING" ||
-        upper == "CHAR") {
-        out = DataType::Text;
-        return true;
-    }
-    if (upper == "BOOLEAN" || upper == "BOOL") {
-        out = DataType::Bool;
-        return true;
-    }
-    return false;
+    const DataTypeInfo *row = parseEnumRow(kDataTypes, name);
+    if (row != nullptr)
+        out = row->value;
+    return row != nullptr;
 }
 
 Value

@@ -33,11 +33,13 @@ struct DataTypeInfo
 {
     DataType value;
     /** SQL name (INTEGER, TEXT, BOOLEAN). */
-    const char *sql;
+    const char *name;
     /** Feature name (e.g. "TYPE_INTEGER"). */
     const char *feature;
     /** Tag of composite typed-argument features (SIN1INT's "INT"). */
     const char *argTag;
+    /** Space-separated other names parseDataType() accepts. */
+    const char *aliases;
 };
 
 /** The data-type table: every DataType, in enum order. */
@@ -47,7 +49,7 @@ const DataTypeInfo &dataTypeInfo(DataType type);
 /** SQL name of a data type (INTEGER, TEXT, BOOLEAN). */
 const char *dataTypeName(DataType type);
 
-/** Parse a type name (case-insensitive, accepts common aliases). */
+/** Parse a type name or alias (case-insensitive); false on junk. */
 bool parseDataType(const std::string &name, DataType &out);
 
 /**

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <mutex>
 
-#include "util/strutil.h"
+#include "util/enum_table.h"
 
 namespace sqlpp {
 
@@ -25,18 +25,15 @@ logSink()
     return sink;
 }
 
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "DEBUG";
-      case LogLevel::Info: return "INFO";
-      case LogLevel::Warn: return "WARN";
-      case LogLevel::Error: return "ERROR";
-      case LogLevel::Silent: return "SILENT";
-    }
-    return "?";
-}
+constexpr EnumName<LogLevel> kLogLevels[] = {
+    {LogLevel::Debug, "DEBUG"},
+    {LogLevel::Info, "INFO"},
+    {LogLevel::Warn, "WARN", "warning"},
+    {LogLevel::Error, "ERROR"},
+    {LogLevel::Silent, "SILENT", "quiet"},
+};
+static_assert(inEnumOrder(kLogLevels, LogLevel::Silent),
+              "kLogLevels must list LogLevel in enum order");
 } // namespace
 
 void
@@ -48,18 +45,10 @@ setLogLevel(LogLevel level)
 std::optional<LogLevel>
 logLevelFromName(const std::string &name)
 {
-    std::string lower = toLower(name);
-    if (lower == "quiet" || lower == "silent")
-        return LogLevel::Silent;
-    if (lower == "error")
-        return LogLevel::Error;
-    if (lower == "warn" || lower == "warning")
-        return LogLevel::Warn;
-    if (lower == "info")
-        return LogLevel::Info;
-    if (lower == "debug")
-        return LogLevel::Debug;
-    return std::nullopt;
+    const auto *row = parseEnumRow(kLogLevels, name);
+    if (row == nullptr)
+        return std::nullopt;
+    return row->value;
 }
 
 void
@@ -71,7 +60,7 @@ logMessage(LogLevel level, const std::string &message)
      * mutex, so concurrent campaign workers never interleave or tear
      * log lines. */
     std::string line = "[";
-    line += levelName(level);
+    line += enumRow(kLogLevels, level)->name;
     line += "] ";
     line += message;
     line += "\n";

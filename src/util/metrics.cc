@@ -3,40 +3,40 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/enum_table.h"
 #include "util/strutil.h"
 
 namespace sqlpp {
 
+namespace {
+
+/** One row of the metric-kind table. */
+struct MetricKindInfo
+{
+    MetricKind value;
+    const char *name;
+    /** Cells one metric occupies: histograms add a trailing sum cell. */
+    size_t cells;
+};
+
+constexpr size_t kHistogramCells = MetricsRegistry::kHistogramBuckets + 1;
+
+constexpr MetricKindInfo kMetricKinds[] = {
+    {MetricKind::Counter, "counter", 1},
+    {MetricKind::Gauge, "gauge", 1},
+    {MetricKind::Histogram, "histogram", kHistogramCells},
+    {MetricKind::Timer, "timer", kHistogramCells},
+};
+static_assert(inEnumOrder(kMetricKinds, MetricKind::Timer),
+              "kMetricKinds must list MetricKind in enum order");
+
+} // namespace
+
 const char *
 metricKindName(MetricKind kind)
 {
-    switch (kind) {
-      case MetricKind::Counter: return "counter";
-      case MetricKind::Gauge: return "gauge";
-      case MetricKind::Histogram: return "histogram";
-      case MetricKind::Timer: return "timer";
-    }
-    return "unknown";
+    return enumRow(kMetricKinds, kind)->name;
 }
-
-namespace {
-
-/** Cells one metric occupies: histograms add a trailing sum cell. */
-size_t
-cellCount(MetricKind kind)
-{
-    switch (kind) {
-      case MetricKind::Counter:
-      case MetricKind::Gauge:
-        return 1;
-      case MetricKind::Histogram:
-      case MetricKind::Timer:
-        return MetricsRegistry::kHistogramBuckets + 1;
-    }
-    return 1;
-}
-
-} // namespace
 
 MetricsRegistry::MetricsRegistry()
 {
@@ -92,7 +92,7 @@ MetricsRegistry::metricId(const std::string &name, MetricKind kind)
         return metrics_[it->second].kind == kind ? it->second
                                                  : kOverflowId;
     }
-    size_t cells = cellCount(kind);
+    size_t cells = enumRow(kMetricKinds, kind)->cells;
     if (metrics_.size() >= kMaxMetrics ||
         next_cell_ + cells > kMaxCells) {
         // Registry full: drop the overflow's writes rather than abort

@@ -1,20 +1,29 @@
 #include "util/status.h"
 
+#include "util/enum_table.h"
+
 namespace sqlpp {
+
+namespace {
+
+constexpr EnumName<ErrorCode> kErrorCodeNames[] = {
+    {ErrorCode::Ok, "OK"},
+    {ErrorCode::SyntaxError, "SYNTAX_ERROR"},
+    {ErrorCode::SemanticError, "SEMANTIC_ERROR"},
+    {ErrorCode::RuntimeError, "RUNTIME_ERROR"},
+    {ErrorCode::Unsupported, "UNSUPPORTED"},
+    {ErrorCode::Internal, "INTERNAL"},
+    {ErrorCode::BudgetExhausted, "BUDGET_EXHAUSTED"},
+};
+static_assert(inEnumOrder(kErrorCodeNames, ErrorCode::BudgetExhausted),
+              "kErrorCodeNames must list ErrorCode in enum order");
+
+} // namespace
 
 const char *
 errorCodeName(ErrorCode code)
 {
-    switch (code) {
-      case ErrorCode::Ok: return "OK";
-      case ErrorCode::SyntaxError: return "SYNTAX_ERROR";
-      case ErrorCode::SemanticError: return "SEMANTIC_ERROR";
-      case ErrorCode::RuntimeError: return "RUNTIME_ERROR";
-      case ErrorCode::Unsupported: return "UNSUPPORTED";
-      case ErrorCode::Internal: return "INTERNAL";
-      case ErrorCode::BudgetExhausted: return "BUDGET_EXHAUSTED";
-    }
-    return "UNKNOWN";
+    return enumRow(kErrorCodeNames, code)->name;
 }
 
 std::string

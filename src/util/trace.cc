@@ -11,26 +11,7 @@ namespace sqlpp {
 const char *
 traceEventTypeName(TraceEventType type)
 {
-    switch (type) {
-      case TraceEventType::StatementExecuted:
-        return "statement_executed";
-      case TraceEventType::ErrorClass: return "error_class";
-      case TraceEventType::OracleCheck: return "oracle_check";
-      case TraceEventType::FeatureSuppressed:
-        return "feature_suppressed";
-      case TraceEventType::PlanDiscovered: return "plan_discovered";
-      case TraceEventType::BudgetExhausted: return "budget_exhausted";
-      case TraceEventType::BugFound: return "bug_found";
-      case TraceEventType::ReduceDone: return "reduce_done";
-      case TraceEventType::CurveSample: return "curve_sample";
-      case TraceEventType::CheckpointWritten:
-        return "checkpoint_written";
-      case TraceEventType::CheckpointRestored:
-        return "checkpoint_restored";
-      case TraceEventType::ShardStarted: return "shard_started";
-      case TraceEventType::ShardAbandoned: return "shard_abandoned";
-    }
-    return "unknown";
+    return enumRow(kTraceEventNames, type)->name;
 }
 
 TraceRecorder::TraceRecorder()
@@ -113,22 +94,16 @@ TraceRecorder::record(TraceEventType type, std::string_view detail,
     // handler) skip the slot while a write is in flight.
     uint64_t words[kEventWords];
     std::memcpy(words, &event, sizeof(event));
-    seqlockWrite(lane_ptr->versions[slot], [&] {
-        for (size_t w = 0; w < kEventWords; ++w)
-            lane_ptr->ring[slot * kEventWords + w].store(
-                words[w], std::memory_order_relaxed);
-    });
+    seqlockWrite(lane_ptr->versions[slot],
+                 &lane_ptr->ring[slot * kEventWords], words, kEventWords);
 }
 
 bool
 TraceRecorder::readSlot(const Lane &lane, size_t slot, TraceEvent *out)
 {
     uint64_t words[kEventWords];
-    if (!seqlockRead(lane.versions[slot], [&] {
-            for (size_t w = 0; w < kEventWords; ++w)
-                words[w] = lane.ring[slot * kEventWords + w].load(
-                    std::memory_order_relaxed);
-        }))
+    if (!seqlockRead(lane.versions[slot], &lane.ring[slot * kEventWords],
+                     words, kEventWords))
         return false;
     std::memcpy(out, words, sizeof(*out));
     return true;
@@ -328,9 +303,9 @@ traceSchemaDescription()
     out += "event: lane=int shard=string tick=int type=string "
            "detail=string a=int b=int\n";
     out += "types:\n";
-    for (size_t index = 0; index < kTraceEventTypes; ++index) {
+    for (const auto &row : kTraceEventNames) {
         out += "  ";
-        out += traceEventTypeName(static_cast<TraceEventType>(index));
+        out += row.name;
         out += "\n";
     }
     return out;

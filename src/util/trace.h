@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +45,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/enum_table.h"
 #include "util/shard_scope.h"
 
 namespace sqlpp {
@@ -79,9 +81,27 @@ enum class TraceEventType : uint8_t
     ShardAbandoned,
 };
 
+/** Snake_case name of every event type, in enum order. */
+inline constexpr EnumName<TraceEventType> kTraceEventNames[] = {
+    {TraceEventType::StatementExecuted, "statement_executed"},
+    {TraceEventType::ErrorClass, "error_class"},
+    {TraceEventType::OracleCheck, "oracle_check"},
+    {TraceEventType::FeatureSuppressed, "feature_suppressed"},
+    {TraceEventType::PlanDiscovered, "plan_discovered"},
+    {TraceEventType::BudgetExhausted, "budget_exhausted"},
+    {TraceEventType::BugFound, "bug_found"},
+    {TraceEventType::ReduceDone, "reduce_done"},
+    {TraceEventType::CurveSample, "curve_sample"},
+    {TraceEventType::CheckpointWritten, "checkpoint_written"},
+    {TraceEventType::CheckpointRestored, "checkpoint_restored"},
+    {TraceEventType::ShardStarted, "shard_started"},
+    {TraceEventType::ShardAbandoned, "shard_abandoned"},
+};
+static_assert(inEnumOrder(kTraceEventNames, TraceEventType::ShardAbandoned),
+              "kTraceEventNames must list TraceEventType in enum order");
+
 /** Number of distinct event types (bounds arrays and validation). */
-inline constexpr size_t kTraceEventTypes =
-    static_cast<size_t>(TraceEventType::ShardAbandoned) + 1;
+inline constexpr size_t kTraceEventTypes = std::size(kTraceEventNames);
 
 /** Stable snake_case name of an event type ("statement_executed"). */
 const char *traceEventTypeName(TraceEventType type);

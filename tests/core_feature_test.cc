@@ -214,15 +214,15 @@ printedLogLevel(LogLevel level)
 }
 
 const char *
-faultFamilyName(FaultId id)
+faultFamilyName(FaultFamily family)
 {
-    if (isPlannerFault(id))
-        return "planner";
-    if (isIsolationFault(id))
-        return "isolation";
-    if (isLatentFault(id))
-        return "latent";
-    return "evaluator";
+    switch (family) {
+      case FaultFamily::Planner: return "planner";
+      case FaultFamily::Evaluator: return "evaluator";
+      case FaultFamily::Latent: return "latent";
+      case FaultFamily::Isolation: return "isolation";
+    }
+    return "?";
 }
 
 /** One "value name" line per value of a dense enum, 0 through last. */
@@ -265,10 +265,11 @@ std::string
 renderEnumNames()
 {
     std::string out = "# FaultId: value name family description\n";
-    for (FaultId id : allFaultIds())
-        out += concat(std::to_string(static_cast<uint32_t>(id)), " ",
-                      faultName(id), " ", faultFamilyName(id), " ",
-                      faultDescription(id), "\n");
+    for (const FaultInfo &row : faultTable())
+        out += concat(std::to_string(static_cast<uint32_t>(row.value)), " ",
+                      faultName(row.value), " ",
+                      faultFamilyName(row.family), " ",
+                      faultDescription(row.value), "\n");
     renderValues(out, "TraceEventType", TraceEventType::ShardAbandoned,
                  traceEventTypeName);
     renderValues(out, "ShardState", ShardState::Abandoned,
@@ -330,6 +331,15 @@ renderEnumNames()
 TEST(EnumNamesTest, MatchesGoldenFile)
 {
     expectMatchesGolden("enum_names.txt", renderEnumNames());
+}
+
+TEST(EnumNamesTest, ParseExecModeIgnoresCase)
+{
+    ExecMode mode = ExecMode::Reference;
+    ASSERT_TRUE(parseExecMode("OPTIMIZED", mode));
+    EXPECT_EQ(mode, ExecMode::Optimized);
+    ASSERT_TRUE(parseExecMode("Reference", mode));
+    EXPECT_EQ(mode, ExecMode::Reference);
 }
 
 } // namespace

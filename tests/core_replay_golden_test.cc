@@ -149,9 +149,9 @@ renderIsoShapes()
 {
     std::vector<std::pair<std::string, FaultSet>> profiles = {
         {"fault-free", FaultSet{}}};
-    for (FaultId fault : allFaultIds()) {
-        if (isIsolationFault(fault))
-            profiles.emplace_back(faultName(fault), FaultSet{fault});
+    for (const FaultInfo &fault : faultTable()) {
+        if (fault.family == FaultFamily::Isolation)
+            profiles.emplace_back(fault.name, FaultSet{fault.value});
     }
     std::ostringstream out;
     for (const auto &[label, faults] : profiles) {

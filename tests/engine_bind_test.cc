@@ -14,6 +14,7 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "parser/parser.h"
+#include "util/strutil.h"
 
 namespace sqlpp {
 namespace {
@@ -293,8 +294,8 @@ TEST(BindRerunTest, RefoldedCorrelatedWhereOverAThousandOuterRows)
     for (int i = 0; i < 1000; ++i) {
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(i) + ", " +
-                  std::to_string(i % 7) + ")";
+        insert += concat("(", std::to_string(i), ", ",
+                         std::to_string(i % 7), ")");
     }
     exec(db, insert);
     insert = "INSERT INTO t1 VALUES ";
@@ -304,7 +305,8 @@ TEST(BindRerunTest, RefoldedCorrelatedWhereOverAThousandOuterRows)
         int c1 = i % 5;
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(c0) + ", " + std::to_string(c1) + ")";
+        insert += concat("(", std::to_string(c0), ", ", std::to_string(c1),
+                         ")");
         if (c1 > 1)
             ++count_by_c0[c0];
     }

@@ -10,6 +10,7 @@
 #include "engine/budget.h"
 #include "engine/database.h"
 #include "parser/parser.h"
+#include "util/strutil.h"
 
 namespace sqlpp {
 namespace {
@@ -32,7 +33,7 @@ fillTable(Database &db, const char *table, size_t rows)
     for (size_t i = 0; i < rows; ++i) {
         if (i > 0)
             insert += ", ";
-        insert += "(" + std::to_string(i) + ")";
+        insert += concat("(", std::to_string(i), ")");
     }
     ASSERT_TRUE(db.execute(insert).isOk());
 }

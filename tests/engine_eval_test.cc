@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "util/strutil.h"
 
 namespace sqlpp {
 namespace {
@@ -325,7 +326,7 @@ TEST(EvalTest, Int64MinArithmeticEdges)
         evalError(std::string(min_expr) + " / (0 - 1)").code(),
         ErrorCode::RuntimeError);
     EXPECT_EQ(evalSql(std::string(min_expr) + " % (0 - 1)").asInt(), 0);
-    EXPECT_EQ(evalError("-" + std::string(min_expr)).code(),
+    EXPECT_EQ(evalError(concat("-", min_expr)).code(),
               ErrorCode::RuntimeError);
 }
 

@@ -38,27 +38,36 @@ rows(Database &db, const std::string &sql)
 
 TEST(FaultMetadataTest, NamesAndDescriptionsExist)
 {
-    for (FaultId id : allFaultIds()) {
-        EXPECT_STRNE(faultName(id), "UNKNOWN_FAULT");
-        EXPECT_STRNE(faultDescription(id), "?");
+    for (const FaultInfo &row : faultTable()) {
+        EXPECT_STREQ(faultName(row.value), row.name);
+        EXPECT_STREQ(faultDescription(row.value), row.description);
     }
-    EXPECT_EQ(allFaultIds().size(), 26u);
+    EXPECT_EQ(faultTable().size(), 26u);
+}
+
+FaultFamily
+familyOf(FaultId id)
+{
+    for (const FaultInfo &row : faultTable()) {
+        if (row.value == id)
+            return row.family;
+    }
+    ADD_FAILURE() << "no fault table row for " << static_cast<int>(id);
+    return FaultFamily::Evaluator;
 }
 
 TEST(FaultMetadataTest, PlannerAndLatentClassification)
 {
-    EXPECT_TRUE(isPlannerFault(FaultId::OnToWhereRightJoin));
-    EXPECT_TRUE(isPlannerFault(FaultId::ConstFoldTrueAbsorbsAnd));
-    EXPECT_FALSE(isPlannerFault(FaultId::NotNullTrue));
-    EXPECT_FALSE(isPlannerFault(FaultId::DoubleNegNullFalse));
-    EXPECT_TRUE(isLatentFault(FaultId::SumEmptyZero));
-    EXPECT_FALSE(isLatentFault(FaultId::WhereNullAsTrue));
-    EXPECT_FALSE(isLatentFault(FaultId::DoubleNegNullFalse));
-    EXPECT_TRUE(isIsolationFault(FaultId::TxnDirtyRead));
-    EXPECT_TRUE(isIsolationFault(FaultId::TxnLostUpdate));
-    EXPECT_FALSE(isIsolationFault(FaultId::WhereNullAsTrue));
-    EXPECT_FALSE(isPlannerFault(FaultId::TxnLostUpdate));
-    EXPECT_FALSE(isLatentFault(FaultId::TxnDirtyRead));
+    EXPECT_EQ(familyOf(FaultId::OnToWhereRightJoin), FaultFamily::Planner);
+    EXPECT_EQ(familyOf(FaultId::ConstFoldTrueAbsorbsAnd),
+              FaultFamily::Planner);
+    EXPECT_EQ(familyOf(FaultId::NotNullTrue), FaultFamily::Evaluator);
+    EXPECT_EQ(familyOf(FaultId::DoubleNegNullFalse), FaultFamily::Evaluator);
+    EXPECT_EQ(familyOf(FaultId::SumEmptyZero), FaultFamily::Latent);
+    EXPECT_EQ(familyOf(FaultId::ReplaceNumericSubject), FaultFamily::Latent);
+    EXPECT_EQ(familyOf(FaultId::WhereNullAsTrue), FaultFamily::Evaluator);
+    EXPECT_EQ(familyOf(FaultId::TxnDirtyRead), FaultFamily::Isolation);
+    EXPECT_EQ(familyOf(FaultId::TxnLostUpdate), FaultFamily::Isolation);
 }
 
 TEST(FaultSetTest, EnableDisable)

@@ -254,9 +254,10 @@ TEST_F(TxnFaultTest, LostUpdateClobbersConcurrentCommit)
 
 TEST_F(TxnFaultTest, AllIsolationFaultsAreSingleSessionNoOps)
 {
-    for (FaultId fault : allFaultIds()) {
-        if (!isIsolationFault(fault))
+    for (const FaultInfo &row : faultTable()) {
+        if (row.family != FaultFamily::Isolation)
             continue;
+        FaultId fault = row.value;
         Database db = makeDb(fault);
         ASSERT_TRUE(db.execute("CREATE TABLE t (a INT)").isOk());
         ASSERT_TRUE(db.execute("INSERT INTO t VALUES (1)").isOk());

@@ -105,7 +105,8 @@ TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
     std::map<std::string, std::map<std::string, bool>> rows;
     std::vector<std::string> order;
 
-    for (FaultId fault : allFaultIds()) {
+    for (const FaultInfo &row : faultTable()) {
+        FaultId fault = row.value;
         DialectProfile profile = matrixBaseProfile();
         profile.faults.enable(fault);
         order.push_back(faultName(fault));
@@ -126,8 +127,8 @@ TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
     // The containment oracle must widen the detectable classes: at
     // least one fault only PQS sees.
     size_t pqs_only = 0;
-    for (FaultId fault : allFaultIds()) {
-        const auto &cells = rows.at(faultName(fault));
+    for (const FaultInfo &fault : faultTable()) {
+        const auto &cells = rows.at(fault.name);
         if (cells.at("PQS") && !cells.at("TLP") && !cells.at("NOREC"))
             ++pqs_only;
     }
@@ -138,8 +139,8 @@ TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
     // (the root-keyed double-negation collapse by construction) that
     // only EET sees.
     size_t eet_only = 0;
-    for (FaultId fault : allFaultIds()) {
-        const auto &cells = rows.at(faultName(fault));
+    for (const FaultInfo &fault : faultTable()) {
+        const auto &cells = rows.at(fault.name);
         if (cells.at("EET") && !cells.at("TLP") &&
             !cells.at("NOREC") && !cells.at("PQS"))
             ++eet_only;
@@ -153,19 +154,17 @@ TEST(OracleFaultMatrixTest, MatchesGroundTruthGolden)
     // fault is an ISO-only row (single-session oracles cannot even in
     // principle observe it), and ISO never fires on a single-session
     // fault (the interleaving vocabulary avoids their triggers).
-    for (FaultId fault : allFaultIds()) {
-        const auto &cells = rows.at(faultName(fault));
-        if (isIsolationFault(fault)) {
-            EXPECT_TRUE(cells.at("ISO"))
-                << "ISO missed " << faultName(fault);
+    for (const FaultInfo &fault : faultTable()) {
+        const auto &cells = rows.at(fault.name);
+        if (fault.family == FaultFamily::Isolation) {
+            EXPECT_TRUE(cells.at("ISO")) << "ISO missed " << fault.name;
             for (const char *oracle : {"TLP", "NOREC", "PQS", "EET"})
                 EXPECT_FALSE(cells.at(oracle))
                     << oracle << " detected the single-session no-op "
-                    << faultName(fault);
+                    << fault.name;
         } else {
             EXPECT_FALSE(cells.at("ISO"))
-                << "ISO fired on single-session fault "
-                << faultName(fault);
+                << "ISO fired on single-session fault " << fault.name;
         }
     }
 

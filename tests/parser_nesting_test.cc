@@ -32,6 +32,7 @@
 #include "dialect/profile.h"
 #include "parser/parser.h"
 #include "sqlir/printer.h"
+#include "util/strutil.h"
 
 namespace sqlpp {
 namespace {
@@ -79,7 +80,7 @@ deepForms()
          [](size_t n) { return repeat("- ", n) + "TRUE"; }, 20000,
          kMaxParseNesting - 2},
         {"+ chain",
-         [](size_t n) { return "1" + repeat(" + 1", n - 1); }, 200000,
+         [](size_t n) { return concat("1", repeat(" + 1", n - 1)); }, 200000,
          kMaxParseNesting - 1},
         {"scalar subqueries",
          [](size_t n) {
@@ -87,7 +88,7 @@ deepForms()
          },
          300, (kMaxParseNesting - 2) / 2, "subquery nesting too deep"},
         {"IS NULL chain",
-         [](size_t n) { return "1" + repeat(" IS NULL", n); }, 40000,
+         [](size_t n) { return concat("1", repeat(" IS NULL", n)); }, 40000,
          kMaxParseNesting - 2},
     };
     return forms;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/strutil.h"
 #include "util/trace.h"
 
 namespace sqlpp {
@@ -247,8 +248,7 @@ TEST_F(TraceTest, ExportIsDeterministicAcrossLaneCreationOrder)
     auto fill = [&recorder](std::vector<size_t> shard_order) {
         recorder.reset();
         for (size_t shard : shard_order) {
-            ShardScope scope(shard,
-                                  "s" + std::to_string(shard));
+            ShardScope scope(shard, concat("s", std::to_string(shard)));
             recorder.record(TraceEventType::ShardStarted, "", shard,
                             0);
         }
