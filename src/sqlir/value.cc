@@ -1,7 +1,6 @@
 #include "sqlir/value.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/enum_table.h"
 #include "util/strutil.h"

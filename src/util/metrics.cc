@@ -438,8 +438,7 @@ exportMetricsPrometheus()
           case MetricKind::Counter:
           case MetricKind::Gauge:
             out += format("# TYPE %s %s\n", name.c_str(),
-                          snap.kind == MetricKind::Counter ? "counter"
-                                                           : "gauge");
+                          metricKindName(snap.kind));
             out += format("%s %llu\n", name.c_str(),
                           (unsigned long long)snap.total);
             break;
