@@ -85,12 +85,16 @@ const char *const kStatements[] = {
 
 /**
  * Extra tables for the rows golden only, so the charges golden keeps its
- * catalog: t2 is small, t3 is empty.
+ * catalog: t2 is small, t3 is empty, and t4 shares c3 with t1 for a
+ * NATURAL JOIN chain.
  */
 const char *const kRowsSetup[] = {
     "CREATE TABLE t2 (c4 INT, c5 TEXT)",
     "INSERT INTO t2 VALUES (3, 'x'), (NULL, 'y'), (10, NULL)",
     "CREATE TABLE t3 (c6 INT, c7 TEXT)",
+    "CREATE TABLE t4 (c3 INT, c8 TEXT)",
+    "INSERT INTO t4 VALUES (4, 'p'), (NULL, 'q'), (10, 'r'), (2, 's'), "
+    "(4, 't')",
 };
 
 /** Shapes the rows golden covers beyond kStatements. */
@@ -120,6 +124,27 @@ const char *const kRowsStatements[] = {
     "AND t2.c4 < t0.c2 + 8) FROM t0 JOIN t1 ON t0.c0 = t1.c0",
     "SELECT t0.c1, t1.c3 FROM t0 LEFT JOIN t1 ON t0.c2 = t1.c0 "
     "WHERE EXISTS (SELECT 1 FROM t2 WHERE t2.c4 = t1.c0 OR t2.c4 = t0.c0)",
+    // A 3-way join whose second hash key sits in the first binding.
+    "SELECT t0.c0, t0.c1, t1.c3, t2.c5 FROM t0 JOIN t1 ON t0.c0 = t1.c0 "
+    "JOIN t2 ON t0.c0 = t2.c4",
+    // A RIGHT JOIN after an inner join: unmatched right rows extend the
+    // whole two-binding left side with NULLs.
+    "SELECT * FROM t0 JOIN t1 ON t0.c0 = t1.c0 RIGHT JOIN t2 "
+    "ON t1.c3 + 6 = t2.c4",
+    // A FULL JOIN after an inner join.
+    "SELECT t0.c1, t1.c3, t2.c4, t2.c5 FROM t0 JOIN t1 ON t0.c0 = t1.c0 "
+    "FULL JOIN t2 ON t1.c0 = t2.c4",
+    // Three tables chained by NATURAL JOIN, every column projected.
+    "SELECT * FROM t0 NATURAL JOIN t1 NATURAL JOIN t4",
+    // Aggregates over the NULL-extended side of a LEFT join.
+    "SELECT t0.c2, COUNT(*), COUNT(t1.c3), SUM(t1.c3), MAX(t1.c0) "
+    "FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 GROUP BY t0.c2",
+    // ORDER BY a NULL-extended column.
+    "SELECT t0.c0, t1.c3 FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 "
+    "ORDER BY t1.c3 DESC, t0.c0",
+    // A correlated subquery in an ON clause, reading both sides.
+    "SELECT t0.c0, t1.c0, t1.c3 FROM t0 LEFT JOIN t1 ON t1.c0 = "
+    "(SELECT MIN(t2.c4) FROM t2 WHERE t2.c4 + t1.c3 > t0.c0)",
 };
 
 /** Step limits the cut table tries for every statement. */
