@@ -200,6 +200,51 @@ BM_HashJoinRow(benchmark::State &state)
 
 BENCHMARK(BM_HashJoinRow);
 
+/** Fill @p table(c0 INT, c1 TEXT, c2 INT) with (i, 'v<i>', i % modulus). */
+void
+fillTextRows(Database &db, const char *table, int rows, int modulus)
+{
+    (void)db.execute(std::string("CREATE TABLE ") + table +
+                     " (c0 INT, c1 TEXT, c2 INT)");
+    std::string insert = std::string("INSERT INTO ") + table + " VALUES ";
+    for (int i = 0; i < rows; ++i) {
+        if (i > 0)
+            insert += ", ";
+        insert += concat("(", std::to_string(i), ", 'v", std::to_string(i),
+                         "', ", std::to_string(i % modulus), ")");
+    }
+    (void)db.execute(insert);
+}
+
+/**
+ * Three-way join over TEXT and INT columns: a hash join of 1024 rows
+ * against 256, then a nested-loop join of the 1024 combined rows against
+ * 32 rows under an ON that reads both sides (32,768 pairs), then a WHERE
+ * residue over all three bindings. Prices building joined rows, the
+ * nested loop's per-pair ON evaluation and the reads of every later
+ * stage through the joined rows.
+ */
+void
+BM_JoinThreeWayRow(benchmark::State &state)
+{
+    Database db;
+    fillTextRows(db, "t0", 1024, 256);
+    fillTextRows(db, "t1", 256, 32);
+    fillTextRows(db, "t2", 32, 8);
+    auto parsed = parseStatement(
+        "SELECT t0.c1, t1.c1, t2.c1, t0.c0 + t2.c0 FROM t0 "
+        "JOIN t1 ON t0.c2 = t1.c0 "
+        "JOIN t2 ON t1.c2 = t2.c0 AND t2.c1 <> t0.c1 "
+        "WHERE t0.c0 + t2.c2 > 100 OR t1.c1 = t2.c1");
+    for (auto _ : state) {
+        auto result = db.executeStmt(*parsed.value(), ExecMode::Optimized);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_JoinThreeWayRow);
+
 void
 BM_GenerateStatement(benchmark::State &state)
 {
