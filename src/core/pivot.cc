@@ -82,9 +82,10 @@ evalOnPivot(const Expr &predicate, const Pivot &pivot,
     Scope scope;
     scope.addBinding(pivot.binding, pivot.columns);
 
+    RowView part = pivot.row;
     EvalContext ctx;
     ctx.scope = &scope;
-    ctx.row = pivot.row;
+    ctx.row = RowTuple(&part, 1);
     ctx.behavior = &behavior;
     // Reference semantics: no fault set, no subquery runner, unmetered.
     auto value = evalExpr(predicate, ctx);

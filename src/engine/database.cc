@@ -381,9 +381,10 @@ Database::runCreateIndex(Catalog &catalog, const CreateIndexStmt &stmt)
     for (size_t ri = 0; ri < table->rows.size(); ++ri) {
         const Row &row = table->rows[ri];
         if (index.predicate != nullptr) {
+            RowView part = row;
             EvalContext ctx;
             ctx.scope = &scope;
-            ctx.row = row;
+            ctx.row = RowTuple(&part, 1);
             ctx.behavior = &config_.behavior;
             ctx.faults = &config_.faults;
             auto value = evalExpr(*index.predicate, ctx);
@@ -548,9 +549,10 @@ Database::runInsert(Catalog &catalog, const InsertStmt &stmt)
                     continue;
                 bool applies = true;
                 if (index.predicate != nullptr) {
+                    RowView part = row;
                     EvalContext pred_ctx;
                     pred_ctx.scope = &scope;
-                    pred_ctx.row = row;
+                    pred_ctx.row = RowTuple(&part, 1);
                     pred_ctx.behavior = &config_.behavior;
                     pred_ctx.faults = &config_.faults;
                     auto value = evalExpr(*index.predicate, pred_ctx);
@@ -583,9 +585,10 @@ Database::runInsert(Catalog &catalog, const InsertStmt &stmt)
         for (StoredIndex &index : table->indexes) {
             bool applies = true;
             if (index.predicate != nullptr) {
+                RowView part = row;
                 EvalContext pred_ctx;
                 pred_ctx.scope = &scope;
-                pred_ctx.row = row;
+                pred_ctx.row = RowTuple(&part, 1);
                 pred_ctx.behavior = &config_.behavior;
                 pred_ctx.faults = &config_.faults;
                 auto value = evalExpr(*index.predicate, pred_ctx);

@@ -1,6 +1,7 @@
 #include "engine/eval.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <functional>
@@ -20,17 +21,18 @@ Scope::width() const
     return total;
 }
 
-StatusOr<size_t>
+StatusOr<ColumnSlot>
 Scope::resolve(const std::string &table, const std::string &column) const
 {
-    size_t found = static_cast<size_t>(-1);
+    ColumnSlot found;
     int matches = 0;
-    for (const Binding &binding : bindings) {
+    for (size_t b = 0; b < bindings.size(); ++b) {
+        const Binding &binding = bindings[b];
         if (!table.empty() && binding.name != table)
             continue;
         for (size_t i = 0; i < binding.columns.size(); ++i) {
             if (binding.columns[i] == column) {
-                found = binding.offset + i;
+                found = {static_cast<uint32_t>(b), static_cast<uint32_t>(i)};
                 ++matches;
             }
         }
@@ -59,11 +61,7 @@ Scope::allColumnNames() const
 void
 Scope::addBinding(std::string name, std::vector<std::string> columns)
 {
-    Binding binding;
-    binding.name = std::move(name);
-    binding.columns = std::move(columns);
-    binding.offset = width();
-    bindings.push_back(std::move(binding));
+    bindings.push_back(Binding{std::move(name), std::move(columns)});
     bound_.clear();
 }
 
@@ -692,7 +690,7 @@ evalUnary(const UnaryExpr &expr, const EvalContext &ctx)
 StatusOr<Value>
 evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
 {
-    const std::vector<RowView> &rows = *ctx.groupRows;
+    const std::vector<RowTuple> &rows = *ctx.groupRows;
     if (fn.name == "COUNT")
         SQLPP_COVER("eval.agg.count");
     else if (fn.name == "SUM")
@@ -714,7 +712,7 @@ evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
     // Evaluate the argument once per row of the group, in row context.
     std::vector<Value> values;
     values.reserve(rows.size());
-    for (RowView row : rows) {
+    for (RowTuple row : rows) {
         EvalContext row_ctx = ctx;
         row_ctx.row = row;
         row_ctx.groupRows = nullptr;
@@ -811,16 +809,24 @@ evalFunction(const FunctionExpr &fn, const EvalContext &ctx)
     if (!bound.isOk())
         return bound.status();
     const FunctionImpl *impl = bound.value();
-    std::vector<Value> args;
-    args.reserve(fn.args.size());
-    for (const ExprPtr &arg : fn.args) {
-        auto value = evalExprImpl(*arg, ctx);
+    // Arguments live on the stack for the common short call; only a
+    // longer variadic call (CONCAT, COALESCE, ...) allocates.
+    constexpr size_t kInlineArgs = 4;
+    std::array<Value, kInlineArgs> inline_args;
+    std::vector<Value> heap_args;
+    Value *args = inline_args.data();
+    if (fn.args.size() > kInlineArgs) {
+        heap_args.resize(fn.args.size());
+        args = heap_args.data();
+    }
+    for (size_t i = 0; i < fn.args.size(); ++i) {
+        auto value = evalExprImpl(*fn.args[i], ctx);
         if (!value.isOk())
             return value;
-        args.push_back(value.takeValue());
+        args[i] = value.takeValue();
     }
     CoverageCapture::hit(impl->probeSlot);
-    return impl->eval(args, ctx);
+    return impl->eval(std::span<const Value>(args, fn.args.size()), ctx);
 }
 
 StatusOr<Value>
@@ -858,16 +864,16 @@ bindColumn(const ColumnRefExpr &ref, const EvalContext &ctx)
          frame = frame->outer, ++depth) {
         if (frame->scope == nullptr)
             continue;
-        auto offset = frame->scope->resolve(ref.table, ref.column);
-        if (offset.isOk()) {
+        auto slot = frame->scope->resolve(ref.table, ref.column);
+        if (slot.isOk()) {
             BoundNode bound;
             bound.depth = depth;
-            bound.offset = static_cast<uint32_t>(offset.value());
+            bound.slot = slot.value();
             return bound;
         }
-        if (offset.status().message().find("ambiguous") !=
+        if (slot.status().message().find("ambiguous") !=
             std::string::npos) {
-            return offset.status();
+            return slot.status();
         }
     }
     std::string name =
@@ -884,7 +890,10 @@ readColumn(const BoundNode &bound, const EvalContext &ctx)
         frame = frame->outer;
     if (frame->row.empty())
         return Value::null();
-    return frame->row[bound.offset];
+    RowView part = frame->row[bound.slot.binding];
+    if (part.empty())
+        return Value::null();
+    return part[bound.slot.column];
 }
 
 StatusOr<Value>

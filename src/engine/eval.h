@@ -46,22 +46,30 @@ struct Binding
     std::string name;
     /** Column names in row order. */
     std::vector<std::string> columns;
-    /** Offset of this binding's first column in the combined row. */
-    size_t offset = 0;
 };
 
 struct FunctionImpl;
 
 /**
+ * Where a column sits in a row tuple: the part of its binding (the
+ * binding's index in its Scope), then the column within that part.
+ */
+struct ColumnSlot
+{
+    uint32_t binding = 0;
+    uint32_t column = 0;
+};
+
+/**
  * What a column reference or function call is bound to: a (frame,
- * offset) slot for a column, the implementation for a function.
+ * binding, column) slot for a column, the implementation for a function.
  */
 struct BoundNode
 {
     /** Enclosing frames to walk outward from the evaluating context. */
     uint32_t depth = 0;
-    /** Offset of the column in that frame's row. */
-    uint32_t offset = 0;
+    /** The column's slot in that frame's row tuple. */
+    ColumnSlot slot;
     /** Bound scalar function; nullptr for column references. */
     const FunctionImpl *function = nullptr;
 };
@@ -75,49 +83,37 @@ struct BoundNode
  * result here; every later row reads the slot directly. The table is
  * keyed by node address, so it is only valid while the nodes it names
  * are alive: callers keep every tree they evaluate against a scope
- * alive for the scope's lifetime. Copies and moves start with an empty
- * table, and addBinding() clears it, since a slot depends on the exact
- * binding list and enclosing frames it was resolved under. The table is
- * a flat list: a scope binds a few dozen nodes at most, and a linear
- * scan of addresses is cheaper there than hashing.
+ * alive until the next addBinding(), or for the scope's lifetime.
+ * addBinding() clears the table, since a name may resolve differently,
+ * or become ambiguous, once another binding is visible; a binding's
+ * index never changes as later ones are added. A join grows one scope
+ * in place, so a scope is neither copied nor moved. The table is a flat
+ * list: a scope binds a few dozen nodes at most, and a linear scan of
+ * addresses is cheaper there than hashing.
  */
 class Scope
 {
   public:
     Scope() = default;
-    Scope(const Scope &other) : bindings(other.bindings) {}
-    Scope(Scope &&other) noexcept : bindings(std::move(other.bindings)) {}
-    Scope &
-    operator=(const Scope &other)
-    {
-        bindings = other.bindings;
-        bound_.clear();
-        return *this;
-    }
-    Scope &
-    operator=(Scope &&other) noexcept
-    {
-        bindings = std::move(other.bindings);
-        bound_.clear();
-        return *this;
-    }
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
 
     std::vector<Binding> bindings;
 
-    /** Total combined-row width. */
+    /** Total column count over every binding. */
     size_t width() const;
 
     /**
-     * Resolve a (possibly unqualified) column reference to a combined-row
-     * offset. Fails with SemanticError for unknown or ambiguous names.
+     * Resolve a (possibly unqualified) column reference to its slot.
+     * Fails with SemanticError for unknown or ambiguous names.
      */
-    StatusOr<size_t> resolve(const std::string &table,
-                             const std::string &column) const;
+    StatusOr<ColumnSlot> resolve(const std::string &table,
+                                 const std::string &column) const;
 
-    /** Qualified "binding.column" names for all columns, in row order. */
+    /** Column names of every binding, in binding then column order. */
     std::vector<std::string> allColumnNames() const;
 
-    /** Append a binding, fixing its offset to the current width. */
+    /** Append a binding as the last part of the row tuple. */
     void addBinding(std::string name, std::vector<std::string> columns);
 
     /** The node's binding under this scope; nullptr when not yet bound. */
@@ -144,10 +140,22 @@ class Scope
 class EvalContext;
 
 /**
- * One row as the evaluator reads it: a view of its Values, wherever they
- * live (a stored table, a result set, or an executor's flat buffer).
+ * One source row as the evaluator reads it: a view of its Values,
+ * wherever they live (a stored table or a result set).
  */
 using RowView = std::span<const Value>;
+
+/**
+ * One row of a FROM clause as the evaluator reads it: one RowView per
+ * binding of its Scope, in binding order, so a joined row copies no
+ * Value. An empty part stands for its binding's columns all NULL (the
+ * missing side of an outer join); an empty tuple means there is no row,
+ * and every column reads NULL. Spans rather than bare pointers: parts
+ * and rows sit side by side in one buffer, and span's operator[] keeps
+ * the out-of-range trap of _GLIBCXX_ASSERTIONS builds, where a pointer
+ * would silently read the neighbouring row.
+ */
+using RowTuple = std::span<const RowView>;
 
 /**
  * Callback used by the evaluator to execute expression subqueries.
@@ -172,18 +180,12 @@ class EvalContext
 {
   public:
     const Scope *scope = nullptr;
-    /**
-     * The current row; empty means there is none (columns read NULL).
-     * A span rather than a bare pointer: rows often sit side by side in
-     * one buffer, and span's operator[] keeps the out-of-width trap that
-     * _GLIBCXX_ASSERTIONS builds had with std::vector, where a pointer
-     * would silently read the neighbouring row.
-     */
-    RowView row;
+    /** The current row, one part per binding of scope. */
+    RowTuple row;
     /** Enclosing context for correlated subqueries. */
     const EvalContext *outer = nullptr;
     /** Non-null while evaluating aggregate select/having expressions. */
-    const std::vector<RowView> *groupRows = nullptr;
+    const std::vector<RowTuple> *groupRows = nullptr;
 
     const EngineBehavior *behavior = nullptr;
     const FaultSet *faults = nullptr;

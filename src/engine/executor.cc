@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <set>
 #include <string_view>
@@ -30,17 +31,28 @@ compareForSort(const Value &lhs, const Value &rhs)
     return cmp.value_or(0);
 }
 
-/**
- * Append one row of @p width Values to @p cells: @p row's, or NULLs when
- * the view is empty (the missing side of an outer join).
- */
-void
-appendCells(std::vector<Value> &cells, RowView row, size_t width)
+/** The Value at @p slot of @p row; NULL when its part is NULL-extended. */
+const Value &
+valueAt(RowTuple row, ColumnSlot slot)
 {
-    if (row.empty())
-        cells.resize(cells.size() + width);
-    else
-        cells.insert(cells.end(), row.begin(), row.end());
+    static const Value null;
+    RowView part = row[slot.binding];
+    return part.empty() ? null : part[slot.column];
+}
+
+/** Append a plan-atom piece: text as it is, a count in decimal. */
+void
+appendPiece(std::string &out, std::string_view text)
+{
+    out += text;
+}
+
+void
+appendPiece(std::string &out, size_t count)
+{
+    char digits[20];
+    auto end = std::to_chars(digits, digits + sizeof digits, count).ptr;
+    out.append(digits, end);
 }
 
 /** Collect column references of an expression, skipping subqueries. */
@@ -240,19 +252,21 @@ Executor::Executor(const Executor *parent)
 }
 
 void
-Executor::Relation::append(RowView left, size_t left_width, RowView right,
-                           size_t right_width)
+Executor::Relation::append(RowTuple left, size_t left_arity, RowView right)
 {
-    appendCells(cells, left, left_width);
-    appendCells(cells, right, right_width);
+    if (left.empty())
+        parts.resize(parts.size() + left_arity);
+    else
+        parts.insert(parts.end(), left.begin(), left.end());
+    parts.push_back(right);
 }
 
 void
-Executor::Relation::seal(size_t width)
+Executor::Relation::seal(size_t arity)
 {
-    rows.resize(cells.size() / width);
+    rows.resize(parts.size() / arity);
     for (size_t i = 0; i < rows.size(); ++i)
-        rows[i] = RowView(cells.data() + i * width, width);
+        rows[i] = RowTuple(parts.data() + i * arity, arity);
 }
 
 uint64_t
@@ -261,10 +275,11 @@ Executor::planFingerprint() const
     return fnv1a(plan_);
 }
 
+template <typename... Pieces>
 void
-Executor::note(const std::string &atom)
+Executor::note(const Pieces &...pieces)
 {
-    plan_ += atom;
+    (appendPiece(plan_, pieces), ...);
     plan_ += ';';
 }
 
@@ -431,11 +446,12 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
         auto result = child.runSelectImpl(*ref.subquery, outer);
         if (!result.isOk())
             return result.status();
-        note("DRV[" + child.plan_ + "]");
+        note("DRV[", child.plan_, "]");
         source.binding = ref.alias;
         source.columns = std::move(result.value().columns());
         source.owned = result.value().takeRows();
-        source.rel.rows.assign(source.owned.begin(), source.owned.end());
+        source.rel.parts.assign(source.owned.begin(), source.owned.end());
+        source.rel.seal(1);
         return source;
     }
     if (const StoredTable *table = catalog_.table(ref.name)) {
@@ -452,7 +468,7 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
         auto result = child.runSelectImpl(*view->select, outer);
         if (!result.isOk())
             return result.status();
-        note("VIEW(" + view->name + ")[" + child.plan_ + "]");
+        note("VIEW(", view->name, ")[", child.plan_, "]");
         source.binding = ref.bindingName();
         source.columns = view->columnNames.empty()
                              ? result.value().columns()
@@ -462,7 +478,8 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
                 "view column list does not match query: " + view->name);
         }
         source.owned = result.value().takeRows();
-        source.rel.rows.assign(source.owned.begin(), source.owned.end());
+        source.rel.parts.assign(source.owned.begin(), source.owned.end());
+        source.rel.seal(1);
         return source;
     }
     return Status::semanticError("no such table: " + ref.name);
@@ -590,8 +607,8 @@ Executor::applySourceFilters(Source &source,
           case ProbeOp::Le: op_name = "LE"; break;
           case ProbeOp::IsNull: op_name = "NULL"; break;
         }
-        note("IDX(" + source.binding + "," + probe_index->name + "," +
-             op_name + ")");
+        note("IDX(", source.binding, ",", probe_index->name, ",", op_name,
+             ")");
         Value key = probe_key;
         if (probe_op == ProbeOp::Eq &&
             key.kind() == Value::Kind::Text &&
@@ -641,7 +658,7 @@ Executor::applySourceFilters(Source &source,
                         static_cast<long>(probe_conjunct));
     } else if (is_base) {
         SQLPP_COVER("exec.access.full_scan");
-        note("SCAN(" + source.binding + ")");
+        note("SCAN(", source.binding, ")");
         if (Status s = budget_->chargeSteps(table->rows.size());
             !s.isOk()) {
             return s;
@@ -650,20 +667,20 @@ Executor::applySourceFilters(Source &source,
 
     if (!conjuncts.empty()) {
         SQLPP_COVER("exec.access.pushed_filter");
-        note(format("PFILT(%s,%zu)", source.binding.c_str(),
-                    conjuncts.size()));
+        note("PFILT(", source.binding, ",", conjuncts.size(), ")");
     }
     if (is_base) {
         // Base-table rows are read in place: the source views the rows
         // the scan or the probe selects, and the filter drops views.
-        std::vector<RowView> &rows = source.rel.rows;
+        std::vector<RowView> &parts = source.rel.parts;
         if (probe_index == nullptr) {
-            rows.assign(table->rows.begin(), table->rows.end());
+            parts.assign(table->rows.begin(), table->rows.end());
         } else {
-            rows.reserve(ordinals.size());
+            parts.reserve(ordinals.size());
             for (size_t ordinal : ordinals)
-                rows.emplace_back(table->rows[ordinal]);
+                parts.emplace_back(table->rows[ordinal]);
         }
+        source.rel.seal(1);
     }
     if (conjuncts.empty())
         return Status::ok();
@@ -674,7 +691,7 @@ Executor::applySourceFilters(Source &source,
 
 StatusOr<bool>
 Executor::conjunctsKeep(const std::vector<const Expr *> &conjuncts,
-                        const Scope &scope, RowView row,
+                        const Scope &scope, RowTuple row,
                         const EvalContext *outer)
 {
     for (const Expr *conjunct : conjuncts) {
@@ -687,7 +704,7 @@ Executor::conjunctsKeep(const std::vector<const Expr *> &conjuncts,
 }
 
 Status
-Executor::filterRows(std::vector<RowView> &rows,
+Executor::filterRows(std::vector<RowTuple> &rows,
                      const std::vector<const Expr *> &conjuncts,
                      const Scope &scope, const EvalContext *outer)
 {
@@ -707,7 +724,7 @@ Executor::filterRows(std::vector<RowView> &rows,
 
 StatusOr<bool>
 Executor::predicateKeeps(const Expr &predicate, const Scope &scope,
-                         RowView row, const EvalContext *outer,
+                         RowTuple row, const EvalContext *outer,
                          bool where_clause)
 {
     EvalContext ctx;
@@ -930,13 +947,14 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // ------------------------------------------------------------------
     // Join pipeline.
     // ------------------------------------------------------------------
-    // Each step reads `current` and appends its combined rows to the
-    // cells of the next relation; the sources, whose rows the first
-    // relation views, outlive the pipeline.
+    // Each step reads `current` and appends its joined tuples to the
+    // parts of the next relation. A tuple's parts view source rows, so
+    // the sources, not the relations, must outlive the pipeline. One
+    // scope grows by a binding per step.
     Scope scope;
     Relation current;
     if (sources.empty()) {
-        // A FROM-less SELECT reads one row of no columns.
+        // A FROM-less SELECT reads one row of no bindings.
         current.rows.emplace_back();
     } else {
         scope.addBinding(sources[0].binding, sources[0].columns);
@@ -947,11 +965,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     for (size_t j = 0; j < select.joins.size(); ++j) {
         const JoinClause &join = select.joins[j];
         Source &right = sources[next_source++];
-        size_t left_width = scope.width();
-        size_t right_width = right.columns.size();
-
-        Scope joined_scope = scope;
-        joined_scope.addBinding(right.binding, right.columns);
+        size_t left_arity = scope.bindings.size();
 
         const Expr *join_on = on[j];
         ExprPtr natural_on;
@@ -984,19 +998,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             join_on = natural_on.get();
         }
 
-        Relation joined;
-        // Appends the combined row of @p left and @p right; an empty view
-        // is the NULL-extended side of an outer join.
-        auto emit = [&](RowView left, RowView right) -> Status {
-            if (Status s = budget_->chargeIntermediateRows(1); !s.isOk())
-                return s;
-            joined.append(left, left_width, right, right_width);
-            return Status::ok();
-        };
-
         // Hash join: optimized mode, INNER or LEFT, ON is col = col
-        // across the two sides.
-        bool used_hash = false;
+        // across the two sides. The left key resolves against the left
+        // bindings only, before the right one joins the scope.
+        ColumnSlot left_key;
+        size_t right_col = StoredTable::npos;
         if (mode_ != ExecMode::Reference && join_on != nullptr &&
             (join.type == JoinType::Inner ||
              join.type == JoinType::Left) &&
@@ -1009,7 +1015,6 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     static_cast<const ColumnRefExpr *>(bin.lhs.get());
                 const auto *rref =
                     static_cast<const ColumnRefExpr *>(bin.rhs.get());
-                auto left_off = scope.resolve(lref->table, lref->column);
                 auto right_in_new = [&](const ColumnRefExpr *ref) {
                     if (!ref->table.empty() &&
                         ref->table != right.binding) {
@@ -1021,114 +1026,110 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     }
                     return StoredTable::npos;
                 };
-                size_t left_col = StoredTable::npos;
-                size_t right_col = StoredTable::npos;
-                if (left_off.isOk() &&
+                auto left_slot = scope.resolve(lref->table, lref->column);
+                if (left_slot.isOk() &&
                     right_in_new(rref) != StoredTable::npos) {
-                    left_col = left_off.value();
+                    left_key = left_slot.value();
                     right_col = right_in_new(rref);
                 } else {
-                    auto left_off2 =
-                        scope.resolve(rref->table, rref->column);
-                    if (left_off2.isOk() &&
+                    left_slot = scope.resolve(rref->table, rref->column);
+                    if (left_slot.isOk() &&
                         right_in_new(lref) != StoredTable::npos) {
-                        left_col = left_off2.value();
+                        left_key = left_slot.value();
                         right_col = right_in_new(lref);
-                    }
-                }
-                if (left_col != StoredTable::npos &&
-                    right_col != StoredTable::npos) {
-                    used_hash = true;
-                    SQLPP_COVER("exec.join.hash");
-                    note(format("HASHJ(%s,%s)", joinTypeName(join.type),
-                                right.binding.c_str()));
-                    bool null_match =
-                        faults_.isEnabled(FaultId::HashJoinNullMatch);
-                    // Class-normalized key so 1 and TRUE hash together,
-                    // as SQL equality dictates. A text key views the
-                    // row's own string; no key is built per row.
-                    using JoinKey =
-                        std::tuple<int, int64_t, std::string_view>;
-                    auto hash_key = [](const Value &value) -> JoinKey {
-                        if (value.isNull())
-                            return {0, 0, {}};
-                        if (value.kind() == Value::Kind::Text)
-                            return {1, 0, value.asText()};
-                        return {2, *valueToNumeric(value), {}};
-                    };
-                    const std::vector<RowView> &right_rows =
-                        right.rel.rows;
-                    std::map<JoinKey, std::vector<size_t>> buckets;
-                    if (Status s = budget_->chargeSteps(
-                            right_rows.size() + current.rows.size());
-                        !s.isOk()) {
-                        return s;
-                    }
-                    for (size_t ri = 0; ri < right_rows.size(); ++ri) {
-                        const Value &key = right_rows[ri][right_col];
-                        if (key.isNull() && !null_match)
-                            continue;
-                        buckets[hash_key(key)].push_back(ri);
-                    }
-                    for (RowView left_row : current.rows) {
-                        const Value &key = left_row[left_col];
-                        const std::vector<size_t> *matches = nullptr;
-                        if (!key.isNull() || null_match) {
-                            auto it = buckets.find(hash_key(key));
-                            if (it != buckets.end())
-                                matches = &it->second;
-                        }
-                        if (matches != nullptr) {
-                            for (size_t ri : *matches) {
-                                if (Status s = emit(left_row, right_rows[ri]);
-                                    !s.isOk()) {
-                                    return s;
-                                }
-                            }
-                        } else if (join.type == JoinType::Left) {
-                            if (Status s = emit(left_row, RowView());
-                                !s.isOk()) {
-                                return s;
-                            }
-                        }
                     }
                 }
             }
         }
+        scope.addBinding(right.binding, right.columns);
 
-        if (!used_hash) {
-            SQLPP_COVER("exec.join.nested_loop");
-            note(format("NLJ(%s,%s)", joinTypeName(join.type),
-                        right.binding.c_str()));
-            const std::vector<RowView> &right_rows = right.rel.rows;
-            std::vector<bool> right_matched(right_rows.size(), false);
-            // ON is evaluated on one candidate row per left row: its
-            // right half is overwritten in place for each right row.
-            Row candidate;
-            auto eval_on = [&](RowView right_row) -> StatusOr<bool> {
-                if (join_on == nullptr)
-                    return true;
-                std::copy(right_row.begin(), right_row.end(),
-                          candidate.begin() + static_cast<long>(left_width));
-                return predicateKeeps(*join_on, joined_scope, candidate,
-                                      outer, /*where_clause=*/false);
+        Relation joined;
+        // Appends the joined row of @p left and @p right; an empty tuple
+        // or view is the NULL-extended side of an outer join.
+        auto emit = [&](RowTuple left, RowView right_row) -> Status {
+            if (Status s = budget_->chargeIntermediateRows(1); !s.isOk())
+                return s;
+            joined.append(left, left_arity, right_row);
+            return Status::ok();
+        };
+        const std::vector<RowTuple> &right_rows = right.rel.rows;
+
+        if (right_col != StoredTable::npos) {
+            SQLPP_COVER("exec.join.hash");
+            note("HASHJ(", joinTypeName(join.type), ",", right.binding,
+                 ")");
+            bool null_match = faults_.isEnabled(FaultId::HashJoinNullMatch);
+            // Class-normalized key so 1 and TRUE hash together, as SQL
+            // equality dictates. A text key views the row's own string;
+            // no key is built per row.
+            using JoinKey = std::tuple<int, int64_t, std::string_view>;
+            auto hash_key = [](const Value &value) -> JoinKey {
+                if (value.isNull())
+                    return {0, 0, {}};
+                if (value.kind() == Value::Kind::Text)
+                    return {1, 0, value.asText()};
+                return {2, *valueToNumeric(value), {}};
             };
-            for (RowView left_row : current.rows) {
-                bool matched = false;
-                if (join_on != nullptr) {
-                    candidate.assign(left_row.begin(), left_row.end());
-                    candidate.resize(left_width + right_width);
+            std::map<JoinKey, std::vector<size_t>> buckets;
+            if (Status s = budget_->chargeSteps(right_rows.size() +
+                                                current.rows.size());
+                !s.isOk()) {
+                return s;
+            }
+            for (size_t ri = 0; ri < right_rows.size(); ++ri) {
+                const Value &key = right_rows[ri][0][right_col];
+                if (key.isNull() && !null_match)
+                    continue;
+                buckets[hash_key(key)].push_back(ri);
+            }
+            for (RowTuple left_row : current.rows) {
+                const Value &key = valueAt(left_row, left_key);
+                const std::vector<size_t> *matches = nullptr;
+                if (!key.isNull() || null_match) {
+                    auto it = buckets.find(hash_key(key));
+                    if (it != buckets.end())
+                        matches = &it->second;
                 }
+                if (matches != nullptr) {
+                    for (size_t ri : *matches) {
+                        if (Status s = emit(left_row, right_rows[ri][0]);
+                            !s.isOk()) {
+                            return s;
+                        }
+                    }
+                } else if (join.type == JoinType::Left) {
+                    if (Status s = emit(left_row, RowView()); !s.isOk())
+                        return s;
+                }
+            }
+        } else {
+            SQLPP_COVER("exec.join.nested_loop");
+            note("NLJ(", joinTypeName(join.type), ",", right.binding, ")");
+            std::vector<bool> right_matched(right_rows.size(), false);
+            // ON is evaluated on one candidate tuple: the left row's
+            // parts, then the right row's view, set in place per pair.
+            std::vector<RowView> candidate(left_arity + 1);
+            for (RowTuple left_row : current.rows) {
+                bool matched = false;
+                std::copy(left_row.begin(), left_row.end(),
+                          candidate.begin());
                 for (size_t ri = 0; ri < right_rows.size(); ++ri) {
                     if (Status s = budget_->chargeSteps(1); !s.isOk())
                         return s;
-                    auto keeps = eval_on(right_rows[ri]);
-                    if (!keeps.isOk())
-                        return keeps.status();
-                    if (keeps.value()) {
+                    bool keeps = true;
+                    if (join_on != nullptr) {
+                        candidate[left_arity] = right_rows[ri][0];
+                        auto on_keeps =
+                            predicateKeeps(*join_on, scope, candidate,
+                                           outer, /*where_clause=*/false);
+                        if (!on_keeps.isOk())
+                            return on_keeps.status();
+                        keeps = on_keeps.value();
+                    }
+                    if (keeps) {
                         matched = true;
                         right_matched[ri] = true;
-                        if (Status s = emit(left_row, right_rows[ri]);
+                        if (Status s = emit(left_row, right_rows[ri][0]);
                             !s.isOk()) {
                             return s;
                         }
@@ -1148,7 +1149,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     if (right_matched[ri])
                         continue;
                     SQLPP_COVER("exec.join.null_extend_right");
-                    if (Status s = emit(RowView(), right_rows[ri]);
+                    if (Status s = emit(RowTuple(), right_rows[ri][0]);
                         !s.isOk()) {
                         return s;
                     }
@@ -1156,8 +1157,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             }
         }
 
-        joined.seal(left_width + right_width);
-        scope = std::move(joined_scope);
+        joined.seal(left_arity + 1);
         current = std::move(joined);
     }
 
@@ -1165,9 +1165,8 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     for (; next_source < sources.size(); ++next_source) {
         Source &right = sources[next_source];
         SQLPP_COVER("exec.join.cross_comma");
-        note("CROSS(" + right.binding + ")");
-        size_t left_width = scope.width();
-        size_t right_width = right.columns.size();
+        note("CROSS(", right.binding, ")");
+        size_t left_arity = scope.bindings.size();
         // The product's size is known: reserve it, up to what the
         // intermediate-row budget can still admit.
         size_t count = current.rows.size() * right.rel.rows.size();
@@ -1180,17 +1179,17 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             count = static_cast<size_t>(std::min<uint64_t>(count, admit));
         }
         Relation joined;
-        joined.cells.reserve(count * (left_width + right_width));
-        for (RowView left_row : current.rows) {
-            for (RowView right_row : right.rel.rows) {
+        joined.parts.reserve(count * (left_arity + 1));
+        for (RowTuple left_row : current.rows) {
+            for (RowTuple right_row : right.rel.rows) {
                 if (Status s = budget_->chargeIntermediateRows(1);
                     !s.isOk()) {
                     return s;
                 }
-                joined.append(left_row, left_width, right_row, right_width);
+                joined.append(left_row, left_arity, right_row[0]);
             }
         }
-        joined.seal(left_width + right_width);
+        joined.seal(left_arity + 1);
         scope.addBinding(right.binding, right.columns);
         current = std::move(joined);
     }
@@ -1200,7 +1199,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // ------------------------------------------------------------------
     if (!where_conjuncts.empty()) {
         SQLPP_COVER("exec.filter.where");
-        note(format("FILT(%zu)", where_conjuncts.size()));
+        note("FILT(", where_conjuncts.size(), ")");
         if (Status s = filterRows(current.rows, where_conjuncts, scope,
                                   outer);
             !s.isOk()) {
@@ -1260,11 +1259,17 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     return Status::semanticError(
                         "SELECT * requires a FROM clause");
                 }
-                if (!ctx.row.empty()) {
-                    out_row.insert(out_row.end(), ctx.row.begin(),
-                                   ctx.row.end());
-                } else {
-                    out_row.resize(out_row.size() + scope.width());
+                // The parts in binding order; a missing part (or row)
+                // reads as its columns in NULLs.
+                for (size_t b = 0; b < scope.bindings.size(); ++b) {
+                    RowView part = ctx.row.empty() ? RowView() : ctx.row[b];
+                    if (part.empty()) {
+                        out_row.resize(out_row.size() +
+                                       scope.bindings[b].columns.size());
+                    } else {
+                        out_row.insert(out_row.end(), part.begin(),
+                                       part.end());
+                    }
                 }
                 continue;
             }
@@ -1307,7 +1312,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
 
     if (aggregate_path) {
         SQLPP_COVER("exec.aggregate");
-        note(format("AGG(%zu)", select.groupBy.size()));
+        note("AGG(", select.groupBy.size(), ")");
         for (const ExprPtr &key : select.groupBy) {
             if (exprContainsAggregate(*key)) {
                 return Status::semanticError(
@@ -1315,7 +1320,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             }
         }
         // Build groups, in order of first appearance.
-        std::vector<std::vector<RowView>> groups;
+        std::vector<std::vector<RowTuple>> groups;
         auto row_less = [](const Row &a, const Row &b) {
             return compareRows(a, b) < 0;
         };
@@ -1327,7 +1332,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         } else {
             // The key buffer is reused until a new group takes it over.
             Row key;
-            for (RowView row : current.rows) {
+            for (RowTuple row : current.rows) {
                 EvalContext ctx = base_ctx();
                 ctx.row = row;
                 key.clear();
@@ -1353,10 +1358,10 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 groups[group].push_back(row);
             }
         }
-        for (const std::vector<RowView> &rows : groups) {
+        for (const std::vector<RowTuple> &rows : groups) {
             EvalContext ctx = base_ctx();
             ctx.groupRows = &rows;
-            ctx.row = rows.empty() ? RowView() : rows[0];
+            ctx.row = rows.empty() ? RowTuple() : rows[0];
             if (select.having != nullptr) {
                 auto value = evalExpr(*select.having, ctx);
                 if (!value.isOk())
@@ -1372,12 +1377,12 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         }
     } else {
         SQLPP_COVER("exec.project");
-        note(format("PROJ(%zu)", select.items.size()));
+        note("PROJ(", select.items.size(), ")");
         if (select.having != nullptr) {
             return Status::semanticError(
                 "HAVING requires GROUP BY or aggregates");
         }
-        for (RowView row : current.rows) {
+        for (RowTuple row : current.rows) {
             EvalContext ctx = base_ctx();
             ctx.row = row;
             if (Status s = project(ctx, result); !s.isOk())
@@ -1427,7 +1432,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
 
     if (!select.orderBy.empty()) {
         SQLPP_COVER("exec.sort");
-        note(format("SORT(%zu)", select.orderBy.size()));
+        note("SORT(", select.orderBy.size(), ")");
         if (Status s = budget_->chargeSteps(order.size()); !s.isOk())
             return s;
         std::stable_sort(

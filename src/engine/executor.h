@@ -29,13 +29,15 @@
  *  - Column references and function calls are bound by the evaluator
  *    the first time they are evaluated under a Scope (see Scope in
  *    engine/eval.h); later rows read the bound slot or implementation.
- *  - Intermediate rows are views, not one allocation each (Relation):
- *    a base-table source is a selection of views into the stored rows,
- *    a derived table or view keeps its result rows and views them, each
- *    join step appends its combined rows into one flat Value buffer,
- *    and WHERE and GROUP BY partition the views. Only projection builds
- *    rows, one reserved Row per result row; cached subquery results are
- *    shared, not copied, per use.
+ *  - Intermediate rows are tuples of views, not copies (Relation): a
+ *    base-table source is a selection of views into the stored rows, a
+ *    derived table or view keeps its result rows and views them, and a
+ *    joined row is one view per binding, appended by each join step
+ *    into one flat buffer of views, so no join copies a Value. WHERE
+ *    and GROUP BY partition the tuples, and the evaluator reads a
+ *    column through its (binding, column) slot. Only projection copies
+ *    Values, into one reserved Row per result row; cached subquery
+ *    results are shared, not copied, per use.
  *
  * None of this changes what is charged to the BudgetMeter, in what
  * order, or the plan description.
@@ -141,10 +143,11 @@ class Executor : public SubqueryRunner
     const StatementState::Folded &folded(const SelectStmt &select);
 
     /**
-     * An intermediate relation: a list of row views. A join step's rows
-     * live side by side in cells, all of one width; a source's rows live
-     * in a stored table or in its Source::owned. Moving a Relation keeps
-     * its views valid; copying one would not, so it cannot be copied.
+     * An intermediate relation: a list of row tuples. Every row's parts
+     * live side by side in parts, all of one arity, and view source rows
+     * that live in a stored table or in a Source::owned. Moving a
+     * Relation keeps its tuples valid; copying one would not, so it
+     * cannot be copied.
      */
     struct Relation
     {
@@ -155,20 +158,20 @@ class Executor : public SubqueryRunner
         Relation &operator=(const Relation &) = delete;
 
         /**
-         * Append the combined row @p left then @p right to cells; an
-         * empty view stands for its width in NULLs (the missing side of
-         * an outer join). The row is viewed once seal() is called.
+         * Append the joined row of @p left's parts then the source row
+         * @p right to parts. An empty tuple stands for @p left_arity
+         * empty parts, and an empty view for one: the NULL-extended side
+         * of an outer join. The row is viewed once seal() is called.
          */
-        void append(RowView left, size_t left_width, RowView right,
-                    size_t right_width);
+        void append(RowTuple left, size_t left_arity, RowView right);
         /**
-         * View every appended row, @p width cells each, once the cells
-         * stop growing. @p width is never 0: every source has a column.
+         * View every appended row, @p arity parts each, once the parts
+         * stop growing. @p arity is never 0: every row has a binding.
          */
-        void seal(size_t width);
+        void seal(size_t arity);
 
-        std::vector<RowView> rows;
-        std::vector<Value> cells;
+        std::vector<RowTuple> rows;
+        std::vector<RowView> parts;
     };
 
     /** A materialized FROM source with its binding metadata. */
@@ -176,7 +179,7 @@ class Executor : public SubqueryRunner
     {
         std::string binding;
         std::vector<std::string> columns;
-        /** The rows the source reads. */
+        /** The rows the source reads, one part each. */
         Relation rel;
         /** Result rows of a derived table or view, viewed by rel. */
         std::vector<Row> owned;
@@ -203,20 +206,25 @@ class Executor : public SubqueryRunner
 
     /** True when @p row passes every conjunct (WHERE semantics). */
     StatusOr<bool> conjunctsKeep(const std::vector<const Expr *> &conjuncts,
-                                 const Scope &scope, RowView row,
+                                 const Scope &scope, RowTuple row,
                                  const EvalContext *outer);
 
     /** Keep, in place and in order, the rows that pass every conjunct. */
-    Status filterRows(std::vector<RowView> &rows,
+    Status filterRows(std::vector<RowTuple> &rows,
                       const std::vector<const Expr *> &conjuncts,
                       const Scope &scope, const EvalContext *outer);
 
     /** Evaluate a predicate as a WHERE-style filter condition. */
     StatusOr<bool> predicateKeeps(const Expr &predicate, const Scope &scope,
-                                  RowView row, const EvalContext *outer,
+                                  RowTuple row, const EvalContext *outer,
                                   bool where_clause);
 
-    void note(const std::string &atom);
+    /**
+     * Append one plan atom, @p pieces concatenated (strings, or counts
+     * in decimal), then its ';'.
+     */
+    template <typename... Pieces>
+    void note(const Pieces &...pieces);
 
     const Catalog &catalog_;
     const EngineBehavior &behavior_;

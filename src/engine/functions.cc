@@ -22,7 +22,7 @@ domainError(const EvalContext &ctx, const char *what)
 
 /** Shared shape of unary fixed-point transcendental functions. */
 StatusOr<Value>
-fixedPointUnary(const std::vector<Value> &args, const EvalContext &ctx,
+fixedPointUnary(std::span<const Value> args, const EvalContext &ctx,
                 const char *name, double (*fn)(double),
                 bool (*domain_ok)(double))
 {
@@ -39,7 +39,7 @@ fixedPointUnary(const std::vector<Value> &args, const EvalContext &ctx,
 }
 
 StatusOr<Value>
-textUnary(const std::vector<Value> &args,
+textUnary(std::span<const Value> args,
           std::string (*fn)(const std::string &))
 {
     auto text = valueToText(args[0]);
@@ -88,7 +88,7 @@ FunctionRegistry::add(FunctionImpl impl)
 
 FunctionRegistry::FunctionRegistry()
 {
-    using Args = const std::vector<Value> &;
+    using Args = std::span<const Value>;
     using Ctx = const EvalContext &;
 
     auto sig = [](const char *name, std::vector<TypeSpec> args,

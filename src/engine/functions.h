@@ -14,6 +14,7 @@
 #define SQLPP_ENGINE_FUNCTIONS_H
 
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,7 +75,7 @@ struct FunctionImpl
 {
     FunctionSig sig;
     /** Evaluated arguments in, value out. May fail (domain, overflow). */
-    std::function<StatusOr<Value>(const std::vector<Value> &,
+    std::function<StatusOr<Value>(std::span<const Value>,
                                   const EvalContext &)> eval;
     /** Pre-resolved coverage-probe slot ("eval.fn.<name>"). */
     size_t probeSlot = 0;
