@@ -17,13 +17,17 @@
 # campaign_bench/ itself is only read.
 #
 # Output: one line per pair with checks_per_s and checks_per_cpu_s on
-# both sides. Then one row per end-to-end metric: the parent's median
-# and quartiles, the change's median, the change's win count, whether
-# the metric meets the gain rule (the change wins at least 9 of 10
-# pairs and its median beats the parent's by more than the parent's
-# quartile spread), and whether the change is worse than the metric's
-# bound. Then whether bugs_distinct, plans_unique and invalid_check_pct
-# agreed on every seed, and each side's share of failed operations.
+# both sides and the 1-minute load average when the pair started. Then
+# one row per end-to-end metric: the parent's median and quartiles, the
+# change's median, the change's win count, whether the metric meets the
+# gain rule (the change wins at least 9 of 10 pairs and its median beats
+# the parent's by more than the parent's quartile spread), and whether
+# the change is worse than the metric's bound. Then, per metric, the
+# median and quartiles of the per-pair gains: each pair runs one seed on
+# both sides, so these leave out the spread between seeds that the
+# parent's quartiles include. The gain rule above stays the gate. Then
+# whether bugs_distinct, plans_unique and invalid_check_pct agreed on
+# every seed, and each side's share of failed operations.
 # Metrics, directions and bounds are read from BENCHMARK.json. The exit
 # code is non-zero when a run fails its gate.
 set -eu
@@ -62,6 +66,7 @@ echo "bench_ab: $WORKLOAD, $PAIRS pairs of ${SECONDS_PER_RUN}s," \
 for ((i = 0; i < PAIRS; ++i)); do
     seed=$((FIRST_SEED + i))
     if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+    cut -d' ' -f1 /proc/loadavg >"$WORK/load.$seed"
     for side in $order; do
         if [ "$side" = parent ]; then
             run_side "$WORK/parent" "$WORK/target-parent" "$seed" \
@@ -91,6 +96,11 @@ seeds = range(first, first + pairs)
 def load(side, seed):
     with open(f"{work}/{side}.{seed}.json") as handle:
         return json.load(handle)
+
+
+def load_average(seed):
+    with open(f"{work}/load.{seed}") as handle:
+        return float(handle.read())
 
 
 def quartiles(values):
@@ -129,7 +139,7 @@ for i, seed in enumerate(seeds):
     agree = all(values["parent"][m][i] == values["change"][m][i]
                 for m in SAME)
     same = same and agree
-    print(f"seed {seed:4d}: {'  '.join(cells)}"
+    print(f"seed {seed:4d}: {'  '.join(cells)}  load {load_average(seed):5.2f}"
           f"{'' if agree else '  (metrics differ)'}")
 
 # Every end-to-end metric, in its direction from BENCHMARK.json: each
@@ -159,6 +169,17 @@ for spec in END_TO_END:
           f"{'met    ' if rule else 'NOT met'}    "
           f"{'WORSE' if worse else 'ok'} ({better} is better, "
           f"bound {100 * bound:.0f}%)")
+
+# The paired statistic: each pair's gain on its own seed, so the spread
+# between seeds cancels out. Reported beside the gain rule, not instead.
+print(f"{'metric':17s} {'per-pair gain median (q1 - q3)':>34s}")
+for spec in END_TO_END:
+    name, better = spec["name"], spec["better"]
+    gains = [gain(p, c, better) for p, c in
+             zip(values["parent"][name], values["change"][name])]
+    g_med, g_q1, g_q3 = quartiles(gains)
+    print(f"{name:17s} {100 * g_med:+13.1f}% "
+          f"({100 * g_q1:+7.1f}% - {100 * g_q3:+7.1f}%)")
 print(f"{', '.join(SAME)} identical per seed: {'yes' if same else 'NO'}")
 share = {}
 for side in SIDES:
