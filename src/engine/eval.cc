@@ -12,15 +12,6 @@
 
 namespace sqlpp {
 
-size_t
-Scope::width() const
-{
-    size_t total = 0;
-    for (const Binding &binding : bindings)
-        total += binding.columns.size();
-    return total;
-}
-
 StatusOr<ColumnSlot>
 Scope::resolve(const std::string &table, const std::string &column) const
 {

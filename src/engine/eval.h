@@ -100,9 +100,6 @@ class Scope
 
     std::vector<Binding> bindings;
 
-    /** Total column count over every binding. */
-    size_t width() const;
-
     /**
      * Resolve a (possibly unqualified) column reference to its slot.
      * Fails with SemanticError for unknown or ambiguous names.
