@@ -411,6 +411,27 @@ TEST(EetOracleTest, PassesOnCleanEngine)
     }
 }
 
+TEST(EetOracleTest, PassesOnDuplicateRowsAndOrderedBases)
+{
+    // Repeated rows must be matched one for one, whatever their order.
+    DialectProfile profile = testProfile({});
+    Connection conn(profile);
+    seed(conn);
+    ASSERT_TRUE(conn.execute("INSERT INTO t0 VALUES (1, 'a'), (2, 'b'), "
+                             "(NULL, 'd')")
+                    .isOk());
+    EetOracle eet;
+    for (const char *base :
+         {"SELECT t0.c1 FROM t0", "SELECT * FROM t0 ORDER BY t0.c1 DESC",
+          "SELECT t0.c0 FROM t0 ORDER BY t0.c0 ASC LIMIT 3"}) {
+        for (const char *p : {"t0.c0 > 1", "t0.c0 IS NULL"}) {
+            OracleResult result = runOracle(eet, conn, base, p);
+            EXPECT_EQ(result.outcome, OracleOutcome::Passed)
+                << base << " / " << p << ": " << result.details;
+        }
+    }
+}
+
 TEST(EetOracleTest, DeterministicAcrossRepeatedChecks)
 {
     DialectProfile profile = testProfile({});

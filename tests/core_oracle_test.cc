@@ -91,6 +91,27 @@ TEST(TlpOracleTest, DistinctPassesOnRowsSplitAtUnitSeparator)
     EXPECT_EQ(result.outcome, OracleOutcome::Passed) << result.details;
 }
 
+TEST(TlpOracleTest, DistinctBaseDedupesRowsRepeatedAcrossPartitions)
+{
+    // 'a' comes back from all three partitions and 'b' twice from one;
+    // the recombined partitions still hold the base's two rows.
+    DialectProfile profile = testProfile({});
+    Connection conn(profile);
+    ASSERT_TRUE(conn.execute("CREATE TABLE t0 (c0 INT, c1 TEXT)").isOk());
+    ASSERT_TRUE(conn.execute("INSERT INTO t0 VALUES (1, 'a'), (2, 'a'), "
+                             "(NULL, 'a'), (3, 'b'), (3, 'b')")
+                    .isOk());
+    TlpOracle tlp;
+    for (const char *base :
+         {"SELECT DISTINCT t0.c1 FROM t0",
+          "SELECT DISTINCT t0.c1 FROM t0 ORDER BY t0.c1 DESC"}) {
+        OracleResult result = runOracle(tlp, conn, base, "t0.c0 > 1");
+        EXPECT_EQ(result.outcome, OracleOutcome::Passed)
+            << base << ": " << result.details;
+        EXPECT_EQ(result.queries.size(), 4u);
+    }
+}
+
 TEST(TlpOracleTest, CatchesNotNullFault)
 {
     DialectProfile profile = testProfile({FaultId::NotNullTrue});

@@ -325,6 +325,120 @@ TEST_F(DatabaseTest, DerivedTables)
     EXPECT_EQ(result.rows()[0][0].asInt(), 4);
 }
 
+/** A result with @p columns columns holding @p rows, for comparisons. */
+ResultSet
+expectedRows(size_t columns, const std::vector<Row> &rows)
+{
+    ResultSet out(std::vector<std::string>(columns, "c"));
+    for (const Row &row : rows)
+        out.addRow(row);
+    return out;
+}
+
+TEST_F(DatabaseTest, EmptyResultKeepsItsColumns)
+{
+    ok("CREATE TABLE t0 (c0 INT, c1 TEXT)");
+    ok("INSERT INTO t0 VALUES (1, 'a'), (2, 'b')");
+    const std::pair<const char *, size_t> cases[] = {
+        {"SELECT * FROM t0 WHERE c0 > 5", 2},
+        {"SELECT c1, c0, c0 FROM t0 WHERE c0 IS NULL", 3},
+        {"SELECT DISTINCT c0, c1 FROM t0 WHERE c0 > 5 ORDER BY c0 ASC", 2},
+        {"SELECT c0 FROM t0 LIMIT 0", 1},
+        {"SELECT c0 FROM t0 ORDER BY c0 ASC OFFSET 9", 1},
+        {"SELECT * FROM (SELECT c0, c1 FROM t0 WHERE c0 > 5) AS s", 2},
+        {"SELECT c0, COUNT(*) FROM t0 WHERE c0 > 5 GROUP BY c0", 2},
+    };
+    for (bool reference : {false, true}) {
+        for (const auto &[sql, columns] : cases) {
+            auto result =
+                reference ? db.executeReference(sql) : db.execute(sql);
+            ASSERT_TRUE(result.isOk())
+                << sql << " -> " << result.status().toString();
+            EXPECT_EQ(result.value().rowCount(), 0u) << sql;
+            EXPECT_EQ(result.value().rows().size(), 0u) << sql;
+            EXPECT_EQ(result.value().columnCount(), columns) << sql;
+        }
+    }
+}
+
+TEST_F(DatabaseTest, StarReadsANullExtendedPartAsNulls)
+{
+    ok("CREATE TABLE t0 (a INT, b TEXT)");
+    ok("CREATE TABLE t1 (c INT, d TEXT, e BOOLEAN)");
+    ok("INSERT INTO t0 VALUES (1, 'x'), (2, 'y')");
+    ok("INSERT INTO t1 VALUES (2, 'z', TRUE), (7, 'w', FALSE)");
+    const Value null;
+    ResultSet left = expectedRows(
+        6, {{Value::integer(1), Value::text("x"), null, null, null,
+             Value::integer(1)},
+            {Value::integer(2), Value::text("y"), Value::integer(2),
+             Value::text("z"), Value::boolean(true), Value::integer(2)}});
+    ResultSet right = expectedRows(
+        5, {{Value::integer(2), Value::text("y"), Value::integer(2),
+             Value::text("z"), Value::boolean(true)},
+            {null, null, Value::integer(7), Value::text("w"),
+             Value::boolean(false)}});
+    for (bool reference : {false, true}) {
+        auto run = [&](const std::string &sql) {
+            auto result =
+                reference ? db.executeReference(sql) : db.execute(sql);
+            EXPECT_TRUE(result.isOk())
+                << sql << " -> " << result.status().toString();
+            return result.isOk() ? result.takeValue() : ResultSet();
+        };
+        ResultSet got = run("SELECT *, t0.a FROM t0 LEFT JOIN t1 "
+                            "ON t0.a = t1.c ORDER BY t0.a ASC");
+        EXPECT_EQ(got.columnCount(), 6u);
+        EXPECT_TRUE(got.rows() == left.rows()) << got.toString();
+        got = run("SELECT * FROM t0 RIGHT JOIN t1 ON t0.a = t1.c "
+                  "ORDER BY t1.c ASC");
+        EXPECT_EQ(got.columnCount(), 5u);
+        EXPECT_TRUE(got.rows() == right.rows()) << got.toString();
+    }
+}
+
+TEST_F(DatabaseTest, DerivedTableAndViewSourcesFilterAndJoin)
+{
+    ok("CREATE TABLE t0 (c0 INT, c1 TEXT)");
+    ok("INSERT INTO t0 VALUES (1, 'a'), (2, 'b'), (3, NULL)");
+    ok("CREATE VIEW v0 AS SELECT c1, c0 * 10 AS c2 FROM t0");
+    const Value null;
+    const std::pair<const char *, ResultSet> cases[] = {
+        {"SELECT * FROM (SELECT c1, c0 FROM t0) AS s WHERE s.c0 >= 2 "
+         "ORDER BY s.c0 ASC",
+         expectedRows(2, {{Value::text("b"), Value::integer(2)},
+                          {null, Value::integer(3)}})},
+        {"SELECT * FROM v0 WHERE v0.c2 < 30 ORDER BY v0.c2 DESC",
+         expectedRows(2, {{Value::text("b"), Value::integer(20)},
+                          {Value::text("a"), Value::integer(10)}})},
+        {"SELECT s.c0, v0.c2, v0.c1 FROM (SELECT c0, c1 FROM t0 "
+         "WHERE c0 <> 2) AS s JOIN v0 ON s.c1 = v0.c1 WHERE v0.c2 > 5",
+         expectedRows(3, {{Value::integer(1), Value::integer(10),
+                           Value::text("a")}})},
+        {"SELECT * FROM (SELECT c0, c1 FROM t0) AS s LEFT JOIN v0 "
+         "ON s.c0 * 10 = v0.c2 + 10 "
+         "WHERE s.c1 IS NOT NULL OR v0.c1 IS NULL ORDER BY s.c0 ASC",
+         expectedRows(4, {{Value::integer(1), Value::text("a"), null,
+                           null},
+                          {Value::integer(2), Value::text("b"),
+                           Value::text("a"), Value::integer(10)}})},
+    };
+    for (bool reference : {false, true}) {
+        for (const auto &[sql, expected] : cases) {
+            auto result =
+                reference ? db.executeReference(sql) : db.execute(sql);
+            ASSERT_TRUE(result.isOk())
+                << sql << " -> " << result.status().toString();
+            EXPECT_EQ(result.value().columnCount(),
+                      expected.columnCount())
+                << sql;
+            EXPECT_TRUE(result.value().rows() == expected.rows())
+                << sql << (reference ? " (reference)\n" : "\n")
+                << result.value().toString();
+        }
+    }
+}
+
 TEST_F(DatabaseTest, ScalarSubquery)
 {
     ok("CREATE TABLE t0 (c0 INT)");

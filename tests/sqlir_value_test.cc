@@ -373,6 +373,93 @@ TEST(ResultSetTest, RowsDifferingOnlyAcrossTheUnitSeparatorDiffer)
     EXPECT_FALSE(a.sameRowMultiset(b));
 }
 
+TEST(ResultSetTest, MultisetCountsEachDuplicateRow)
+{
+    // Same size and the same distinct rows, other duplicate counts.
+    ResultSet a({"c0", "c1"});
+    a.addRow(Row{Value::integer(1), Value::text("x")});
+    a.addRow(Row{Value::integer(2), Value::null()});
+    a.addRow(Row{Value::integer(1), Value::text("x")});
+    ResultSet b({"c0", "c1"});
+    b.addRow(Row{Value::integer(2), Value::null()});
+    b.addRow(Row{Value::integer(1), Value::text("x")});
+    b.addRow(Row{Value::integer(2), Value::null()});
+    EXPECT_FALSE(a.sameRowMultiset(b));
+    EXPECT_FALSE(sameRows(sortedRows({&a}), sortedRows({&b})));
+
+    ResultSet c({"c0", "c1"});
+    c.addRow(Row{Value::integer(1), Value::text("x")});
+    c.addRow(Row{Value::integer(1), Value::text("x")});
+    c.addRow(Row{Value::integer(2), Value::null()});
+    EXPECT_TRUE(a.sameRowMultiset(c));
+    EXPECT_TRUE(sameRows(sortedRows({&a}), sortedRows({&c})));
+    EXPECT_EQ(a.multisetFingerprint(), c.multisetFingerprint());
+
+    // A duplicate split across partitions counts once per partition.
+    ResultSet parts[3] = {ResultSet({"c0", "c1"}), ResultSet({"c0", "c1"}),
+                          ResultSet({"c0", "c1"})};
+    parts[0].addRow(Row{Value::integer(1), Value::text("x")});
+    parts[1].addRow(Row{Value::integer(2), Value::null()});
+    parts[2].addRow(Row{Value::integer(1), Value::text("x")});
+    auto split = sortedRows({&parts[0], &parts[1], &parts[2]});
+    EXPECT_EQ(split.size(), 3u);
+    EXPECT_TRUE(sameRows(sortedRows({&a}), split));
+    EXPECT_FALSE(sameRows(sortedRows({&b}), split));
+}
+
+TEST(ResultSetTest, OneCellOfAnotherKindMakesRowsDiffer)
+{
+    // 1 and TRUE are equal under SQL comparison but not as result cells.
+    ResultSet a({"c0", "c1"});
+    a.addRow(Row{Value::text("k"), Value::integer(1)});
+    ResultSet b({"c0", "c1"});
+    b.addRow(Row{Value::text("k"), Value::boolean(true)});
+    EXPECT_NE(compareRows(a.rows()[0], b.rows()[0]), 0);
+    EXPECT_FALSE(a.sameRowMultiset(b));
+    EXPECT_FALSE(sameRows(sortedRows({&a}), sortedRows({&b})));
+    EXPECT_FALSE(a.rows() == b.rows());
+    EXPECT_NE(a.multisetFingerprint(), b.multisetFingerprint());
+}
+
+TEST(ResultSetTest, OrderedEqualityComparesRowsInOrder)
+{
+    ResultSet a({"c0"});
+    a.addRow(Row{Value::integer(1)});
+    a.addRow(Row{Value::integer(2)});
+    ResultSet b({"c0"});
+    b.addRow(Row{Value::integer(2)});
+    b.addRow(Row{Value::integer(1)});
+    ResultSet renamed({"other"});
+    renamed.addRow(Row{Value::integer(1)});
+    renamed.addRow(Row{Value::integer(2)});
+    ResultSet prefix({"c0"});
+    prefix.addRow(Row{Value::integer(1)});
+    EXPECT_TRUE(a.sameRowMultiset(b));
+    EXPECT_FALSE(a.rows() == b.rows());
+    EXPECT_TRUE(a.rows() != b.rows());
+    EXPECT_TRUE(a.rows() == renamed.rows()); // names are not compared
+    EXPECT_FALSE(a.rows() == prefix.rows());
+    EXPECT_FALSE(prefix.rows() == a.rows());
+}
+
+TEST(ResultSetTest, EmptyResultKeepsItsColumns)
+{
+    ResultSet empty({"c0", "c1"});
+    EXPECT_EQ(empty.rowCount(), 0u);
+    EXPECT_EQ(empty.columnCount(), 2u);
+    EXPECT_EQ(empty.rows().size(), 0u);
+    EXPECT_EQ(empty.toString(), "c0 | c1\n");
+    ResultSet other({"x", "y"});
+    EXPECT_TRUE(empty.sameRowMultiset(other));
+    EXPECT_TRUE(empty.rows() == other.rows());
+    EXPECT_TRUE(sortedRows({&empty, &other}).empty());
+    other.addRow(Row{Value::null(), Value::null()});
+    EXPECT_EQ(other.rowCount(), 1u);
+    EXPECT_FALSE(empty.sameRowMultiset(other));
+    EXPECT_FALSE(other.sameRowMultiset(empty));
+    EXPECT_FALSE(empty.rows() == other.rows());
+}
+
 // Property test: the compareRows-based multiset comparison agrees with
 // the literal()-key comparator it replaced, which stays here as the
 // reference. literal() is injective and kind-exact ('1' is not 1), so
