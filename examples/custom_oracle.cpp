@@ -71,7 +71,7 @@ class PredicatePositionOracle : public Oracle
         }
 
         size_t case_count = 0;
-        for (const Row &row : projected_rows.value().rows()) {
+        for (RowView row : projected_rows.value().rows()) {
             if (row[0].kind() == Value::Kind::Int &&
                 row[0].asInt() == 1) {
                 ++case_count;

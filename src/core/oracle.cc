@@ -58,14 +58,18 @@ runTlp(Connection &connection, const SelectStmt &base,
     // two sorted row lists. DISTINCT bases compare as sets: partitions
     // are recombined and deduplicated client-side (as SQLancer's TLP
     // does), so a faulty engine-side DISTINCT cannot hide.
-    std::vector<const Row *> lhs = sortedRows({&q.value()});
-    std::vector<const Row *> rhs =
+    std::vector<SortedRow> lhs = sortedRows({&q.value()});
+    std::vector<SortedRow> rhs =
         sortedRows({&parts[0], &parts[1], &parts[2]});
     if (base.distinct) {
-        auto dedupe = [](std::vector<const Row *> &rows) {
+        // Equal rows sit next to each other in a sorted list.
+        auto dedupe = [](std::vector<SortedRow> &rows) {
             rows.erase(std::unique(rows.begin(), rows.end(),
-                                   [](const Row *a, const Row *b) {
-                                       return *a == *b;
+                                   [](const SortedRow &a,
+                                      const SortedRow &b) {
+                                       return a.hash == b.hash &&
+                                              compareRows(a.row,
+                                                          b.row) == 0;
                                    }),
                        rows.end());
         };
@@ -164,7 +168,7 @@ runNorec(Connection &connection, const SelectStmt &base,
     }
 
     int64_t reference_count = 0;
-    for (const Row &row : rows.value().rows()) {
+    for (RowView row : rows.value().rows()) {
         const Value &cell = row[0];
         if (cell.kind() == Value::Kind::Bool && cell.asBool())
             ++reference_count;
@@ -257,8 +261,8 @@ runPqs(Connection &connection, const SelectStmt &base,
         return result;
     }
 
-    for (const Row &row : rows.value().rows()) {
-        if (row == pivot->row) {
+    for (RowView row : rows.value().rows()) {
+        if (compareRows(row, pivot->row) == 0) {
             result.outcome = OracleOutcome::Passed;
             return result;
         }
@@ -428,7 +432,7 @@ std::string
 renderRowsOrdered(const ResultSet &rows)
 {
     std::string out;
-    for (const Row &row : rows.rows()) {
+    for (RowView row : rows.rows()) {
         if (!out.empty())
             out += " ";
         out += "(";

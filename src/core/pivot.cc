@@ -71,7 +71,8 @@ selectPivot(const SelectStmt &base, const ResultSet &scan, uint64_t salt)
     }
     pivot.tableRows = scan.rowCount();
     pivot.rowIndex = static_cast<size_t>(salt % scan.rowCount());
-    pivot.row = scan.rows()[pivot.rowIndex];
+    RowView row = scan.rows()[pivot.rowIndex];
+    pivot.row.assign(row.begin(), row.end());
     return pivot;
 }
 

@@ -59,7 +59,7 @@ computeTableStats(const SelectStmt &base, const ResultSet &scan)
         stats.columns.push_back(std::move(cs));
     }
 
-    for (const Row &row : scan.rows()) {
+    for (RowView row : scan.rows()) {
         for (size_t i = 0; i < row.size() && i < stats.columns.size();
              ++i) {
             EetColumnStats &cs = stats.columns[i];

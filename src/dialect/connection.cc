@@ -161,7 +161,7 @@ Connection::executeInternal(const std::string &sql)
     SQLPP_TRACE_TICK();
     // REFRESH is not part of the engine grammar; it is a dialect-level
     // statement only refresh-required dialects accept.
-    std::string trimmed(trim(sql));
+    std::string_view trimmed = trim(sql);
     if (equalsIgnoreCase(trimmed.substr(0, 8), "REFRESH ") ||
         equalsIgnoreCase(trimmed, "REFRESH")) {
         if (!profile_.requiresRefreshAfterInsert) {

@@ -305,6 +305,56 @@ triBool(std::optional<bool> value)
 
 StatusOr<Value> evalExprImpl(const Expr &expr, const EvalContext &ctx);
 
+/**
+ * The Value at a bound column slot in the current row of its frame,
+ * where it lives; NULL when the frame has no row or the slot's part is
+ * NULL-extended.
+ */
+const Value &
+readColumn(const BoundNode &bound, const EvalContext &ctx)
+{
+    static const Value null;
+    const EvalContext *frame = &ctx;
+    for (uint32_t hop = 0; hop < bound.depth; ++hop)
+        frame = frame->outer;
+    if (frame->row.empty())
+        return null;
+    RowView part = frame->row[bound.slot.binding];
+    if (part.empty())
+        return null;
+    return part[bound.slot.column];
+}
+
+/**
+ * Evaluate an operand that is only read, not kept. A column reference
+ * already bound under the scope is read in place, for the one budget
+ * step evalExprImpl would charge; anything else, a column's first
+ * (binding) evaluation included, goes through evalExprImpl into
+ * @p owned. Returns the operand's Value, or null on an error, whose
+ * status is then in @p owned. The Value lives until @p owned or the
+ * current rows change.
+ */
+const Value *
+evalOperand(const Expr &expr, const EvalContext &ctx,
+            StatusOr<Value> &owned)
+{
+    const BoundNode *bound =
+        expr.kind() == ExprKind::ColumnRef && ctx.scope != nullptr
+            ? ctx.scope->findBound(&expr)
+            : nullptr;
+    if (bound != nullptr) {
+        if (ctx.budget != nullptr) {
+            if (Status s = ctx.budget->chargeSteps(1); !s.isOk()) {
+                owned = std::move(s);
+                return nullptr;
+            }
+        }
+        return &readColumn(*bound, ctx);
+    }
+    owned = evalExprImpl(expr, ctx);
+    return owned.isOk() ? &owned.value() : nullptr;
+}
+
 StatusOr<Value>
 evalArithmetic(BinaryOp op, const Value &lhs, const Value &rhs,
                const EvalContext &ctx)
@@ -506,14 +556,16 @@ evalBinary(const BinaryExpr &expr, const EvalContext &ctx)
         return Value::null();
     }
 
-    auto lhs_or = evalExprImpl(*expr.lhs, ctx);
-    if (!lhs_or.isOk())
-        return lhs_or;
-    auto rhs_or = evalExprImpl(*expr.rhs, ctx);
-    if (!rhs_or.isOk())
-        return rhs_or;
-    const Value &lhs = lhs_or.value();
-    const Value &rhs = rhs_or.value();
+    StatusOr<Value> lhs_owned = Value();
+    const Value *lhs_in = evalOperand(*expr.lhs, ctx, lhs_owned);
+    if (lhs_in == nullptr)
+        return lhs_owned;
+    StatusOr<Value> rhs_owned = Value();
+    const Value *rhs_in = evalOperand(*expr.rhs, ctx, rhs_owned);
+    if (rhs_in == nullptr)
+        return rhs_owned;
+    const Value &lhs = *lhs_in;
+    const Value &rhs = *rhs_in;
 
     switch (expr.op) {
       case BinaryOp::Add:
@@ -872,21 +924,6 @@ bindColumn(const ColumnRefExpr &ref, const EvalContext &ctx)
     return Status::semanticError("no such column: " + name);
 }
 
-/** Read a bound column slot from the current row of its frame. */
-Value
-readColumn(const BoundNode &bound, const EvalContext &ctx)
-{
-    const EvalContext *frame = &ctx;
-    for (uint32_t hop = 0; hop < bound.depth; ++hop)
-        frame = frame->outer;
-    if (frame->row.empty())
-        return Value::null();
-    RowView part = frame->row[bound.slot.binding];
-    if (part.empty())
-        return Value::null();
-    return part[bound.slot.column];
-}
-
 StatusOr<Value>
 evalExprImpl(const Expr &expr, const EvalContext &ctx)
 {
@@ -920,17 +957,21 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
       case ExprKind::Between: {
         SQLPP_COVER("eval.op.between");
         const auto &between = static_cast<const BetweenExpr &>(expr);
-        auto operand = evalExprImpl(*between.operand, ctx);
-        if (!operand.isOk())
-            return operand;
-        auto low = evalExprImpl(*between.low, ctx);
-        if (!low.isOk())
-            return low;
-        auto high = evalExprImpl(*between.high, ctx);
-        if (!high.isOk())
-            return high;
-        auto low_cmp = compareSql(operand.value(), low.value());
-        auto high_cmp = compareSql(operand.value(), high.value());
+        StatusOr<Value> operand_owned = Value();
+        const Value *operand =
+            evalOperand(*between.operand, ctx, operand_owned);
+        if (operand == nullptr)
+            return operand_owned;
+        StatusOr<Value> low_owned = Value();
+        const Value *low = evalOperand(*between.low, ctx, low_owned);
+        if (low == nullptr)
+            return low_owned;
+        StatusOr<Value> high_owned = Value();
+        const Value *high = evalOperand(*between.high, ctx, high_owned);
+        if (high == nullptr)
+            return high_owned;
+        auto low_cmp = compareSql(*operand, *low);
+        auto high_cmp = compareSql(*operand, *high);
         // x BETWEEN lo AND hi == (x >= lo) AND (x <= hi), Kleene AND.
         std::optional<bool> ge_low =
             low_cmp ? std::optional<bool>(*low_cmp >= 0) : std::nullopt;
@@ -948,16 +989,18 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
       case ExprKind::InList: {
         SQLPP_COVER("eval.op.in_list");
         const auto &in = static_cast<const InListExpr &>(expr);
-        auto operand = evalExprImpl(*in.operand, ctx);
-        if (!operand.isOk())
-            return operand;
-        bool saw_null = operand.value().isNull();
+        StatusOr<Value> operand_owned = Value();
+        const Value *operand = evalOperand(*in.operand, ctx, operand_owned);
+        if (operand == nullptr)
+            return operand_owned;
+        bool saw_null = operand->isNull();
         bool matched = false;
+        StatusOr<Value> item_owned = Value();
         for (const ExprPtr &item : in.items) {
-            auto value = evalExprImpl(*item, ctx);
-            if (!value.isOk())
-                return value;
-            auto eq = evalEquality(operand.value(), value.value(), ctx);
+            const Value *value = evalOperand(*item, ctx, item_owned);
+            if (value == nullptr)
+                return item_owned;
+            auto eq = evalEquality(*operand, *value, ctx);
             if (!eq.has_value())
                 saw_null = true;
             else if (*eq)
@@ -1053,7 +1096,7 @@ evalExprImpl(const Expr &expr, const EvalContext &ctx)
         }
         bool saw_null = operand.value().isNull();
         bool matched = false;
-        for (const Row &row : rows.rows()) {
+        for (RowView row : rows.rows()) {
             auto eq = evalEquality(operand.value(), row[0], ctx);
             if (!eq.has_value())
                 saw_null = true;

@@ -137,12 +137,6 @@ class Scope
 class EvalContext;
 
 /**
- * One source row as the evaluator reads it: a view of its Values,
- * wherever they live (a stored table or a result set).
- */
-using RowView = std::span<const Value>;
-
-/**
  * One row of a FROM clause as the evaluator reads it: one RowView per
  * binding of its Scope, in binding order, so a joined row copies no
  * Value. An empty part stands for its binding's columns all NULL (the

@@ -269,6 +269,19 @@ Executor::Relation::seal(size_t arity)
         rows[i] = RowTuple(parts.data() + i * arity, arity);
 }
 
+void
+Executor::Source::own(ResultSet &result)
+{
+    // The width is read before anything moves the result's columns.
+    size_t width = result.columnCount();
+    size_t count = result.rowCount();
+    owned = result.takeCells();
+    rel.parts.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        rel.parts.emplace_back(owned.data() + i * width, width);
+    rel.seal(1);
+}
+
 uint64_t
 Executor::planFingerprint() const
 {
@@ -417,6 +430,29 @@ Executor::runSelect(const SelectStmt &select, const EvalContext *outer)
     return runSelectImpl(select, outer);
 }
 
+bool
+Executor::aggregatePath(const SelectStmt &select)
+{
+    auto [entry, fresh] = state_->aggregatePath.try_emplace(&select);
+    if (fresh) {
+        bool aggregate = !select.groupBy.empty();
+        for (const SelectItem &item : select.items) {
+            if (item.expr != nullptr && exprContainsAggregate(*item.expr))
+                aggregate = true;
+        }
+        if (select.having != nullptr &&
+            exprContainsAggregate(*select.having)) {
+            aggregate = true;
+        }
+        for (const OrderTerm &term : select.orderBy) {
+            if (exprContainsAggregate(*term.expr))
+                aggregate = true;
+        }
+        entry->second = aggregate;
+    }
+    return entry->second;
+}
+
 const Executor::StatementState::Folded &
 Executor::folded(const SelectStmt &select)
 {
@@ -448,10 +484,8 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
             return result.status();
         note("DRV[", child.plan_, "]");
         source.binding = ref.alias;
+        source.own(result.value());
         source.columns = std::move(result.value().columns());
-        source.owned = result.value().takeRows();
-        source.rel.parts.assign(source.owned.begin(), source.owned.end());
-        source.rel.seal(1);
         return source;
     }
     if (const StoredTable *table = catalog_.table(ref.name)) {
@@ -477,9 +511,7 @@ Executor::prepareSource(const TableRef &ref, const EvalContext *outer)
             return Status::semanticError(
                 "view column list does not match query: " + view->name);
         }
-        source.owned = result.value().takeRows();
-        source.rel.parts.assign(source.owned.begin(), source.owned.end());
-        source.rel.seal(1);
+        source.own(result.value());
         return source;
     }
     return Status::semanticError("no such table: " + ref.name);
@@ -1210,20 +1242,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     // ------------------------------------------------------------------
     // Grouping / aggregation.
     // ------------------------------------------------------------------
-    bool has_aggregate = false;
-    for (const SelectItem &item : select.items) {
-        if (item.expr != nullptr && exprContainsAggregate(*item.expr))
-            has_aggregate = true;
-    }
-    if (select.having != nullptr &&
-        exprContainsAggregate(*select.having)) {
-        has_aggregate = true;
-    }
-    for (const OrderTerm &term : select.orderBy) {
-        if (exprContainsAggregate(*term.expr))
-            has_aggregate = true;
-    }
-    bool aggregate_path = has_aggregate || !select.groupBy.empty();
+    bool aggregate_path = aggregatePath(select);
 
     // Output column names.
     std::vector<std::string> out_columns;
@@ -1249,10 +1268,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     }
 
     // The projection + optional sort-key evaluation shares this helper.
+    // It appends one row's cells to the result, then ends the row; on
+    // an error the statement fails and the half-built row goes with it.
     auto project = [&](const EvalContext &ctx,
                        ResultSet &out) -> Status {
-        Row out_row;
-        out_row.reserve(out.columnCount());
+        std::vector<Value> &cells = out.cells();
         for (const SelectItem &item : select.items) {
             if (item.star) {
                 if (scope.bindings.empty()) {
@@ -1264,11 +1284,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 for (size_t b = 0; b < scope.bindings.size(); ++b) {
                     RowView part = ctx.row.empty() ? RowView() : ctx.row[b];
                     if (part.empty()) {
-                        out_row.resize(out_row.size() +
-                                       scope.bindings[b].columns.size());
+                        cells.resize(cells.size() +
+                                     scope.bindings[b].columns.size());
                     } else {
-                        out_row.insert(out_row.end(), part.begin(),
-                                       part.end());
+                        cells.insert(cells.end(), part.begin(),
+                                     part.end());
                     }
                 }
                 continue;
@@ -1276,11 +1296,11 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             auto value = evalExpr(*item.expr, ctx);
             if (!value.isOk())
                 return value.status();
-            out_row.push_back(value.takeValue());
+            cells.push_back(value.takeValue());
         }
         if (Status s = budget_->chargeRows(1); !s.isOk())
             return s;
-        out.addRow(std::move(out_row));
+        out.endRow();
         return Status::ok();
     };
 
@@ -1358,6 +1378,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 groups[group].push_back(row);
             }
         }
+        result.cells().reserve(groups.size() * result.columnCount());
         for (const std::vector<RowTuple> &rows : groups) {
             EvalContext ctx = base_ctx();
             ctx.groupRows = &rows;
@@ -1382,6 +1403,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             return Status::semanticError(
                 "HAVING requires GROUP BY or aggregates");
         }
+        result.cells().reserve(current.rows.size() * result.columnCount());
         for (RowTuple row : current.rows) {
             EvalContext ctx = base_ctx();
             ctx.row = row;
@@ -1404,16 +1426,16 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
         note("DISTINCT");
         bool null_collapse =
             faults_.isEnabled(FaultId::DistinctNullCollapse);
-        auto row_less = [](const Row *a, const Row *b) {
-            return compareRows(*a, *b) < 0;
+        auto row_less = [](RowView a, RowView b) {
+            return compareRows(a, b) < 0;
         };
-        std::set<const Row *, decltype(row_less)> seen(row_less);
+        std::set<RowView, decltype(row_less)> seen(row_less);
         bool null_row_kept = false;
         std::vector<size_t> kept;
         for (size_t i : order) {
             if (Status s = budget_->chargeSteps(1); !s.isOk())
                 return s;
-            const Row &row = result.rows()[i];
+            RowView row = result.rows()[i];
             bool has_null = false;
             for (const Value &value : row)
                 has_null |= value.isNull();
@@ -1423,7 +1445,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 if (!null_row_kept)
                     kept.push_back(i);
                 null_row_kept = true;
-            } else if (seen.insert(&row).second) {
+            } else if (seen.insert(row).second) {
                 kept.push_back(i);
             }
         }
@@ -1471,11 +1493,18 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
     if (identity)
         return result;
     // Each projected row appears in `order` at most once, so the final
-    // rows can be moved out of the projection.
-    std::vector<Row> projected = result.takeRows();
+    // rows' cells can be moved out of the projection.
+    size_t width = result.columnCount();
     ResultSet final_result(std::move(result.columns()));
-    for (size_t i = begin; i < end; ++i)
-        final_result.addRow(std::move(projected[order[i]]));
+    std::vector<Value> &projected = result.cells();
+    std::vector<Value> &cells = final_result.cells();
+    cells.reserve((end - begin) * width);
+    for (size_t i = begin; i < end; ++i) {
+        auto row = projected.begin() + order[i] * width;
+        cells.insert(cells.end(), std::make_move_iterator(row),
+                     std::make_move_iterator(row + width));
+        final_result.endRow();
+    }
     return final_result;
 }
 

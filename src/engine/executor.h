@@ -22,10 +22,10 @@
  *
  *  - Each SELECT node is planned against per-statement state shared by
  *    the executor and its children: its folded WHERE/ON trees, its
- *    subquery cache key (SQL text if uncorrelated), and the printed
- *    names of its unaliased select items are computed on its first run
- *    and reused by every later run, such as a correlated subquery's run
- *    for each outer row.
+ *    subquery cache key (SQL text if uncorrelated), whether it groups,
+ *    and the printed names of its unaliased select items are computed
+ *    on its first run and reused by every later run, such as a
+ *    correlated subquery's run for each outer row.
  *  - Column references and function calls are bound by the evaluator
  *    the first time they are evaluated under a Scope (see Scope in
  *    engine/eval.h); later rows read the bound slot or implementation.
@@ -35,9 +35,12 @@
  *    joined row is one view per binding, appended by each join step
  *    into one flat buffer of views, so no join copies a Value. WHERE
  *    and GROUP BY partition the tuples, and the evaluator reads a
- *    column through its (binding, column) slot. Only projection copies
- *    Values, into one reserved Row per result row; cached subquery
- *    results are shared, not copied, per use.
+ *    column through its (binding, column) slot, in place when it is
+ *    an operator's operand. Only projection copies Values, straight
+ *    into the result's one buffer of cells (ResultSet); DISTINCT,
+ *    ORDER BY and LIMIT move those cells into the final result, and a
+ *    derived table or view takes its child's cells and views them.
+ *    Cached subquery results are shared, not copied, per use.
  *
  * None of this changes what is charged to the BudgetMeter, in what
  * order, or the plan description.
@@ -134,6 +137,11 @@ class Executor : public SubqueryRunner
         std::unordered_map<const SelectStmt *, std::string> subqueryKeys;
         /** Result column name of a select item without an alias. */
         std::unordered_map<const Expr *, std::string> itemNames;
+        /**
+         * Whether a SELECT groups: it has GROUP BY, or an aggregate in
+         * its items, HAVING or ORDER BY.
+         */
+        std::unordered_map<const SelectStmt *, bool> aggregatePath;
     };
 
     /** Child executor for a nested SELECT; shares budget and state. */
@@ -141,6 +149,9 @@ class Executor : public SubqueryRunner
 
     /** Folded WHERE/ON trees of @p select (optimized mode), made once. */
     const StatementState::Folded &folded(const SelectStmt &select);
+
+    /** Whether @p select takes the grouping path, worked out once. */
+    bool aggregatePath(const SelectStmt &select);
 
     /**
      * An intermediate relation: a list of row tuples. Every row's parts
@@ -181,12 +192,18 @@ class Executor : public SubqueryRunner
         std::vector<std::string> columns;
         /** The rows the source reads, one part each. */
         Relation rel;
-        /** Result rows of a derived table or view, viewed by rel. */
-        std::vector<Row> owned;
+        /** Result cells of a derived table or view, viewed by rel. */
+        std::vector<Value> owned;
         /** Non-null for base tables (enables index probes). */
         const StoredTable *table = nullptr;
         /** True when this binding may be NULL-extended by an outer join. */
         bool nullable = false;
+
+        /**
+         * Take @p result's cells as owned and view each of its rows as
+         * one part of rel. The columns are left to the caller.
+         */
+        void own(ResultSet &result);
     };
 
     StatusOr<ResultSet> runSelectImpl(const SelectStmt &select,

@@ -1,6 +1,7 @@
 #include "sqlir/value.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "util/enum_table.h"
 #include "util/strutil.h"
@@ -142,23 +143,52 @@ Value::hash() const
 }
 
 uint64_t
+hashRow(RowView row)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const Value &value : row) {
+        hash ^= value.hash();
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+bool
+ResultSet::Rows::operator==(const Rows &other) const
+{
+    if (count_ != other.count_)
+        return false;
+    for (size_t i = 0; i < count_; ++i) {
+        RowView lhs = (*this)[i];
+        RowView rhs = other[i];
+        if (!std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end()))
+            return false;
+    }
+    return true;
+}
+
+void
+ResultSet::addRow(RowView row)
+{
+    assert(row.size() == columnCount());
+    cells_.insert(cells_.end(), row.begin(), row.end());
+    ++row_count_;
+}
+
+uint64_t
 ResultSet::multisetFingerprint() const
 {
     // XOR of per-row hashes multiplied against a row-local mix is
     // order-insensitive; summing guards against duplicate cancellation.
     uint64_t xor_acc = 0;
     uint64_t sum_acc = 0;
-    for (const Row &row : rows_) {
-        uint64_t row_hash = 0xcbf29ce484222325ULL;
-        for (const Value &value : row) {
-            row_hash ^= value.hash();
-            row_hash *= 0x100000001b3ULL;
-        }
+    for (RowView row : rows()) {
+        uint64_t row_hash = hashRow(row);
         xor_acc ^= row_hash;
         sum_acc += row_hash * 0x9e3779b97f4a7c15ULL + 1;
     }
     return xor_acc ^ (sum_acc * 0xff51afd7ed558ccdULL) ^
-           (static_cast<uint64_t>(rows_.size()) << 32);
+           (static_cast<uint64_t>(row_count_) << 32);
 }
 
 bool
@@ -169,7 +199,7 @@ ResultSet::sameRowMultiset(const ResultSet &other) const
 }
 
 int
-compareRows(const Row &lhs, const Row &rhs)
+compareRows(RowView lhs, RowView rhs)
 {
     size_t n = std::min(lhs.size(), rhs.size());
     for (size_t i = 0; i < n; ++i) {
@@ -182,29 +212,37 @@ compareRows(const Row &lhs, const Row &rhs)
     return lhs.size() < rhs.size() ? -1 : 1;
 }
 
-std::vector<const Row *>
+std::vector<SortedRow>
 sortedRows(std::initializer_list<const ResultSet *> sets)
 {
-    std::vector<const Row *> out;
+    std::vector<SortedRow> out;
     size_t total = 0;
     for (const ResultSet *set : sets)
         total += set->rowCount();
     out.reserve(total);
     for (const ResultSet *set : sets)
-        for (const Row &row : set->rows())
-            out.push_back(&row);
-    std::sort(out.begin(), out.end(), [](const Row *a, const Row *b) {
-        return compareRows(*a, *b) < 0;
-    });
+        for (RowView row : set->rows())
+            out.push_back(SortedRow{hashRow(row), row});
+    // Most comparisons end at the hash; only rows of equal hash, which
+    // are almost always equal rows, compare their Values.
+    std::sort(out.begin(), out.end(),
+              [](const SortedRow &a, const SortedRow &b) {
+                  if (a.hash != b.hash)
+                      return a.hash < b.hash;
+                  return compareRows(a.row, b.row) < 0;
+              });
     return out;
 }
 
 bool
-sameRows(const std::vector<const Row *> &lhs,
-         const std::vector<const Row *> &rhs)
+sameRows(const std::vector<SortedRow> &lhs,
+         const std::vector<SortedRow> &rhs)
 {
     return std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
-                      [](const Row *a, const Row *b) { return *a == *b; });
+                      [](const SortedRow &a, const SortedRow &b) {
+                          return a.hash == b.hash &&
+                                 compareRows(a.row, b.row) == 0;
+                      });
 }
 
 std::string
@@ -213,9 +251,9 @@ ResultSet::toString(size_t max_rows) const
     std::string out = join(columns_, " | ");
     out += "\n";
     size_t shown = 0;
-    for (const Row &row : rows_) {
+    for (RowView row : rows()) {
         if (shown++ >= max_rows) {
-            out += format("... (%zu rows total)\n", rows_.size());
+            out += format("... (%zu rows total)\n", row_count_);
             break;
         }
         std::vector<std::string> cells;

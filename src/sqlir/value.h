@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstddef>
 #include <initializer_list>
+#include <iterator>
 #include <span>
 #include <string>
 #include <variant>
@@ -238,19 +240,33 @@ class Value
 
 static_assert(sizeof(Value) == 16, "Value is a tag plus an 8-byte payload");
 
-/** One result row. */
+/** One stored row, or a row built up before it is added to a result. */
 using Row = std::vector<Value>;
+
+/**
+ * One row as its readers see it: a view of its Values, wherever they
+ * live (a stored table, a result's cells, a Row).
+ */
+using RowView = std::span<const Value>;
 
 /**
  * The one definition of row identity and order: lexicographic by
  * Value::compareTotal, then the shorter row first. Two rows compare 0
- * exactly when they are equal under Row's operator==. Oracle multiset
- * checks, DISTINCT, GROUP BY, ANALYZE and index keys all use it.
+ * exactly when they hold equal Values. Oracle multiset checks,
+ * DISTINCT, GROUP BY, ANALYZE and index keys all use it.
  */
-int compareRows(const Row &lhs, const Row &rhs);
+int compareRows(RowView lhs, RowView rhs);
+
+/** Stable hash of a row's Values, in order; equal rows hash equal. */
+uint64_t hashRow(RowView row);
 
 /**
  * A query result: column names plus rows.
+ *
+ * The rows live in one flat buffer of cells, columnCount() Values per
+ * row, row after row, and are read as RowViews. A result is built by
+ * appending one row's cells to cells() and then calling endRow(), or by
+ * addRow().
  *
  * Oracles compare results as multisets of rows under exact Value
  * equality (paper: TLP recombines partitions as a multiset union), so
@@ -260,6 +276,81 @@ int compareRows(const Row &lhs, const Row &rhs);
 class ResultSet
 {
   public:
+    /** The rows of a result, as views into its cells. */
+    class Rows
+    {
+      public:
+        /** Iterates the rows in order, yielding one RowView each. */
+        class Iterator
+        {
+          public:
+            using iterator_category = std::forward_iterator_tag;
+            using value_type = RowView;
+            using difference_type = std::ptrdiff_t;
+            using pointer = void;
+            using reference = RowView;
+
+            Iterator() = default;
+            Iterator(const Value *cell, size_t width)
+                : cell_(cell), width_(width) {}
+
+            RowView operator*() const { return RowView(cell_, width_); }
+            Iterator &
+            operator++()
+            {
+                cell_ += width_;
+                ++row_;
+                return *this;
+            }
+            Iterator
+            operator++(int)
+            {
+                Iterator before = *this;
+                ++*this;
+                return before;
+            }
+            bool
+            operator==(const Iterator &other) const
+            {
+                return row_ == other.row_;
+            }
+
+          private:
+            friend class Rows;
+            const Value *cell_ = nullptr;
+            size_t width_ = 0;
+            /** Row index; zero-width rows share one cell pointer. */
+            size_t row_ = 0;
+        };
+
+        Rows(const Value *cells, size_t width, size_t count)
+            : cells_(cells), width_(width), count_(count) {}
+
+        size_t size() const { return count_; }
+        bool empty() const { return count_ == 0; }
+        RowView
+        operator[](size_t row) const
+        {
+            return RowView(cells_ + row * width_, width_);
+        }
+        Iterator begin() const { return Iterator(cells_, width_); }
+        Iterator
+        end() const
+        {
+            Iterator out(cells_ + count_ * width_, width_);
+            out.row_ = count_;
+            return out;
+        }
+
+        /** Ordered equality: the same rows, equal Value for Value. */
+        bool operator==(const Rows &other) const;
+
+      private:
+        const Value *cells_;
+        size_t width_;
+        size_t count_;
+    };
+
     ResultSet() = default;
     explicit ResultSet(std::vector<std::string> column_names)
         : columns_(std::move(column_names)) {}
@@ -267,19 +358,35 @@ class ResultSet
     const std::vector<std::string> &columns() const { return columns_; }
     std::vector<std::string> &columns() { return columns_; }
 
-    const std::vector<Row> &rows() const { return rows_; }
-    void addRow(Row row) { rows_.push_back(std::move(row)); }
-
-    /** Move the rows out, leaving this result with none. */
-    std::vector<Row>
-    takeRows()
+    Rows
+    rows() const
     {
-        std::vector<Row> out;
-        out.swap(rows_);
+        return Rows(cells_.data(), columns_.size(), row_count_);
+    }
+
+    /** Append a row of columnCount() Values. */
+    void addRow(RowView row);
+
+    /**
+     * Every row's cells, row after row. A producer appends the next
+     * row's columnCount() cells here, then calls endRow().
+     */
+    std::vector<Value> &cells() { return cells_; }
+
+    /** Count the row whose cells were just appended to cells(). */
+    void endRow() { ++row_count_; }
+
+    /** Move the cells out, leaving this result with no rows. */
+    std::vector<Value>
+    takeCells()
+    {
+        std::vector<Value> out;
+        out.swap(cells_);
+        row_count_ = 0;
         return out;
     }
 
-    size_t rowCount() const { return rows_.size(); }
+    size_t rowCount() const { return row_count_; }
     size_t columnCount() const { return columns_.size(); }
 
     /** Order-insensitive multiset fingerprint of the row contents. */
@@ -293,19 +400,30 @@ class ResultSet
 
   private:
     std::vector<std::string> columns_;
-    std::vector<Row> rows_;
+    std::vector<Value> cells_;
+    size_t row_count_ = 0;
+};
+
+/** One row of a sorted row list, with the hash it is ordered by. */
+struct SortedRow
+{
+    uint64_t hash;
+    RowView row;
 };
 
 /**
- * Pointers to every row of every set in @p sets, sorted by
- * compareRows. They stay valid while the sets live unchanged.
+ * Every row of every set in @p sets, ordered by hashRow and then by
+ * compareRows. That is a total order in which equal rows sit next to
+ * each other, so two sorted lists hold the same multiset exactly when
+ * sameRows() finds them equal. The views stay valid while the sets
+ * live unchanged.
  */
-std::vector<const Row *> sortedRows(
+std::vector<SortedRow> sortedRows(
     std::initializer_list<const ResultSet *> sets);
 
 /** True if two sorted row lists hold equal rows, element by element. */
-bool sameRows(const std::vector<const Row *> &lhs,
-              const std::vector<const Row *> &rhs);
+bool sameRows(const std::vector<SortedRow> &lhs,
+              const std::vector<SortedRow> &rhs);
 
 } // namespace sqlpp
 

@@ -47,7 +47,7 @@ outcomeOf(const StatusOr<ResultSet> &result)
     if (!result.isOk())
         return "error: " + result.status().toString();
     std::string out = "rows:";
-    for (const Row &row : result.value().rows()) {
+    for (RowView row : result.value().rows()) {
         out += " (";
         for (size_t i = 0; i < row.size(); ++i) {
             if (i > 0)

@@ -27,6 +27,16 @@ exec(Database &db, const std::string &sql)
                                << result.status().toString();
 }
 
+/** A copy of @p result's rows, one Row each. */
+std::vector<Row>
+copyRows(const ResultSet &result)
+{
+    std::vector<Row> out;
+    for (RowView row : result.rows())
+        out.emplace_back(row.begin(), row.end());
+    return out;
+}
+
 /** Run @p sql in one mode; the rows, or a failed test and no rows. */
 std::vector<Row>
 rowsOf(Database &db, const std::string &sql,
@@ -41,7 +51,7 @@ rowsOf(Database &db, const std::string &sql,
                                << result.status().toString();
     if (!result.isOk())
         return {};
-    return result.value().rows();
+    return copyRows(result.value());
 }
 
 /** The error message @p sql fails with in @p mode ("" if it succeeds). */
@@ -348,7 +358,7 @@ TEST(BindRerunTest, ReusedExecutorStartsEachStatementAfresh)
         auto result = executor.runSelect(
             static_cast<const SelectStmt &>(*stmt.value()));
         ASSERT_TRUE(result.isOk()) << result.status().toString();
-        results.push_back(result.value().rows());
+        results.push_back(copyRows(result.value()));
     }
     ASSERT_EQ(results[0].size(), 1u);
     EXPECT_EQ(results[0][0][0].asInt(), 3);

@@ -194,7 +194,7 @@ rowsOne(const Catalog &catalog, const SelectStmt &select, ExecMode mode)
                       result.status().toString().c_str());
     std::string out = format("%s rows=%zu\n", execModeName(mode),
                              result.value().rowCount());
-    for (const Row &row : result.value().rows()) {
+    for (RowView row : result.value().rows()) {
         out += " ";
         for (size_t i = 0; i < row.size(); ++i)
             out += (i == 0 ? " " : ", ") + row[i].literal();

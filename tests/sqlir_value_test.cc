@@ -314,43 +314,43 @@ TEST(ValueTest, WrongKindAccessThrows)
 TEST(ResultSetTest, MultisetEqualityIgnoresOrder)
 {
     ResultSet a({"c0"});
-    a.addRow({Value::integer(1)});
-    a.addRow({Value::integer(2)});
+    a.addRow(Row{Value::integer(1)});
+    a.addRow(Row{Value::integer(2)});
     ResultSet b({"x"});
-    b.addRow({Value::integer(2)});
-    b.addRow({Value::integer(1)});
+    b.addRow(Row{Value::integer(2)});
+    b.addRow(Row{Value::integer(1)});
     EXPECT_TRUE(a.sameRowMultiset(b));
 }
 
 TEST(ResultSetTest, MultisetRespectsDuplicateCounts)
 {
     ResultSet a({"c0"});
-    a.addRow({Value::integer(1)});
-    a.addRow({Value::integer(1)});
+    a.addRow(Row{Value::integer(1)});
+    a.addRow(Row{Value::integer(1)});
     ResultSet b({"c0"});
-    b.addRow({Value::integer(1)});
+    b.addRow(Row{Value::integer(1)});
     EXPECT_FALSE(a.sameRowMultiset(b));
-    b.addRow({Value::integer(1)});
+    b.addRow(Row{Value::integer(1)});
     EXPECT_TRUE(a.sameRowMultiset(b));
 }
 
 TEST(ResultSetTest, MultisetDistinguishesNullFromZero)
 {
     ResultSet a({"c0"});
-    a.addRow({Value::null()});
+    a.addRow(Row{Value::null()});
     ResultSet b({"c0"});
-    b.addRow({Value::integer(0)});
+    b.addRow(Row{Value::integer(0)});
     EXPECT_FALSE(a.sameRowMultiset(b));
 }
 
 TEST(ResultSetTest, FingerprintOrderInsensitive)
 {
     ResultSet a({"c0", "c1"});
-    a.addRow({Value::integer(1), Value::text("x")});
-    a.addRow({Value::null(), Value::boolean(true)});
+    a.addRow(Row{Value::integer(1), Value::text("x")});
+    a.addRow(Row{Value::null(), Value::boolean(true)});
     ResultSet b({"c0", "c1"});
-    b.addRow({Value::null(), Value::boolean(true)});
-    b.addRow({Value::integer(1), Value::text("x")});
+    b.addRow(Row{Value::null(), Value::boolean(true)});
+    b.addRow(Row{Value::integer(1), Value::text("x")});
     EXPECT_EQ(a.multisetFingerprint(), b.multisetFingerprint());
 }
 
@@ -358,7 +358,7 @@ TEST(ResultSetTest, ToStringTruncates)
 {
     ResultSet rs({"c0"});
     for (int i = 0; i < 20; ++i)
-        rs.addRow({Value::integer(i)});
+        rs.addRow(Row{Value::integer(i)});
     std::string rendered = rs.toString(4);
     EXPECT_NE(rendered.find("20 rows total"), std::string::npos);
 }
@@ -366,9 +366,9 @@ TEST(ResultSetTest, ToStringTruncates)
 TEST(ResultSetTest, RowsDifferingOnlyAcrossTheUnitSeparatorDiffer)
 {
     ResultSet a({"c0", "c1"});
-    a.addRow({Value::text("a\x1f" "tb"), Value::text("c")});
+    a.addRow(Row{Value::text("a\x1f" "tb"), Value::text("c")});
     ResultSet b({"c0", "c1"});
-    b.addRow({Value::text("a"), Value::text("b\x1f" "tc")});
+    b.addRow(Row{Value::text("a"), Value::text("b\x1f" "tc")});
     EXPECT_NE(compareRows(a.rows()[0], b.rows()[0]), 0);
     EXPECT_FALSE(a.sameRowMultiset(b));
 }
@@ -473,7 +473,7 @@ literalKeyMultisetEqual(const ResultSet &lhs, const ResultSet &rhs)
         return false;
     auto keys = [](const ResultSet &set) {
         std::vector<std::string> out;
-        for (const Row &row : set.rows()) {
+        for (RowView row : set.rows()) {
             std::string key;
             for (const Value &value : row) {
                 key += value.literal();
@@ -530,14 +530,17 @@ TEST(RowOrderPropertyTest, MultisetCompareAgreesWithLiteralKeys)
         std::vector<Row> pool;
         for (size_t i = 0, n = 1 + rng.below(4); i < n; ++i)
             pool.push_back(edgeRow(rng, arity));
-        ResultSet lhs;
+        const std::vector<std::string> columns(arity, "c");
+        ResultSet lhs(columns);
         for (size_t i = 0, n = rng.below(7); i < n; ++i)
             lhs.addRow(rng.pick(pool));
 
         // The other side: a permutation of lhs, then maybe a mutation
         // that keeps the size (so only the row contents or duplicate
         // counts differ), or an independent draw.
-        std::vector<Row> rows = lhs.rows();
+        std::vector<Row> rows;
+        for (RowView row : lhs.rows())
+            rows.emplace_back(row.begin(), row.end());
         for (size_t i = rows.size(); i > 1; --i)
             std::swap(rows[i - 1], rows[rng.below(i)]);
         switch (rng.below(4)) {
@@ -556,7 +559,7 @@ TEST(RowOrderPropertyTest, MultisetCompareAgreesWithLiteralKeys)
             break;
           default: break;
         }
-        ResultSet rhs;
+        ResultSet rhs(columns);
         for (Row &row : rows)
             rhs.addRow(row);
 
@@ -573,7 +576,8 @@ TEST(RowOrderPropertyTest, MultisetCompareAgreesWithLiteralKeys)
         // place exactly as their concatenation does.
         size_t cut_a = rng.below(rows.size() + 1);
         size_t cut_b = cut_a + rng.below(rows.size() - cut_a + 1);
-        ResultSet parts[3];
+        ResultSet parts[3] = {ResultSet(columns), ResultSet(columns),
+                              ResultSet(columns)};
         for (size_t i = 0; i < rows.size(); ++i)
             parts[i < cut_a ? 0 : (i < cut_b ? 1 : 2)].addRow(rows[i]);
         ASSERT_EQ(sameRows(sortedRows({&lhs}),
@@ -626,12 +630,15 @@ TEST(RowOrderPropertyTest, CompareRowsIsATotalOrderMatchingEquality)
 
 TEST(RowOrderPropertyTest, KindsNeverCompareEqualAcrossLiterals)
 {
-    EXPECT_NE(compareRows({Value::text("1")}, {Value::integer(1)}), 0);
-    EXPECT_NE(compareRows({Value::boolean(true)}, {Value::integer(1)}), 0);
-    EXPECT_NE(compareRows({Value::text("NULL")}, {Value::null()}), 0);
-    EXPECT_NE(compareRows({Value::text("")}, {Value::null()}), 0);
-    EXPECT_LT(compareRows({Value::integer(1)}, {Value::integer(1),
-                                                Value::null()}),
+    EXPECT_NE(compareRows(Row{Value::text("1")}, Row{Value::integer(1)}),
+              0);
+    EXPECT_NE(
+        compareRows(Row{Value::boolean(true)}, Row{Value::integer(1)}), 0);
+    EXPECT_NE(compareRows(Row{Value::text("NULL")}, Row{Value::null()}),
+              0);
+    EXPECT_NE(compareRows(Row{Value::text("")}, Row{Value::null()}), 0);
+    EXPECT_LT(compareRows(Row{Value::integer(1)},
+                          Row{Value::integer(1), Value::null()}),
               0);
     EXPECT_TRUE(Value::integer(std::numeric_limits<int64_t>::min()) <
                 Value::integer(std::numeric_limits<int64_t>::max()));
