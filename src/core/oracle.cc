@@ -64,14 +64,7 @@ runTlp(Connection &connection, const SelectStmt &base,
     if (base.distinct) {
         // Equal rows sit next to each other in a sorted list.
         auto dedupe = [](std::vector<SortedRow> &rows) {
-            rows.erase(std::unique(rows.begin(), rows.end(),
-                                   [](const SortedRow &a,
-                                      const SortedRow &b) {
-                                       return a.hash == b.hash &&
-                                              compareRows(a.row,
-                                                          b.row) == 0;
-                                   }),
-                       rows.end());
+            rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
         };
         dedupe(lhs);
         dedupe(rhs);

@@ -238,11 +238,7 @@ bool
 sameRows(const std::vector<SortedRow> &lhs,
          const std::vector<SortedRow> &rhs)
 {
-    return std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
-                      [](const SortedRow &a, const SortedRow &b) {
-                          return a.hash == b.hash &&
-                                 compareRows(a.row, b.row) == 0;
-                      });
+    return std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end());
 }
 
 std::string

@@ -409,6 +409,13 @@ struct SortedRow
 {
     uint64_t hash;
     RowView row;
+
+    /** Equal rows: the same hash and equal Values. */
+    bool
+    operator==(const SortedRow &other) const
+    {
+        return hash == other.hash && compareRows(row, other.row) == 0;
+    }
 };
 
 /**
