@@ -142,6 +142,9 @@ Value::hash() const
     return 0;
 }
 
+namespace {
+
+/** Stable hash of a row's Values, in order; equal rows hash equal. */
 uint64_t
 hashRow(RowView row)
 {
@@ -152,6 +155,8 @@ hashRow(RowView row)
     }
     return hash;
 }
+
+} // namespace
 
 bool
 ResultSet::Rows::operator==(const Rows &other) const

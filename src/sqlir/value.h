@@ -257,9 +257,6 @@ using RowView = std::span<const Value>;
  */
 int compareRows(RowView lhs, RowView rhs);
 
-/** Stable hash of a row's Values, in order; equal rows hash equal. */
-uint64_t hashRow(RowView row);
-
 /**
  * A query result: column names plus rows.
  *
@@ -419,11 +416,11 @@ struct SortedRow
 };
 
 /**
- * Every row of every set in @p sets, ordered by hashRow and then by
- * compareRows. That is a total order in which equal rows sit next to
- * each other, so two sorted lists hold the same multiset exactly when
- * sameRows() finds them equal. The views stay valid while the sets
- * live unchanged.
+ * Every row of every set in @p sets, ordered by a hash of its Values
+ * and then by compareRows. That is a total order in which equal rows
+ * sit next to each other, so two sorted lists hold the same multiset
+ * exactly when sameRows() finds them equal. The views stay valid while
+ * the sets live unchanged.
  */
 std::vector<SortedRow> sortedRows(
     std::initializer_list<const ResultSet *> sets);
